@@ -19,6 +19,7 @@ from .qcore import (
     DensityOperator,
     PartyDims,
     ProjectiveMeasurement,
+    _local_branches,
     apply_local_unitary,
     bell_pair,
     fidelity_pure,
@@ -86,18 +87,7 @@ def local_filter(
     Branch probabilities sum to one by the completeness relation.  A branch of
     negligible probability carries ``None`` as its state.
     """
-    from .qcore import PRUNE_ATOL, _embed  # local import keeps the surface tidy
-
-    branches: list[tuple[float, DensityOperator | None]] = []
-    for kraus in (filter_pair.k0, filter_pair.k1):
-        big = _embed(np.asarray(kraus, dtype=complex), (party,), rho.dims)
-        sub = big @ rho.matrix @ big.conj().T
-        prob = float(np.real(np.trace(sub)))
-        post = None
-        if prob > PRUNE_ATOL:
-            post = DensityOperator(rho.dims, (sub + sub.conj().T) / (2.0 * prob))
-        branches.append((min(max(prob, 0.0), 1.0), post))
-    return branches
+    return _local_branches(rho, (filter_pair.k0, filter_pair.k1), (party,))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ never mutates its inputs, so values can be shared freely between threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -312,34 +313,81 @@ def state_projector_measurement(target_party: int, reference: PureState) -> Proj
 
 
 # ---------------------------------------------------------------------------
-# operator embedding
+# axis-local kernel
 # ---------------------------------------------------------------------------
 
 
-def _embed(op: np.ndarray, targets: tuple[int, ...], dims: PartyDims) -> np.ndarray:
-    """Lift an operator on the listed parties to the full space.
+def _local_kernel(state: State, targets) -> Callable[[np.ndarray], np.ndarray]:
+    """Prepare ``state`` for operators supported on the listed parties.
 
-    The operator's factor order matches the order in which ``targets`` are
-    listed, which need not be sorted or contiguous.
+    Returns ``apply(op)``: the vector ``(op x 1) psi`` for a pure state, or the
+    matrix ``(op x 1) rho (op x 1)^dagger`` for a density operator, in the
+    system's own party order.  The operator's factor order matches the order
+    in which ``targets`` are listed, which need not be sorted or contiguous.
+
+    The target axes are transposed to the front once per call; each operator
+    then costs one matmul over the joint target index (a second one for the
+    column axes of a density operator) and the inverse transpose.  No
+    operator on the full space is ever formed.
     """
+    dims = state.dims
     n = dims.n
+    targets = tuple(targets)
     for t in targets:
         if not 0 <= t < n:
             raise ValueError(f"party index {t} out of range for {n} parties")
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"target parties {targets} must be distinct")
     tdim = math.prod(dims.dims[t] for t in targets)
-    if op.shape != (tdim, tdim):
-        raise ValueError(
-            f"operator has shape {op.shape}, expected {(tdim, tdim)} for parties {targets}"
-        )
-    rest = [i for i in range(n) if i not in targets]
-    rdim = math.prod([dims.dims[i] for i in rest], start=1)
-    big = np.kron(op, np.eye(rdim, dtype=complex))
-    order = list(targets) + rest  # party owning each current axis
-    axes_dims = [dims.dims[i] for i in order]
-    big = big.reshape(axes_dims + axes_dims)
-    big = np.moveaxis(big, list(range(n)), order)
-    big = np.moveaxis(big, [n + k for k in range(n)], [n + o for o in order])
-    return big.reshape(dims.total, dims.total)
+    rdim = dims.total // tdim
+    order = list(targets) + [i for i in range(n) if i not in targets]
+    back = [order.index(i) for i in range(n)]
+    shape = [dims.dims[i] for i in order]
+    pure = isinstance(state, PureState)
+    if pure:
+        front = state.tensor_view().transpose(order).reshape(tdim, rdim)
+    else:
+        front = state.tensor_view().transpose(order + [n + i for i in order])
+        front = front.reshape(tdim, rdim * dims.total)
+        back += [n + i for i in back]
+        shape += shape
+
+    def apply(op: np.ndarray) -> np.ndarray:
+        if op.shape != (tdim, tdim):
+            raise ValueError(
+                f"operator has shape {op.shape}, expected {(tdim, tdim)} for parties {targets}"
+            )
+        out = op @ front
+        if pure:
+            return out.reshape(shape).transpose(back).reshape(-1)
+        out = np.matmul(op.conj(), out.reshape(tdim * rdim, tdim, rdim))
+        return out.reshape(shape).transpose(back).reshape(dims.total, dims.total)
+
+    return apply
+
+
+def _local_branches(state: State, operators, targets) -> list[tuple[float, State | None]]:
+    """Apply each operator of a local instrument; one (probability, state) each.
+
+    The post-state is renormalized (and, for a density operator, symmetrized)
+    and is None when the probability is at or below the prune threshold.
+    Probabilities are clipped to [0, 1].
+    """
+    apply = _local_kernel(state, targets)
+    branches: list[tuple[float, State | None]] = []
+    for op in operators:
+        sub = apply(op)
+        post: State | None = None
+        if isinstance(state, PureState):
+            prob = float(np.real(np.vdot(sub, sub)))
+            if prob > PRUNE_ATOL:
+                post = PureState(state.dims, sub / math.sqrt(prob))
+        else:
+            prob = float(np.real(np.trace(sub)))
+            if prob > PRUNE_ATOL:
+                post = DensityOperator(state.dims, (sub + sub.conj().T) / (2.0 * prob))
+        branches.append((min(max(prob, 0.0), 1.0), post))
+    return branches
 
 
 # ---------------------------------------------------------------------------
@@ -413,28 +461,15 @@ def measure(state: State, measurement: ProjectiveMeasurement) -> list[Measuremen
     """
     if isinstance(state, PureState) and state.unnormalized:
         raise ValueError("normalize the state before measuring")
-    dims = state.dims
-    outcomes: list[MeasurementOutcome] = []
-    total = 0.0
-    for idx, proj in enumerate(measurement.projectors):
-        big = _embed(proj, measurement.target_parties, dims)
-        if isinstance(state, PureState):
-            v = big @ state.amplitudes
-            prob = float(np.real(np.vdot(v, v)))
-            post: State | None = None
-            if prob > PRUNE_ATOL:
-                post = PureState(dims, v / math.sqrt(prob))
-        else:
-            sub = big @ state.matrix @ big
-            prob = float(np.real(np.trace(sub)))
-            post = None
-            if prob > PRUNE_ATOL:
-                post = DensityOperator(dims, (sub + sub.conj().T) / (2.0 * prob))
-        prob = min(max(prob, 0.0), 1.0)
-        total += prob
-        outcomes.append(MeasurementOutcome(idx, prob, post))
+    targets = measurement.target_parties
+    branches = _local_branches(state, measurement.projectors, targets)
+    outcomes = [MeasurementOutcome(i, prob, post) for i, (prob, post) in enumerate(branches)]
+    total = sum(prob for prob, _ in branches)
     if abs(total - 1.0) > ATOL:
-        raise InvariantError(f"measurement probabilities sum to {total!r}")
+        raise InvariantError(
+            f"measurement on parties {targets} of dims {state.dims.dims}: probabilities "
+            f"sum to {total!r}, residual {total - 1.0:.3e} exceeds {ATOL:g}"
+        )
     return outcomes
 
 
@@ -443,11 +478,10 @@ def apply_local_unitary(state: State, unitary, target_parties) -> State:
     u = np.asarray(unitary, dtype=complex)
     if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > ATOL:
         raise ValueError("operator is not unitary within tolerance")
-    targets = tuple(int(t) for t in target_parties)
-    big = _embed(u, targets, state.dims)
+    out = _local_kernel(state, (int(t) for t in target_parties))(u)
     if isinstance(state, PureState):
-        return PureState(state.dims, big @ state.amplitudes, unnormalized=state.unnormalized)
-    return DensityOperator(state.dims, big @ state.matrix @ big.conj().T)
+        return PureState(state.dims, out, unnormalized=state.unnormalized)
+    return DensityOperator(state.dims, out)
 
 
 def relabel_subspace(state: State, party: int, basis_map: dict, new_dim: int) -> State:

@@ -1,0 +1,190 @@
+"""The axis-local kernel behind measure, apply_local_unitary and local_filter.
+
+Each property draws a random party structure (2-4 parties of local
+dimension 2-4, at most 64 dimensions in all), an ordered tuple of distinct
+target parties (unsorted and non-contiguous ones included) and a random
+operator, and compares the fast kernel with ``helpers.loop_embed``, which
+lifts the operator to the full space one matrix element at a time.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gmesim.distill import FilterPair, local_filter
+from gmesim.qcore import (
+    ATOL,
+    PRUNE_ATOL,
+    DensityOperator,
+    InvariantError,
+    PartyDims,
+    ProjectiveMeasurement,
+    PureState,
+    apply_local_unitary,
+    measure,
+)
+
+from helpers import loop_embed, random_density, random_pure
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def layouts(draw, max_targets=4):
+    """(dims, targets, numpy seed) with distinct, arbitrarily ordered targets."""
+    dims = tuple(
+        draw(
+            st.lists(st.integers(2, 4), min_size=2, max_size=4).filter(
+                lambda ds: math.prod(ds) <= 64
+            )
+        )
+    )
+    k = draw(st.integers(1, min(max_targets, len(dims))))
+    targets = tuple(draw(st.permutations(range(len(dims))))[:k])
+    return dims, targets, draw(st.integers(0, 2**32 - 1))
+
+
+def random_unitary(dim, rng):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_projectors(dim, rng):
+    """A complete set of orthogonal projectors in a random basis."""
+    basis = random_unitary(dim, rng)
+    labels = rng.integers(0, rng.integers(1, dim + 1), size=dim)
+    return tuple(
+        basis[:, labels == g] @ basis[:, labels == g].conj().T for g in np.unique(labels)
+    )
+
+
+def random_state(dims, rng, pure):
+    if pure:
+        return PureState(PartyDims(dims), random_pure(dims, rng))
+    return DensityOperator(PartyDims(dims), random_density(dims, rng))
+
+
+def lifted(state, op, targets):
+    """``op`` applied to ``state`` through the element-loop lift."""
+    big = loop_embed(op, targets, state.dims.dims)
+    if isinstance(state, PureState):
+        return big @ state.amplitudes
+    return big @ state.matrix @ big.conj().T
+
+
+def assert_branch(prob, post, state, sub):
+    """One (probability, post-state) branch against the lifted result ``sub``."""
+    if isinstance(state, PureState):
+        want = float(np.real(np.vdot(sub, sub)))
+    else:
+        want = float(np.real(np.trace(sub)))
+    assert abs(prob - want) <= ATOL
+    if want <= PRUNE_ATOL:
+        assert post is None
+        return
+    if isinstance(state, PureState):
+        np.testing.assert_allclose(post.amplitudes * math.sqrt(want), sub, atol=ATOL)
+    else:
+        np.testing.assert_allclose(post.matrix * want, (sub + sub.conj().T) / 2.0, atol=ATOL)
+
+
+def target_dim(dims, targets):
+    return math.prod(dims[t] for t in targets)
+
+
+@PROPERTY
+@given(layouts(), st.booleans())
+def test_measure_matches_loop_embed(layout, pure):
+    dims, targets, seed = layout
+    rng = np.random.default_rng(seed)
+    state = random_state(dims, rng, pure)
+    projectors = random_projectors(target_dim(dims, targets), rng)
+    outcomes = measure(state, ProjectiveMeasurement(targets, projectors))
+    assert [o.outcome_index for o in outcomes] == list(range(len(projectors)))
+    for out, proj in zip(outcomes, projectors):
+        assert_branch(out.probability, out.post_state, state, lifted(state, proj, targets))
+
+
+@PROPERTY
+@given(layouts(), st.booleans())
+def test_apply_local_unitary_matches_loop_embed(layout, pure):
+    dims, targets, seed = layout
+    rng = np.random.default_rng(seed)
+    state = random_state(dims, rng, pure)
+    u = random_unitary(target_dim(dims, targets), rng)
+    got = apply_local_unitary(state, u, targets)
+    assert got.dims == state.dims
+    want = lifted(state, u, targets)
+    np.testing.assert_allclose(got.amplitudes if pure else got.matrix, want, atol=ATOL)
+
+
+@PROPERTY
+@given(layouts(max_targets=1), st.booleans())
+def test_local_filter_matches_loop_embed(layout, rank_one):
+    # local_filter takes density operators; pure inputs enter as rank-one ones
+    dims, (party,), seed = layout
+    rng = np.random.default_rng(seed)
+    rank = 1 if rank_one else None
+    rho = DensityOperator(PartyDims(dims), random_density(dims, rng, rank=rank))
+    d = dims[party]
+    s = rng.uniform(0.0, 1.0, d)
+    k0 = random_unitary(d, rng) @ np.diag(s)
+    k1 = random_unitary(d, rng) @ np.diag(np.sqrt(1.0 - s * s))
+    pair = FilterPair(k0, k1)
+    branches = local_filter(rho, party, pair)
+    assert len(branches) == 2
+    for (prob, post), kraus in zip(branches, (pair.k0, pair.k1)):
+        assert_branch(prob, post, rho, lifted(rho, kraus, (party,)))
+
+
+@PROPERTY
+@given(layouts(), st.booleans())
+def test_bad_target_or_shape_is_refused(layout, pure):
+    dims, targets, seed = layout
+    rng = np.random.default_rng(seed)
+    state = random_state(dims, rng, pure)
+    d = target_dim(dims, targets)
+    n = len(dims)
+    # a party index past the last party
+    outside = targets[:-1] + (n + int(rng.integers(0, 3)),)
+    with pytest.raises(ValueError, match="out of range"):
+        measure(state, ProjectiveMeasurement(outside, (np.eye(d, dtype=complex),)))
+    with pytest.raises(ValueError, match="out of range"):
+        apply_local_unitary(state, np.eye(d), outside)
+    # an operator sized for one more level than the targets hold
+    with pytest.raises(ValueError, match="shape"):
+        measure(state, ProjectiveMeasurement(targets, (np.eye(d + 1, dtype=complex),)))
+    with pytest.raises(ValueError, match="shape"):
+        apply_local_unitary(state, random_unitary(d + 1, rng), targets)
+    if not pure:
+        with pytest.raises(ValueError, match="out of range"):
+            local_filter(state, n, FilterPair(np.eye(2), np.zeros((2, 2))))
+        wrong = dims[targets[0]] + 1
+        with pytest.raises(ValueError, match="shape"):
+            local_filter(state, targets[0], FilterPair(np.eye(wrong), np.zeros((wrong, wrong))))
+
+
+def test_repeated_target_is_refused():
+    state = PureState(PartyDims((2, 2)), random_pure((2, 2), np.random.default_rng(3)))
+    with pytest.raises(ValueError, match="distinct"):
+        apply_local_unitary(state, np.eye(4), (1, 1))
+
+
+def test_probability_sum_error_names_dims_targets_and_residual(monkeypatch):
+    # a projector set that misses |1><1| cannot pass ProjectiveMeasurement's
+    # own validation, so switch that validation off for this one construction
+    monkeypatch.setattr(ProjectiveMeasurement, "__post_init__", lambda self: None)
+    incomplete = ProjectiveMeasurement((2, 0), (np.diag([1.0, 0, 0, 0, 0, 0]).astype(complex),))
+    monkeypatch.undo()
+    state = PureState(PartyDims((2, 4, 3)), random_pure((2, 4, 3), np.random.default_rng(4)))
+    expected_total = sum(abs(state.tensor_view()[0, :, 0]) ** 2)
+    with pytest.raises(InvariantError) as info:
+        measure(state, incomplete)
+    message = str(info.value)
+    assert "parties (2, 0)" in message
+    assert "dims (2, 4, 3)" in message
+    assert f"residual {expected_total - 1.0:.3e}" in message

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gmesim import protocols
 from gmesim.entanglement import Bipartition, certify_gme_pure, negativity
 from gmesim.protocols import (
     MergeResult,
@@ -264,24 +265,43 @@ class TestMerge:
         assert len(result.branches) == n_branches
         assert sum(b.probability for b in result.branches) == pytest.approx(1.0)
 
-    def test_nonuniform_pairs_match_prefix_xor_oracle(self):
-        """Branch amplitudes and probabilities follow the parity prefix."""
-        coeffs = [(0.9, math.sqrt(1 - 0.81)), (0.7, math.sqrt(0.51)), (0.6, 0.8)]
+    @staticmethod
+    def assert_prefix_xor_oracle(coeffs):
+        """Merge a|00> + b|11> pairs; every branch follows the parity prefix."""
         pairs = [ket([a, 0, 0, b], (2, 2)) for a, b in coeffs]
         result = merge_chain_to_ghz(pairs)
         # alignment sorts each pair's coefficients into descending order
         expected_coeffs = [tuple(sorted(ab, reverse=True)) for ab in coeffs]
         for got, want in zip(result.pair_coefficients, expected_coeffs):
             assert got == pytest.approx(want, abs=1e-12)
+        assert len(result.branches) == 4 ** (len(coeffs) - 1)
         for branch in result.branches:
             a0, a1, prob = merge_branch_amplitudes(
                 result.pair_coefficients, branch.parity_pattern
             )
             assert branch.probability == pytest.approx(prob, abs=1e-12)
             norm = math.sqrt(a0 * a0 + a1 * a1)
-            want = np.zeros(16, dtype=complex)
+            want = np.zeros(2 ** (len(coeffs) + 1), dtype=complex)
             want[0], want[-1] = a0 / norm, a1 / norm
             np.testing.assert_allclose(branch.state.amplitudes, want, atol=1e-9)
+
+    def test_nonuniform_pairs_match_prefix_xor_oracle(self):
+        """Branch amplitudes and probabilities follow the parity prefix."""
+        self.assert_prefix_xor_oracle(
+            [(0.9, math.sqrt(1 - 0.81)), (0.7, math.sqrt(0.51)), (0.6, 0.8)]
+        )
+
+    def test_five_unequal_pairs_match_prefix_xor_oracle_on_all_256_branches(self):
+        raw = [(0.9, 0.3), (0.8, 0.5), (0.4, 0.7), (0.95, 0.2), (0.6, 0.55)]
+        self.assert_prefix_xor_oracle([normalize_schmidt(ab) for ab in raw])
+
+    def test_seven_pairs_are_refused_by_the_dimension_cap_before_measuring(self, monkeypatch):
+        def no_measure(*args):
+            raise AssertionError("merge measured before checking the dimension cap")
+
+        monkeypatch.setattr(protocols, "measure", no_measure)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            merge_chain_to_ghz([bell_pair("phi+")] * 7)
 
     def test_swapped_coefficients_are_realigned(self):
         result = merge_chain_to_ghz([ket([0.6, 0, 0, 0.8], (2, 2)), bell_pair("phi+")])
