@@ -46,6 +46,27 @@ def _frozen_array(data, shape=None) -> np.ndarray:
     return out
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Reject NaN and infinite entries, naming the first one found.
+
+    Every tolerance comparison is False for NaN, so the later checks would
+    let such an entry through; this runs before any of them.
+    """
+    if np.isfinite(values).all():
+        return
+    index = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+    label = index[0] if len(index) == 1 else index
+    raise ValueError(f"{what} entry {label} is {complex(values[index])!r}; entries must be finite")
+
+
+def _min_eigenvalue(mat: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part of ``mat``.
+
+    Only the failure path of the PSD check in ``DensityOperator`` calls this.
+    """
+    return float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
+
+
 # ---------------------------------------------------------------------------
 # value types
 # ---------------------------------------------------------------------------
@@ -113,8 +134,11 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected {self.dims.total}"
             )
-        if not self.unnormalized and abs(self.norm() - 1.0) > ATOL:
-            raise ValueError(f"state is not normalized (norm={self.norm()!r})")
+        norm = self.norm()
+        if not math.isfinite(norm):  # a NaN or infinite amplitude, or overflow
+            _require_finite(amps, f"pure state on dims {self.dims.dims}: amplitude")
+        if not self.unnormalized and abs(norm - 1.0) > ATOL:
+            raise ValueError(f"state is not normalized (norm={norm!r})")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -136,7 +160,15 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Trace-one positive-semidefinite operator over ``dims``."""
+    """Trace-one positive-semidefinite operator over ``dims``.
+
+    Every construction checks finiteness, Hermiticity, unit trace and PSD.
+    The PSD test is a Cholesky factorization of ``H + ATOL*I`` with
+    ``H = (rho + rho^dagger)/2``: it succeeds when the smallest eigenvalue of
+    ``H`` exceeds ``-ATOL`` up to roundoff (about 3e-14 at 256 dimensions).
+    Only when it fails does a full ``eigvalsh`` decide, so a matrix is
+    rejected exactly when its smallest eigenvalue is below ``-ATOL``.
+    """
 
     dims: PartyDims
     matrix: np.ndarray
@@ -148,14 +180,31 @@ class DensityOperator:
         d = self.dims.total
         if mat.shape != (d, d):
             raise ValueError(f"matrix has shape {mat.shape}, expected {(d, d)}")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
+        where = f"density operator on dims {self.dims.dims}"
+        _require_finite(mat, f"{where}: matrix")
+        adj = np.conj(mat.T, order="C")
+        herm = float(np.max(np.abs(mat - adj)))
+        if herm > ATOL:
+            raise ValueError(
+                f"{where}: matrix is not Hermitian, max |rho - rho^dagger| = {herm:.3e} "
+                f"exceeds {ATOL:g}"
+            )
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > ATOL:
-            raise ValueError(f"trace is {tr!r}, expected 1")
-        low = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
-        if low < -ATOL:
-            raise ValueError(f"matrix has negative eigenvalue {low!r}")
+            raise ValueError(f"{where}: trace is {tr!r}, expected 1 within {ATOL:g}")
+        # 2*(H + ATOL*I), built in place on the adjoint temporary; the exact
+        # factor of two does not change definiteness.
+        adj += mat
+        adj.flat[:: d + 1] += 2.0 * ATOL
+        try:
+            np.linalg.cholesky(adj)
+        except np.linalg.LinAlgError:
+            low = _min_eigenvalue(mat)
+            if low < -ATOL:
+                raise ValueError(
+                    f"{where}: matrix is not positive semidefinite, minimum eigenvalue "
+                    f"{low!r} is below {-ATOL:g}"
+                ) from None
 
     def tensor_view(self) -> np.ndarray:
         """Matrix reshaped to row axes then column axes, one per party."""

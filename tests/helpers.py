@@ -199,3 +199,42 @@ def random_density(dims, rng, rank=None) -> np.ndarray:
         v = random_pure(dims, rng)
         rho += w[k] * np.outer(v, v.conj())
     return rho
+
+
+def random_unitary(dim, rng) -> np.ndarray:
+    """Haar-random unitary: QR of a complex Gaussian matrix, phases fixed."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_unit_trace_hermitian(dims, rng, lambda_min: float, multiplicity: int = 1) -> np.ndarray:
+    """Hermitian unit-trace matrix whose smallest eigenvalue is ``lambda_min``.
+
+    ``multiplicity`` eigenvalues equal ``lambda_min``; the rest are positive,
+    well above it, and make the trace one.  The eigenbasis is a random
+    unitary, so no entry is special.
+    """
+    d = int(np.prod(dims))
+    u = random_unitary(d, rng)
+    rest = rng.random(d - multiplicity) + 0.5
+    rest *= (1.0 - multiplicity * lambda_min) / rest.sum()
+    spectrum = np.concatenate([np.full(multiplicity, lambda_min), rest])
+    h = (u * spectrum) @ u.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# validation oracles
+# ---------------------------------------------------------------------------
+
+
+def eig_min_hermitian_part(matrix: np.ndarray) -> float:
+    """Smallest eigenvalue of (M + M^dagger)/2, from the full spectrum."""
+    m = np.asarray(matrix, dtype=complex)
+    return float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+
+
+def eig_psd_accepts(matrix: np.ndarray, atol: float) -> bool:
+    """The PSD verdict of a full eigendecomposition: lambda_min >= -atol."""
+    return eig_min_hermitian_part(matrix) >= -atol

@@ -78,6 +78,17 @@ class TestExitCodes:
         incomplete.write_text('{"dims": [2, 2], "kind": "pure"}', encoding="utf-8")
         assert run_cli("certify", "--state-file", str(incomplete)).returncode == 2
 
+    def test_non_finite_state_file_exits_2(self, tmp_path):
+        path = tmp_path / "nan.json"
+        # Python's json module writes and reads the NaN literal.
+        matrix = [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
+        matrix[1] = matrix[4] = [math.nan, 0.0]
+        payload = {"dims": [2, 2], "kind": "density", "matrix": matrix}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        proc = run_cli("certify", "--state-file", str(path))
+        assert proc.returncode == 2
+        assert "matrix entry (0, 1) is (nan+0j); entries must be finite" in proc.stderr
+
     def test_density_state_rejected_by_svetlichny(self):
         proc = run_cli("svetlichny", "--builtin", "prop1")
         assert proc.returncode == 2

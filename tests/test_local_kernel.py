@@ -27,7 +27,7 @@ from gmesim.qcore import (
     measure,
 )
 
-from helpers import loop_embed, random_density, random_pure
+from helpers import loop_embed, random_density, random_pure, random_unitary
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -45,12 +45,6 @@ def layouts(draw, max_targets=4):
     k = draw(st.integers(1, min(max_targets, len(dims))))
     targets = tuple(draw(st.permutations(range(len(dims))))[:k])
     return dims, targets, draw(st.integers(0, 2**32 - 1))
-
-
-def random_unitary(dim, rng):
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_projectors(dim, rng):

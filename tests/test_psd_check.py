@@ -1,0 +1,90 @@
+"""The PSD check of ``DensityOperator``: shifted Cholesky, eigvalsh on failure.
+
+The property draws Hermitian unit-trace matrices over 1-4 parties of local
+dimension 2-4 (up to 256 dimensions) with the smallest eigenvalue planted
+on either side of ``-ATOL``, and compares accept/reject with the verdict of
+a full eigendecomposition (``helpers.eig_psd_accepts``).  Matrices whose
+computed smallest eigenvalue lies within ``BOUNDARY_BAND`` of ``-ATOL`` are
+skipped: there the factorization's roundoff (about 3e-14 at 256
+dimensions) may legitimately decide either way.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from gmesim import qcore
+from gmesim.protocols import ProtocolConfig, build_prop3_state, run_prop3
+from gmesim.qcore import ATOL, DensityOperator, PartyDims
+
+from helpers import eig_min_hermitian_part, eig_psd_accepts, random_unit_trace_hermitian
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+BOUNDARY_BAND = 1e-12
+
+
+def accepts(dims, matrix) -> bool:
+    try:
+        DensityOperator(PartyDims(dims), matrix)
+    except ValueError as exc:
+        assert "positive semidefinite" in str(exc), exc
+        return False
+    return True
+
+
+@pytest.mark.parametrize("lambda_min", [-10 * ATOL, -2 * ATOL, 0.0, ATOL])
+@PROPERTY
+@given(
+    dims=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+    multiplicity=st.integers(1, 255),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dims=[4, 4, 4, 4], multiplicity=1, seed=0)
+@example(dims=[4, 4, 4, 4], multiplicity=200, seed=1)
+def test_psd_verdict_matches_eigvalsh_oracle(lambda_min, dims, multiplicity, seed):
+    """``multiplicity`` copies of the planted eigenvalue (at most d - 1)."""
+    d = int(np.prod(dims))
+    multiplicity = 1 + (multiplicity - 1) % (d - 1)
+    rng = np.random.default_rng(seed)
+    matrix = random_unit_trace_hermitian(dims, rng, lambda_min, multiplicity)
+    assume(abs(eig_min_hermitian_part(matrix) + ATOL) > BOUNDARY_BAND)
+    assert accepts(dims, matrix) == eig_psd_accepts(matrix, ATOL)
+
+
+@pytest.fixture
+def psd_paths(monkeypatch):
+    """Count Cholesky factorizations and eigvalsh fallbacks in the PSD check."""
+    counts = {"cholesky": 0, "fallback": 0}
+    cholesky, fallback = np.linalg.cholesky, qcore._min_eigenvalue
+
+    def counting_cholesky(a, *args, **kwargs):
+        counts["cholesky"] += 1
+        return cholesky(a, *args, **kwargs)
+
+    def counting_fallback(mat):
+        counts["fallback"] += 1
+        return fallback(mat)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(qcore, "_min_eigenvalue", counting_fallback)
+    return counts
+
+
+def test_eigvalsh_decides_when_the_factorization_fails(psd_paths):
+    # lambda_min = -ATOL exactly: the shifted matrix is singular, so the
+    # factorization fails, and eigvalsh accepts the matrix.
+    DensityOperator(PartyDims((2,)), np.diag([1.0 + ATOL, -ATOL]).astype(complex))
+    assert psd_paths == {"cholesky": 1, "fallback": 1}
+    with pytest.raises(ValueError):
+        DensityOperator(PartyDims((2,)), np.diag([1.5, -0.5]).astype(complex))
+    assert psd_paths == {"cholesky": 2, "fallback": 2}
+
+
+def test_valid_prop3_intermediates_never_fall_back(psd_paths):
+    build_prop3_state((0.5, 0.5, 0.5, 0.5), (0.2, 0.3, 0.5))
+    report = run_prop3(ProtocolConfig(), postselect_success=True)
+    assert report.success
+    assert psd_paths["cholesky"] >= 20
+    assert psd_paths["fallback"] == 0

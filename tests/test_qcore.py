@@ -34,11 +34,13 @@ from gmesim.qcore import (
 
 from helpers import (
     bell_vec,
+    eig_min_hermitian_part,
     ghz_vec,
     loop_embed,
     loop_partial_trace,
     random_density,
     random_pure,
+    random_unit_trace_hermitian,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -104,6 +106,40 @@ class TestStates:
             DensityOperator(dims, np.eye(2, dtype=complex))  # trace 2
         with pytest.raises(ValueError):
             DensityOperator(dims, np.diag([1.5, -0.5]).astype(complex))  # not PSD
+
+    def test_density_operator_rejects_256_dim_non_psd(self):
+        dims = PartyDims((4, 4, 4, 4))
+        rng = np.random.default_rng(11)
+        bad = random_unit_trace_hermitian(dims.dims, rng, -1e-6)
+        low = eig_min_hermitian_part(bad)
+        with pytest.raises(ValueError, match="positive semidefinite") as info:
+            DensityOperator(dims, bad)
+        message = str(info.value)
+        assert "(4, 4, 4, 4)" in message
+        assert float(message.split("minimum eigenvalue ")[1].split()[0]) == low
+
+    def test_density_operator_errors_name_dims_and_residual(self):
+        dims = PartyDims((2, 2))
+        skew = np.eye(4, dtype=complex) / 4
+        skew[0, 1] = 3e-6
+        with pytest.raises(ValueError, match=r"dims \(2, 2\).*max \|rho - rho\^dagger\| = 3\.000e-06"):
+            DensityOperator(dims, skew)
+        with pytest.raises(ValueError, match=r"dims \(2, 2\).*trace is \(2\+0j\)"):
+            DensityOperator(dims, np.eye(4, dtype=complex) / 2)
+        with pytest.raises(ValueError, match=r"dims \(2, 2\).*minimum eigenvalue -0\.25 "):
+            DensityOperator(dims, np.diag([0.75, 0.25, 0.25, -0.25]).astype(complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_non_finite_entries_rejected(self, bad):
+        amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        amps[2] = bad
+        for unnormalized in (False, True):
+            with pytest.raises(ValueError, match=r"amplitude entry 2 is .*must be finite"):
+                PureState(PartyDims((2, 2)), amps, unnormalized=unnormalized)
+        mat = np.eye(2, dtype=complex) / 2
+        mat[0, 1] = mat[1, 0] = bad
+        with pytest.raises(ValueError, match=r"dims \(2,\): matrix entry \(0, 1\) is .*must be finite"):
+            DensityOperator(PartyDims((2,)), mat)
 
 
 def test_tensor_matches_kron():
