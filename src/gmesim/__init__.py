@@ -42,6 +42,7 @@ from .entanglement import (
     svetlichny_value,
 )
 from .protocols import (
+    CopyChain,
     MergeBranch,
     MergeResult,
     MonteCarloSummary,
@@ -55,14 +56,18 @@ from .protocols import (
     build_prop3_state,
     build_sigma,
     build_sigma_prime,
+    chain_leaves,
+    copy_chain,
     distribute_via_teleportation,
     merge_chain_to_ghz,
     monte_carlo,
     normalize_schmidt,
+    replay_chain,
     run_prop1_step,
     run_prop2,
     run_prop3,
     run_sigma_adaptive,
+    sample_leaves,
     sigma_scan,
     teleport,
 )
@@ -119,5 +124,6 @@ __all__ = [
     "build_sigma", "build_sigma_prime", "build_prop3_state", "run_prop1_step",
     "run_prop2", "run_prop3", "run_sigma_adaptive", "merge_chain_to_ghz",
     "teleport", "distribute_via_teleportation", "monte_carlo", "analytic_Pn",
-    "sigma_scan",
+    "sigma_scan", "CopyChain", "copy_chain", "replay_chain", "chain_leaves",
+    "sample_leaves",
 ]

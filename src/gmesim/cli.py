@@ -46,12 +46,13 @@ from .protocols import (
     build_prop3_state,
     build_sigma,
     build_sigma_prime,
+    chain_leaves,
+    copy_chain,
     merge_chain_to_ghz,
-    monte_carlo,
     normalize_schmidt,
+    replay_chain,
     run_prop1_step,
-    run_prop2,
-    run_prop3,
+    sample_leaves,
     sigma_scan,
 )
 from .qcore import (
@@ -521,7 +522,6 @@ def _run_activation(args, protocol: str) -> int:
         config_obj = ProtocolConfig(
             p=float(args.p), schmidt_coeffs=coeffs, shots=shots, seed=seed
         )
-        rep = run_prop2(config_obj, postselect_success=True)
         config = {
             "p": config_obj.p,
             "schmidt": list(config_obj.coeffs_or_uniform(3)),
@@ -534,15 +534,19 @@ def _run_activation(args, protocol: str) -> int:
         config_obj = ProtocolConfig(
             weights=weights, schmidt_coeffs=coeffs, shots=shots, seed=seed
         )
-        rep = run_prop3(config_obj, postselect_success=True)
         config = {
             "weights": list(weights),
             "schmidt": list(config_obj.coeffs_or_uniform(4)),
             "shots": shots,
             "mc": want_mc,
         }
-    payload = {"run": run_report_payload(rep)}
-    payload["monte_carlo"] = mc_payload(monte_carlo(protocol, config_obj)) if want_mc else None
+    # one copy chain feeds both the postselected run and the exact tree
+    chain = copy_chain(protocol, config_obj)
+    payload = {"run": run_report_payload(replay_chain(chain, postselect_success=True))}
+    payload["monte_carlo"] = (
+        mc_payload(sample_leaves(protocol, chain_leaves(chain), shots, seed))
+        if want_mc else None
+    )
     manifest = make_manifest(protocol, config, seed, timestamp)
     emit(render_json(envelope(manifest, payload)), args.out)
     return EXIT_OK

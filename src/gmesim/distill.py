@@ -19,6 +19,7 @@ from .qcore import (
     DensityOperator,
     PartyDims,
     ProjectiveMeasurement,
+    _hermitian_part,
     _local_branches,
     apply_local_unitary,
     bell_pair,
@@ -145,7 +146,7 @@ def twirl_to_isotropic(rho: DensityOperator) -> DensityOperator:
         big = np.kron(u, u.conj())
         acc += big @ rho.matrix @ big.conj().T
     acc /= len(_single_qubit_cliffords())
-    return DensityOperator(rho.dims, (acc + acc.conj().T) / 2.0)
+    return DensityOperator(rho.dims, _hermitian_part(acc, 2.0))
 
 
 def isotropic_state(fidelity: float) -> DensityOperator:

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .qcore import ATOL, DensityOperator, PartyDims, PureState
+from .qcore import ATOL, DensityOperator, PartyDims, PureState, _hermitian_part
 
 #: Negativity above this threshold counts as a certified entangled cut.
 ENTANGLED_NEG_ATOL = 1e-9
@@ -173,7 +173,7 @@ def negativity(rho: DensityOperator, cut: Bipartition) -> float:
     the cut is transposed.
     """
     pt = partial_transpose(rho, cut)
-    vals = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
+    vals = np.linalg.eigvalsh(_hermitian_part(pt, 2.0))
     return float(-np.sum(vals[vals < 0.0])) + 0.0  # avoid IEEE -0.0
 
 

@@ -6,6 +6,11 @@ operation ever touches two copies at once.  The runners below simulate single
 stochastic executions step by step, while ``monte_carlo`` replays the exact
 branch distribution of a protocol many times to expose its success statistics.
 
+For ``prop2`` and ``prop3`` the runner and the exact tree read one copy chain
+(``copy_chain``): the state is built once and each copy is measured once
+along its accepting path.  ``replay_chain`` turns the chain into a run and
+``chain_leaves`` into the branch tree, so neither repeats a measurement.
+
 Protocol families (the names are the tool's protocol identifiers, also used
 as CLI subcommands):
 
@@ -20,6 +25,7 @@ as CLI subcommands):
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +40,9 @@ from .entanglement import (
 )
 from .qcore import (
     ATOL,
+    PRUNE_ATOL,
     DensityOperator,
     InvariantError,
-    MeasurementOutcome,
     PartyDims,
     ProjectiveMeasurement,
     PureState,
@@ -627,27 +633,203 @@ def distribute_via_teleportation(state: PureState, transfers, outcomes=None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _sample_index(rng: np.random.Generator, outcomes: list[MeasurementOutcome]) -> int:
+def _sample_index(rng: np.random.Generator, probabilities) -> int:
     u = float(rng.random())
     acc = 0.0
     last_live = 0
-    for out in outcomes:
-        if out.probability > 0.0:
-            last_live = out.outcome_index
-        acc += out.probability
+    for index, prob in enumerate(probabilities):
+        if prob > 0.0:
+            last_live = index
+        acc += prob
         if u < acc:
-            return out.outcome_index
+            return index
     return last_live
+
+
+def _sample_merge(rng: np.random.Generator, pairs) -> tuple[int, MergeBranch]:
+    """Merge a chain of pairs and draw one branch by its probability."""
+    merged = merge_chain_to_ghz(pairs)
+    probs = np.array([b.probability for b in merged.branches])
+    bidx = int(rng.choice(len(merged.branches), p=probs / probs.sum()))
+    return bidx, merged.branches[bidx]
 
 
 _QUTRIT_SPLIT = [[0], [1, 2]]  # flag level versus the entangled block
 _QUQUART_SPLIT = [[0], [1], [2, 3]]
+_LETTERS = "ABCD"
 
 
-def _prop2_pair(post: DensityOperator, traced_party: int) -> PureState:
-    pair = to_pure(partial_trace(post, {traced_party}))
-    pair = relabel_subspace(pair, 0, {1: 0, 2: 1}, 2)
-    return relabel_subspace(pair, 1, {1: 0, 2: 1}, 2)
+# ---------------------------------------------------------------------------
+# copy chains (prop2, prop3)
+# ---------------------------------------------------------------------------
+
+
+def _prop2_setup(config: ProtocolConfig) -> tuple[DensityOperator, float]:
+    coeffs = config.coeffs_or_uniform(3)
+    block = coeffs[1] ** 2 + coeffs[2] ** 2
+    return build_prop2_state(coeffs, config.p), (1.0 - config.p) * block * config.p * block
+
+
+def _prop3_setup(config: ProtocolConfig) -> tuple[DensityOperator, float]:
+    coeffs = config.coeffs_or_uniform(4)
+    w = config.weights
+    block = coeffs[2] ** 2 + coeffs[3] ** 2
+    return build_prop3_state(coeffs, w), w[0] * w[1] * w[2] * block**3
+
+
+@dataclass(frozen=True)
+class _ChainFamily:
+    """Plan of a family whose fresh copies are measured one after another.
+
+    On each copy the listed parties apply ``split`` in turn, keeping outcome
+    ``accept``; tracing out the other parties leaves a pair whose entangled
+    levels ``relabel`` maps onto a qubit.  ``merge_order`` lists the copies
+    whose pairs form the chain A-B, B-C, ... that ``merger`` merges.
+    """
+
+    setup: Callable[[ProtocolConfig], tuple[DensityOperator, float]]
+    dim: int
+    split: list[list[int]]
+    accept: int
+    copies: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (parties, traced)
+    relabel: dict[int, int]
+    merge_order: tuple[int, ...]
+    measurement: str  # step text, completed by the party letter
+    label: str  # a step's name in the branch tree, from {party} and {copy}
+    merger: str
+    merge_text: str
+
+
+_CHAIN_FAMILIES = {
+    "prop2": _ChainFamily(
+        setup=_prop2_setup, dim=3, split=_QUTRIT_SPLIT, accept=1,
+        copies=(((2,), (0,)), ((0,), (2,))),  # B-C pair, then A-B pair
+        relabel={1: 0, 2: 1}, merge_order=(1, 0),
+        measurement="split {flag level 0} vs {levels 1,2} on ", label="copy{copy}",
+        merger="B", merge_text="pair merge: parity then +/- readout at B",
+    ),
+    "prop3": _ChainFamily(
+        setup=_prop3_setup, dim=4, split=_QUQUART_SPLIT, accept=2,
+        copies=(((2, 3), (0, 1)), ((0, 1), (2, 3)), ((1, 2), (0, 3))),  # C-D, A-B, B-C
+        relabel={2: 0, 3: 1}, merge_order=(1, 2, 0),
+        measurement="split {0} / {1} / {2,3} on ", label="{party}{copy}",
+        merger="BC", merge_text="chain merge: parity then +/- readout at B and C",
+    ),
+}
+
+
+@dataclass(frozen=True)
+class CopyChain:
+    """The copies of a prop2 or prop3 execution, each measured once.
+
+    ``steps[k]`` holds the outcome probabilities of each measurement on copy
+    k+1 along its accepting path, and ``pairs[k]`` the qubit pair it leaves.
+    After a pruned accepting branch (probability at or below ``PRUNE_ATOL``)
+    the copy's later steps are absent and its pair is None.
+    """
+
+    protocol: str
+    config: ProtocolConfig
+    analytic_success_prob: float
+    steps: tuple[tuple[tuple[float, ...], ...], ...]
+    pairs: tuple[PureState | None, ...]
+
+
+def _pruned(chain: CopyChain, copy_index: int) -> ValueError:
+    return ValueError(
+        f"{chain.protocol}: an accepting branch of copy {copy_index} has probability at "
+        f"or below {PRUNE_ATOL:g}, so the copy leaves no pair"
+    )
+
+
+def copy_chain(protocol: str, config: ProtocolConfig) -> CopyChain:
+    """Build the state of ``protocol`` once and measure each copy once.
+
+    Each copy is measured along its accepting path only; ``replay_chain``
+    (one run) and ``chain_leaves`` (the exact branch tree Monte Carlo
+    samples) both read the result.
+    """
+    if protocol not in _CHAIN_FAMILIES:
+        raise ValueError(f"no copy chain for protocol {protocol!r}; expected prop2 or prop3")
+    family = _CHAIN_FAMILIES[protocol]
+    rho, analytic = family.setup(config)
+    steps, pairs = [], []
+    for parties, traced in family.copies:
+        state: DensityOperator | None = rho
+        probs = []
+        for party in parties:
+            outs = measure(state, level_group_measurement(party, family.dim, family.split))
+            probs.append(tuple(out.probability for out in outs))
+            state = outs[family.accept].post_state
+            if state is None:
+                break
+        steps.append(tuple(probs))
+        if state is None:
+            pairs.append(None)
+            continue
+        pair = to_pure(partial_trace(state, set(traced)))
+        pair = relabel_subspace(pair, 0, family.relabel, 2)
+        pairs.append(relabel_subspace(pair, 1, family.relabel, 2))
+    return CopyChain(protocol, config, analytic, tuple(steps), tuple(pairs))
+
+
+def replay_chain(
+    chain: CopyChain, rng: np.random.Generator | None = None, postselect_success: bool = False
+) -> ProtocolReport:
+    """One execution of a copy chain's protocol (see ``run_prop2``, ``run_prop3``).
+
+    Each step reached takes one draw from ``rng`` (seeded from the chain's
+    config when None) unless ``postselect_success`` forces acceptance; a
+    successful run then draws its merge branch.
+    """
+    family = _CHAIN_FAMILIES[chain.protocol]
+    config = chain.config
+    rng = np.random.default_rng(config.seed) if rng is None else rng
+    steps: list[StepRecord] = []
+    for k, (parties, _) in enumerate(family.copies):
+        for party, probs in zip(parties, chain.steps[k]):
+            idx = family.accept if postselect_success else _sample_index(rng, probs)
+            steps.append(
+                StepRecord(k + 1, _LETTERS[party], family.measurement + _LETTERS[party], idx,
+                           probs[idx], idx == family.accept)
+            )
+            if idx != family.accept:
+                return ProtocolReport(
+                    chain.protocol, config, tuple(steps), k + 1, False, chain.analytic_success_prob
+                )
+        if chain.pairs[k] is None:
+            raise _pruned(chain, k + 1)
+
+    copies = len(family.copies)
+    bidx, branch = _sample_merge(rng, [chain.pairs[k] for k in family.merge_order])
+    steps.append(StepRecord(copies, family.merger, family.merge_text, bidx, branch.probability, True))
+    _, certificates = certify_gme_pure(branch.state)
+    return ProtocolReport(
+        chain.protocol, config, tuple(steps), copies, True, chain.analytic_success_prob,
+        branch.state, certificates,
+    )
+
+
+def chain_leaves(chain: CopyChain) -> list[tuple[str, float, bool, int]]:
+    """Exact branch tree of a copy chain as (label, probability, success, copies).
+
+    Each accepting-path step ends one rejecting leaf; the last leaf is the
+    success.  Probabilities are products of the recorded step probabilities.
+    """
+    family = _CHAIN_FAMILIES[chain.protocol]
+    leaves, path, prefix_prob = [], [], 1.0
+    for k, (parties, _) in enumerate(family.copies):
+        if len(chain.steps[k]) < len(parties):
+            raise _pruned(chain, k + 1)
+        for party, probs in zip(parties, chain.steps[k]):
+            accept = probs[family.accept]
+            label = family.label.format(party=_LETTERS[party], copy=k + 1)
+            leaves.append((",".join(path + [f"reject@{label}"]), prefix_prob * (1.0 - accept),
+                           False, k + 1))
+            path.append(f"accept@{label}")
+            prefix_prob *= accept
+    leaves.append((",".join(path), prefix_prob, True, len(family.copies)))
+    return leaves
 
 
 def run_prop2(
@@ -662,44 +844,21 @@ def run_prop2(
     accepting branches are forced (their true probabilities are still
     recorded); otherwise outcomes are sampled.
     """
-    coeffs = config.coeffs_or_uniform(3)
-    rho = build_prop2_state(coeffs, config.p)
-    rng = np.random.default_rng(config.seed) if rng is None else rng
-    block = coeffs[1] ** 2 + coeffs[2] ** 2
-    analytic = (1.0 - config.p) * block * config.p * block
-    steps: list[StepRecord] = []
+    return replay_chain(copy_chain("prop2", config), rng, postselect_success)
 
-    outs_c = measure(rho, level_group_measurement(2, 3, _QUTRIT_SPLIT))
-    idx = 1 if postselect_success else _sample_index(rng, outs_c)
-    steps.append(
-        StepRecord(1, "C", "split {flag level 0} vs {levels 1,2} on C", idx,
-                   outs_c[idx].probability, idx == 1)
-    )
-    if idx != 1:
-        return ProtocolReport("prop2", config, tuple(steps), 1, False, analytic)
-    pair_bc = _prop2_pair(outs_c[1].post_state, 0)
 
-    outs_a = measure(rho, level_group_measurement(0, 3, _QUTRIT_SPLIT))
-    idx = 1 if postselect_success else _sample_index(rng, outs_a)
-    steps.append(
-        StepRecord(2, "A", "split {flag level 0} vs {levels 1,2} on A", idx,
-                   outs_a[idx].probability, idx == 1)
-    )
-    if idx != 1:
-        return ProtocolReport("prop2", config, tuple(steps), 2, False, analytic)
-    pair_ab = _prop2_pair(outs_a[1].post_state, 2)
+def run_prop3(
+    config: ProtocolConfig, rng: np.random.Generator | None = None, postselect_success: bool = False
+) -> ProtocolReport:
+    """Three-copy activation on four ququarts.
 
-    merged = merge_chain_to_ghz([pair_ab, pair_bc])
-    probs = np.array([b.probability for b in merged.branches])
-    bidx = int(rng.choice(len(merged.branches), p=probs / probs.sum()))
-    branch = merged.branches[bidx]
-    steps.append(
-        StepRecord(2, "B", "pair merge: parity then +/- readout at B", bidx,
-                   branch.probability, True)
-    )
-    final = branch.state
-    _, certificates = certify_gme_pure(final)
-    return ProtocolReport("prop2", config, tuple(steps), 2, True, analytic, final, certificates)
+    Each copy is interrogated by two parties with the three-outcome split
+    {|0>}, {|1>}, {levels 2,3}; only double top-block outcomes are kept.
+    Copy one leaves a C-D pair, copy two an A-B pair, copy three a B-C pair.
+    The three pairs, relabeled onto qubits, are merged along the chain
+    A-B-C-D into a four-party GHZ-class state.
+    """
+    return replay_chain(copy_chain("prop3", config), rng, postselect_success)
 
 
 def analytic_Pn(p: float, n: int) -> float:
@@ -753,7 +912,7 @@ def run_sigma_adaptive(
     outs_a = measure(rho, level_group_measurement(0, 3, _SIGMA_SPLIT))
     first = config.first_outcome
     if first is None:
-        first = _sample_index(rng, outs_a)
+        first = _sample_index(rng, [out.probability for out in outs_a])
     elif outs_a[first].probability <= 0.0:
         raise ValueError("the conditioned first outcome has zero probability")
     steps.append(
@@ -770,14 +929,15 @@ def run_sigma_adaptive(
         repeat_accept = 1
 
     outs_c = measure(rho, level_group_measurement(2, 3, _SIGMA_SPLIT))
-    rate = outs_c[repeat_accept].probability
+    rates = [out.probability for out in outs_c]
+    rate = rates[repeat_accept]
     analytic = 1.0 - (1.0 - rate) ** (config.max_copies - 1)
 
     pair_second = None
     copies = 1
     for _ in range(config.max_copies - 1):
         copies += 1
-        idx = _sample_index(rng, outs_c)
+        idx = _sample_index(rng, rates)
         accepted = idx == repeat_accept
         steps.append(
             StepRecord(copies, "C", "split {levels 0,1} vs {flag level 2} on C", idx,
@@ -803,10 +963,7 @@ def run_sigma_adaptive(
                        0, 1.0, True)
         )
     else:
-        merged = merge_chain_to_ghz([pair_ab, pair_bc])
-        probs = np.array([b.probability for b in merged.branches])
-        bidx = int(rng.choice(len(merged.branches), p=probs / probs.sum()))
-        branch = merged.branches[bidx]
+        bidx, branch = _sample_merge(rng, [pair_ab, pair_bc])
         final = branch.state
         steps.append(
             StepRecord(copies, "B", "pair merge: parity then +/- readout at B", bidx,
@@ -815,70 +972,6 @@ def run_sigma_adaptive(
     _, certificates = certify_gme_pure(final)
     return ProtocolReport(
         "sigma", config, tuple(steps), copies, True, analytic, final, certificates
-    )
-
-
-def _prop3_pair(post: DensityOperator, traced: tuple[int, int]) -> PureState:
-    pair = to_pure(partial_trace(post, set(traced)))
-    pair = relabel_subspace(pair, 0, {2: 0, 3: 1}, 2)
-    return relabel_subspace(pair, 1, {2: 0, 3: 1}, 2)
-
-
-def run_prop3(
-    config: ProtocolConfig, rng: np.random.Generator | None = None, postselect_success: bool = False
-) -> ProtocolReport:
-    """Three-copy activation on four ququarts.
-
-    Each copy is interrogated by two parties with the three-outcome split
-    {|0>}, {|1>}, {levels 2,3}; only double top-block outcomes are kept.
-    Copy one leaves a C-D pair, copy two an A-B pair, copy three a B-C pair.
-    The three pairs, relabeled onto qubits, are merged along the chain
-    A-B-C-D into a four-party GHZ-class state.
-    """
-    coeffs = config.coeffs_or_uniform(4)
-    rho = build_prop3_state(coeffs, config.weights)
-    rng = np.random.default_rng(config.seed) if rng is None else rng
-    block = coeffs[2] ** 2 + coeffs[3] ** 2
-    w = config.weights
-    analytic = w[0] * w[1] * w[2] * block**3
-    steps: list[StepRecord] = []
-
-    plan = [  # copy index, (first measuring party, second), parties traced out
-        (1, (2, 3), (0, 1)),
-        (2, (0, 1), (2, 3)),
-        (3, (1, 2), (0, 3)),
-    ]
-    letters = "ABCD"
-    pairs: dict[int, PureState] = {}
-    for copy_index, (first, second), traced in plan:
-        state: DensityOperator | None = rho
-        for party in (first, second):
-            outs = measure(state, level_group_measurement(party, 4, _QUQUART_SPLIT))
-            idx = 2 if postselect_success else _sample_index(rng, outs)
-            steps.append(
-                StepRecord(copy_index, letters[party],
-                           "split {0} / {1} / {2,3} on " + letters[party], idx,
-                           outs[idx].probability, idx == 2)
-            )
-            if idx != 2:
-                return ProtocolReport(
-                    "prop3", config, tuple(steps), copy_index, False, analytic
-                )
-            state = outs[2].post_state
-        pairs[copy_index] = _prop3_pair(state, traced)
-
-    merged = merge_chain_to_ghz([pairs[2], pairs[3], pairs[1]])  # A-B, B-C, C-D
-    probs = np.array([b.probability for b in merged.branches])
-    bidx = int(rng.choice(len(merged.branches), p=probs / probs.sum()))
-    branch = merged.branches[bidx]
-    steps.append(
-        StepRecord(3, "BC", "chain merge: parity then +/- readout at B and C", bidx,
-                   branch.probability, True)
-    )
-    final = branch.state
-    _, certificates = certify_gme_pure(final)
-    return ProtocolReport(
-        "prop3", config, tuple(steps), 3, True, analytic, final, certificates
     )
 
 
@@ -918,42 +1011,6 @@ def _prop1_tree(config: ProtocolConfig):
     ]
 
 
-def _prop2_tree(config: ProtocolConfig):
-    coeffs = config.coeffs_or_uniform(3)
-    rho = build_prop2_state(coeffs, config.p)
-    q1 = measure(rho, level_group_measurement(2, 3, _QUTRIT_SPLIT))[1].probability
-    q2 = measure(rho, level_group_measurement(0, 3, _QUTRIT_SPLIT))[1].probability
-    return [
-        ("reject@copy1", 1.0 - q1, False, 1),
-        ("accept@copy1,reject@copy2", q1 * (1.0 - q2), False, 2),
-        ("accept@copy1,accept@copy2", q1 * q2, True, 2),
-    ]
-
-
-def _prop3_tree(config: ProtocolConfig):
-    coeffs = config.coeffs_or_uniform(4)
-    rho = build_prop3_state(coeffs, config.weights)
-    plan = [(1, (2, 3)), (2, (0, 1)), (3, (1, 2))]
-    letters = "ABCD"
-    leaves = []
-    prefix_prob = 1.0
-    state: DensityOperator = rho
-    path = []
-    for copy_index, parties in plan:
-        for party in parties:
-            outs = measure(state, level_group_measurement(party, 4, _QUQUART_SPLIT))
-            accept = outs[2].probability
-            reject = 1.0 - accept
-            label = ",".join(path + [f"reject@{letters[party]}{copy_index}"])
-            leaves.append((label, prefix_prob * reject, False, copy_index))
-            path.append(f"accept@{letters[party]}{copy_index}")
-            prefix_prob *= accept
-            state = outs[2].post_state
-        state = rho  # next copy is fresh
-    leaves.append((",".join(path), prefix_prob, True, 3))
-    return leaves
-
-
 def _sigma_tree(config: ProtocolConfig):
     rho, _ = _sigma_state(config)
     outs_a = measure(rho, level_group_measurement(0, 3, _SIGMA_SPLIT))
@@ -976,34 +1033,20 @@ def _sigma_tree(config: ProtocolConfig):
 
 _TREES = {
     "prop1": _prop1_tree,
-    "prop2": _prop2_tree,
-    "prop3": _prop3_tree,
+    "prop2": lambda config: chain_leaves(copy_chain("prop2", config)),
+    "prop3": lambda config: chain_leaves(copy_chain("prop3", config)),
     "sigma": _sigma_tree,
 }
 
 
-def monte_carlo(
-    protocol: str,
-    config: ProtocolConfig,
-    shots: int | None = None,
-    seed: int | None = None,
-) -> MonteCarloSummary:
-    """Sample a protocol's exact branch distribution and summarize frequencies.
+def sample_leaves(protocol: str, leaves, shots: int, seed: int) -> MonteCarloSummary:
+    """Draw ``shots`` seeded samples from an exact branch tree and summarize.
 
-    The per-branch probabilities are computed once from the density-operator
-    arithmetic; shots are then drawn from that distribution with a single
-    seeded generator, so results are deterministic given (config, shots,
-    seed) and independent of evaluation order.
+    ``leaves`` lists (label, probability, success, copies consumed) tuples,
+    as ``chain_leaves`` returns them; the probabilities must sum to one.
     """
-    if protocol not in _TREES:
-        raise ValueError(
-            f"unknown protocol {protocol!r}; expected one of {sorted(_TREES)}"
-        )
-    shots = config.shots if shots is None else int(shots)
-    seed = config.seed if seed is None else int(seed)
     if shots < 1:
         raise ValueError("shots must be a positive integer")
-    leaves = _TREES[protocol](config)
     probs = np.array([p for _, p, _, _ in leaves], dtype=float)
     if abs(probs.sum() - 1.0) > ATOL:
         raise InvariantError(f"branch probabilities sum to {probs.sum()!r}")
@@ -1018,6 +1061,32 @@ def monte_carlo(
     exact = float(sum(s.probability for s in stats if s.success))
     mean_copies = float(sum(s.frequency * s.copies for s in stats))
     return MonteCarloSummary(protocol, shots, seed, stats, success_rate, exact, mean_copies)
+
+
+def monte_carlo(
+    protocol: str,
+    config: ProtocolConfig,
+    shots: int | None = None,
+    seed: int | None = None,
+) -> MonteCarloSummary:
+    """Sample a protocol's exact branch distribution and summarize frequencies.
+
+    The per-branch probabilities are computed once from the density-operator
+    arithmetic (for prop2 and prop3 they are read off the same copy chain
+    that ``run_prop2`` and ``run_prop3`` replay); ``sample_leaves`` then
+    draws the shots from that distribution with a single seeded generator,
+    so results are deterministic given (config, shots, seed) and independent
+    of evaluation order.
+    """
+    if protocol not in _TREES:
+        raise ValueError(
+            f"unknown protocol {protocol!r}; expected one of {sorted(_TREES)}"
+        )
+    shots = config.shots if shots is None else int(shots)
+    seed = config.seed if seed is None else int(seed)
+    if shots < 1:
+        raise ValueError("shots must be a positive integer")
+    return sample_leaves(protocol, _TREES[protocol](config), shots, seed)
 
 
 @dataclass(frozen=True)

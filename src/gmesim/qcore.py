@@ -59,12 +59,24 @@ def _require_finite(values: np.ndarray, what: str) -> None:
     raise ValueError(f"{what} entry {label} is {complex(values[index])!r}; entries must be finite")
 
 
+def _hermitian_part(mat: np.ndarray, scale: float) -> np.ndarray:
+    """``(mat + mat^dagger) / scale``, bit for bit, as a new C-ordered array.
+
+    Summing in place on a contiguous copy of the adjoint avoids the strided
+    reads of ``mat.conj().T``.
+    """
+    out = np.conj(mat.T, order="C")
+    out += mat
+    out /= scale
+    return out
+
+
 def _min_eigenvalue(mat: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian part of ``mat``.
 
     Only the failure path of the PSD check in ``DensityOperator`` calls this.
     """
-    return float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
+    return float(np.linalg.eigvalsh(_hermitian_part(mat, 2.0))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +446,7 @@ def _local_branches(state: State, operators, targets) -> list[tuple[float, State
         else:
             prob = float(np.real(np.trace(sub)))
             if prob > PRUNE_ATOL:
-                post = DensityOperator(state.dims, (sub + sub.conj().T) / (2.0 * prob))
+                post = DensityOperator(state.dims, _hermitian_part(sub, 2.0 * prob))
         branches.append((min(max(prob, 0.0), 1.0), post))
     return branches
 

@@ -2,13 +2,35 @@
 
 Everything here is deliberately written the slow, obvious way -- explicit
 index loops, no code shared with the package -- so the fast implementations
-have something honest to disagree with.
+have something honest to disagree with.  The protocol oracles at the end are
+the exception: they call the package's kernels and builders, but none of the
+copy-chain code they are compared with.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from gmesim.entanglement import certify_gme_pure
+from gmesim.protocols import (
+    ProtocolConfig,
+    ProtocolReport,
+    StepRecord,
+    build_prop2_state,
+    build_prop3_state,
+    merge_chain_to_ghz,
+)
+from gmesim.qcore import (
+    DensityOperator,
+    MeasurementOutcome,
+    PureState,
+    level_group_measurement,
+    measure,
+    partial_trace,
+    relabel_subspace,
+    to_pure,
+)
 
 
 def kron_all(mats):
@@ -238,3 +260,186 @@ def eig_min_hermitian_part(matrix: np.ndarray) -> float:
 def eig_psd_accepts(matrix: np.ndarray, atol: float) -> bool:
     """The PSD verdict of a full eigendecomposition: lambda_min >= -atol."""
     return eig_min_hermitian_part(matrix) >= -atol
+
+
+# ---------------------------------------------------------------------------
+# protocol oracles
+# ---------------------------------------------------------------------------
+# The prop2/prop3 runners and exact branch trees in their measure-as-you-go
+# form: each builds its own state and measures every copy itself, sharing
+# nothing with the package's copy chain (only its kernels and builders).
+
+
+def _sample_index(rng: np.random.Generator, outcomes: list[MeasurementOutcome]) -> int:
+    u = float(rng.random())
+    acc = 0.0
+    last_live = 0
+    for out in outcomes:
+        if out.probability > 0.0:
+            last_live = out.outcome_index
+        acc += out.probability
+        if u < acc:
+            return out.outcome_index
+    return last_live
+
+
+_QUTRIT_SPLIT = [[0], [1, 2]]  # flag level versus the entangled block
+_QUQUART_SPLIT = [[0], [1], [2, 3]]
+
+
+def _prop2_pair(post: DensityOperator, traced_party: int) -> PureState:
+    pair = to_pure(partial_trace(post, {traced_party}))
+    pair = relabel_subspace(pair, 0, {1: 0, 2: 1}, 2)
+    return relabel_subspace(pair, 1, {1: 0, 2: 1}, 2)
+
+
+def loop_run_prop2(
+    config: ProtocolConfig, rng: np.random.Generator | None = None, postselect_success: bool = False
+) -> ProtocolReport:
+    """Two-copy activation on three qutrits.
+
+    Copy one: C measures {|0><0|, 1-|0><0|} and the second outcome leaves B-C
+    in a pure entangled pair (A factors out).  Copy two: the mirrored step by
+    A leaves an A-B pair.  Both pairs are relabeled onto qubits and merged at
+    B into a three-party GHZ-class state.  With ``postselect_success`` the
+    accepting branches are forced (their true probabilities are still
+    recorded); otherwise outcomes are sampled.
+    """
+    coeffs = config.coeffs_or_uniform(3)
+    rho = build_prop2_state(coeffs, config.p)
+    rng = np.random.default_rng(config.seed) if rng is None else rng
+    block = coeffs[1] ** 2 + coeffs[2] ** 2
+    analytic = (1.0 - config.p) * block * config.p * block
+    steps: list[StepRecord] = []
+
+    outs_c = measure(rho, level_group_measurement(2, 3, _QUTRIT_SPLIT))
+    idx = 1 if postselect_success else _sample_index(rng, outs_c)
+    steps.append(
+        StepRecord(1, "C", "split {flag level 0} vs {levels 1,2} on C", idx,
+                   outs_c[idx].probability, idx == 1)
+    )
+    if idx != 1:
+        return ProtocolReport("prop2", config, tuple(steps), 1, False, analytic)
+    pair_bc = _prop2_pair(outs_c[1].post_state, 0)
+
+    outs_a = measure(rho, level_group_measurement(0, 3, _QUTRIT_SPLIT))
+    idx = 1 if postselect_success else _sample_index(rng, outs_a)
+    steps.append(
+        StepRecord(2, "A", "split {flag level 0} vs {levels 1,2} on A", idx,
+                   outs_a[idx].probability, idx == 1)
+    )
+    if idx != 1:
+        return ProtocolReport("prop2", config, tuple(steps), 2, False, analytic)
+    pair_ab = _prop2_pair(outs_a[1].post_state, 2)
+
+    merged = merge_chain_to_ghz([pair_ab, pair_bc])
+    probs = np.array([b.probability for b in merged.branches])
+    bidx = int(rng.choice(len(merged.branches), p=probs / probs.sum()))
+    branch = merged.branches[bidx]
+    steps.append(
+        StepRecord(2, "B", "pair merge: parity then +/- readout at B", bidx,
+                   branch.probability, True)
+    )
+    final = branch.state
+    _, certificates = certify_gme_pure(final)
+    return ProtocolReport("prop2", config, tuple(steps), 2, True, analytic, final, certificates)
+
+
+def _prop3_pair(post: DensityOperator, traced: tuple[int, int]) -> PureState:
+    pair = to_pure(partial_trace(post, set(traced)))
+    pair = relabel_subspace(pair, 0, {2: 0, 3: 1}, 2)
+    return relabel_subspace(pair, 1, {2: 0, 3: 1}, 2)
+
+
+def loop_run_prop3(
+    config: ProtocolConfig, rng: np.random.Generator | None = None, postselect_success: bool = False
+) -> ProtocolReport:
+    """Three-copy activation on four ququarts.
+
+    Each copy is interrogated by two parties with the three-outcome split
+    {|0>}, {|1>}, {levels 2,3}; only double top-block outcomes are kept.
+    Copy one leaves a C-D pair, copy two an A-B pair, copy three a B-C pair.
+    The three pairs, relabeled onto qubits, are merged along the chain
+    A-B-C-D into a four-party GHZ-class state.
+    """
+    coeffs = config.coeffs_or_uniform(4)
+    rho = build_prop3_state(coeffs, config.weights)
+    rng = np.random.default_rng(config.seed) if rng is None else rng
+    block = coeffs[2] ** 2 + coeffs[3] ** 2
+    w = config.weights
+    analytic = w[0] * w[1] * w[2] * block**3
+    steps: list[StepRecord] = []
+
+    plan = [  # copy index, (first measuring party, second), parties traced out
+        (1, (2, 3), (0, 1)),
+        (2, (0, 1), (2, 3)),
+        (3, (1, 2), (0, 3)),
+    ]
+    letters = "ABCD"
+    pairs: dict[int, PureState] = {}
+    for copy_index, (first, second), traced in plan:
+        state: DensityOperator | None = rho
+        for party in (first, second):
+            outs = measure(state, level_group_measurement(party, 4, _QUQUART_SPLIT))
+            idx = 2 if postselect_success else _sample_index(rng, outs)
+            steps.append(
+                StepRecord(copy_index, letters[party],
+                           "split {0} / {1} / {2,3} on " + letters[party], idx,
+                           outs[idx].probability, idx == 2)
+            )
+            if idx != 2:
+                return ProtocolReport(
+                    "prop3", config, tuple(steps), copy_index, False, analytic
+                )
+            state = outs[2].post_state
+        pairs[copy_index] = _prop3_pair(state, traced)
+
+    merged = merge_chain_to_ghz([pairs[2], pairs[3], pairs[1]])  # A-B, B-C, C-D
+    probs = np.array([b.probability for b in merged.branches])
+    bidx = int(rng.choice(len(merged.branches), p=probs / probs.sum()))
+    branch = merged.branches[bidx]
+    steps.append(
+        StepRecord(3, "BC", "chain merge: parity then +/- readout at B and C", bidx,
+                   branch.probability, True)
+    )
+    final = branch.state
+    _, certificates = certify_gme_pure(final)
+    return ProtocolReport(
+        "prop3", config, tuple(steps), 3, True, analytic, final, certificates
+    )
+
+
+def loop_prop2_tree(config: ProtocolConfig):
+    coeffs = config.coeffs_or_uniform(3)
+    rho = build_prop2_state(coeffs, config.p)
+    q1 = measure(rho, level_group_measurement(2, 3, _QUTRIT_SPLIT))[1].probability
+    q2 = measure(rho, level_group_measurement(0, 3, _QUTRIT_SPLIT))[1].probability
+    return [
+        ("reject@copy1", 1.0 - q1, False, 1),
+        ("accept@copy1,reject@copy2", q1 * (1.0 - q2), False, 2),
+        ("accept@copy1,accept@copy2", q1 * q2, True, 2),
+    ]
+
+
+def loop_prop3_tree(config: ProtocolConfig):
+    coeffs = config.coeffs_or_uniform(4)
+    rho = build_prop3_state(coeffs, config.weights)
+    plan = [(1, (2, 3)), (2, (0, 1)), (3, (1, 2))]
+    letters = "ABCD"
+    leaves = []
+    prefix_prob = 1.0
+    state: DensityOperator = rho
+    path = []
+    for copy_index, parties in plan:
+        for party in parties:
+            outs = measure(state, level_group_measurement(party, 4, _QUQUART_SPLIT))
+            accept = outs[2].probability
+            reject = 1.0 - accept
+            label = ",".join(path + [f"reject@{letters[party]}{copy_index}"])
+            leaves.append((label, prefix_prob * reject, False, copy_index))
+            path.append(f"accept@{letters[party]}{copy_index}")
+            prefix_prob *= accept
+            state = outs[2].post_state
+        state = rho  # next copy is fresh
+    leaves.append((",".join(path), prefix_prob, True, 3))
+    return leaves

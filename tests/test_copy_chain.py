@@ -1,0 +1,159 @@
+"""prop2/prop3 copy chains: one measurement per copy step, same results.
+
+``copy_chain`` builds the state once and measures each copy once; the run
+(``replay_chain``) and the exact branch tree (``chain_leaves``) are read off
+it.  These tests pin the number of state builds and measurements of one CLI
+op, and compare runs and trees bit for bit with the measure-as-you-go
+oracles in ``helpers``.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from gmesim import cli, protocols
+from gmesim.protocols import (
+    ProtocolConfig,
+    chain_leaves,
+    copy_chain,
+    monte_carlo,
+    normalize_schmidt,
+    replay_chain,
+    run_prop2,
+    run_prop3,
+    sample_leaves,
+)
+
+from helpers import loop_prop2_tree, loop_prop3_tree, loop_run_prop2, loop_run_prop3
+
+ORACLES = {
+    "prop2": (loop_run_prop2, loop_prop2_tree),
+    "prop3": (loop_run_prop3, loop_prop3_tree),
+}
+SEEDS = range(30)
+#: Sampled runs per seed, each drawing on from where the last one stopped
+#: (fewer for prop3, whose oracle rebuilds the 256-dim state every run).
+SAMPLED_RUNS = {"prop2": 8, "prop3": 2}
+
+
+@pytest.mark.parametrize(
+    "protocol, builder, measures",
+    [("prop2", "build_prop2_state", 2 + 3), ("prop3", "build_prop3_state", 6 + 15)],
+)
+def test_cli_op_builds_the_state_once_and_measures_each_copy_once(
+    monkeypatch, capsys, protocol, builder, measures
+):
+    """Copy steps plus merge steps; the tree adds no measurement."""
+    calls = {"build": 0, "measure": 0}
+    build, measure = getattr(protocols, builder), protocols.measure
+
+    def counting_build(*args, **kwargs):
+        calls["build"] += 1
+        return build(*args, **kwargs)
+
+    def counting_measure(*args, **kwargs):
+        calls["measure"] += 1
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, builder, counting_build)
+    monkeypatch.setattr(protocols, "measure", counting_measure)
+    assert cli.main([protocol, "--seed", "3", "--shots", "200"]) == 0
+    assert capsys.readouterr().out
+    assert calls == {"build": 1, "measure": measures}
+
+
+def random_config(protocol: str, seed: int) -> ProtocolConfig:
+    rng = np.random.default_rng(1000 + seed)
+    n = 3 if protocol == "prop2" else 4
+    return ProtocolConfig(
+        p=float(rng.uniform(0.1, 0.9)),
+        weights=tuple(float(w) for w in rng.dirichlet([2.0, 2.0, 2.0])),
+        schmidt_coeffs=normalize_schmidt(rng.uniform(0.2, 1.5, n)),
+        shots=500,
+        seed=seed,
+    )
+
+
+def bits(obj):
+    """``obj`` with every float replaced by its exact hex form (keeps -0.0)."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, (tuple, list)):
+        return type(obj)(bits(x) for x in obj)
+    return obj
+
+
+def assert_same_run(new, old):
+    assert bits([dataclasses.astuple(s) for s in new.steps]) == bits(
+        [dataclasses.astuple(s) for s in old.steps]
+    )
+    assert new.copies_consumed == old.copies_consumed
+    assert new.success == old.success
+    assert bits(new.analytic_success_prob) == bits(old.analytic_success_prob)
+    if old.final_state is None:
+        assert new.final_state is None
+    else:
+        assert new.final_state.amplitudes.tobytes() == old.final_state.amplitudes.tobytes()
+        assert new.certificates == old.certificates
+
+
+@pytest.mark.parametrize("protocol", sorted(ORACLES))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_chain_matches_the_measure_as_you_go_oracles(protocol, seed):
+    loop_run, loop_tree = ORACLES[protocol]
+    config = random_config(protocol, seed)
+    chain = copy_chain(protocol, config)
+
+    # postselected: the merge branch is the only draw
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = replay_chain(chain, new_rng, postselect_success=True)
+    assert new.success
+    assert_same_run(new, loop_run(config, old_rng, postselect_success=True))
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    # sampled: one shared generator per side across consecutive runs
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(SAMPLED_RUNS[protocol]):
+        assert_same_run(replay_chain(chain, new_rng), loop_run(config, old_rng))
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    assert bits(chain_leaves(chain)) == bits(loop_tree(config))
+
+
+@pytest.mark.parametrize("runner", [run_prop2, run_prop3])
+def test_public_runners_and_monte_carlo_read_one_chain(runner):
+    protocol = runner.__name__.removeprefix("run_")
+    config = random_config(protocol, 0)
+    chain = copy_chain(protocol, config)
+    for postselect in (False, True):
+        assert_same_run(runner(config, postselect_success=postselect),
+                        replay_chain(chain, postselect_success=postselect))
+    assert monte_carlo(protocol, config) == sample_leaves(
+        protocol, chain_leaves(chain), config.shots, config.seed
+    )
+
+
+def test_chain_keeps_only_the_pairs():
+    chain = copy_chain("prop3", ProtocolConfig())
+    assert [len(copy) for copy in chain.steps] == [2, 2, 2]
+    assert all(len(probs) == 3 for copy in chain.steps for probs in copy)
+    assert [pair.dims.dims for pair in chain.pairs] == [(2, 2)] * 3
+
+
+def test_pruned_accepting_branch_is_a_domain_error():
+    # the entangled block carries 2e-14 of the weight: copy one's accepting
+    # branch is pruned, so a forced acceptance has no pair to merge
+    config = ProtocolConfig(schmidt_coeffs=normalize_schmidt([1.0, 1e-7, 1e-7]))
+    chain = copy_chain("prop2", config)
+    assert chain.pairs[0] is None
+    with pytest.raises(ValueError, match="copy 1 has probability at or below"):
+        replay_chain(chain, postselect_success=True)
+    # the tree needs no pair, and sampled runs reject as before
+    assert bits(chain_leaves(chain)) == bits(loop_prop2_tree(config))
+    assert_same_run(replay_chain(chain), loop_run_prop2(config))
+
+
+def test_unknown_family_is_refused():
+    with pytest.raises(ValueError, match="no copy chain for protocol .sigma.; expected prop2 or prop3"):
+        copy_chain("sigma", ProtocolConfig())

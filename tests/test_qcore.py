@@ -28,6 +28,7 @@ from gmesim.qcore import (
     purity,
     relabel_subspace,
     state_projector_measurement,
+    _hermitian_part,
     tensor,
     to_pure,
 )
@@ -321,3 +322,14 @@ def test_hadamard_then_measure_is_unbiased():
     outs = measure(st, level_group_measurement(0, 2, [[0], [1]]))
     assert abs(outs[0].probability - 0.5) < 1e-12
     assert abs(outs[1].probability - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 4, 27, 256])
+def test_hermitian_part_equals_the_naive_expression_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    mat.setflags(write=False)
+    for scale in (2.0, 2.0 * 0.37):
+        out = _hermitian_part(mat, scale)
+        assert out.tobytes() == ((mat + mat.conj().T) / scale).tobytes()
+        assert out.flags.c_contiguous and out.flags.writeable
