@@ -184,7 +184,7 @@ def recurrence_round(rho: DensityOperator) -> tuple[float, DensityOperator]:
         v = np.zeros(4, dtype=complex)
         v[k] = 1.0
         projs.append(np.outer(v, v.conj()))
-    outcomes = measure(joint, ProjectiveMeasurement((2, 3), tuple(projs)))
+    outcomes = measure(joint, ProjectiveMeasurement((2, 3), tuple(projs)), keep=(0, 3))
     kept = [outcomes[0], outcomes[3]]  # equal measurement results: 00 and 11
     accept = sum(o.probability for o in kept)
     if accept <= ATOL:

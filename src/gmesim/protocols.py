@@ -46,6 +46,7 @@ from .qcore import (
     PartyDims,
     ProjectiveMeasurement,
     PureState,
+    _phase_canonical,
     apply_local_unitary,
     basis_ket,
     bell_basis,
@@ -213,9 +214,7 @@ def build_prop1_general(
         raise ValueError("the single-party inputs must be qubits")
     _require_entangled_pair(pair_ab, "the A-B input")
     _require_entangled_pair(pair_bc, "the B-C input")
-    term1 = tensor(pair_ab, ref_c).density()
-    term2 = tensor(ref_a, pair_bc).density()
-    return mix([(p, term1), (1.0 - p, term2)])
+    return mix([(p, tensor(pair_ab, ref_c)), (1.0 - p, tensor(ref_a, pair_bc))])
 
 
 def build_prop1_example(p: float = 0.5) -> DensityOperator:
@@ -251,9 +250,7 @@ def build_prop2_state(schmidt_coeffs, p: float) -> DensityOperator:
         raise ValueError("squared Schmidt coefficients must sum to 1")
     psi = _two_party_schmidt_state(coeffs, 3)
     zero = basis_ket((3,), (0,))
-    term1 = tensor(psi, zero).density()
-    term2 = tensor(zero, psi).density()
-    return mix([(p, term1), (1.0 - p, term2)])
+    return mix([(p, tensor(psi, zero)), (1.0 - p, tensor(zero, psi))])
 
 
 def build_sigma(p: float) -> DensityOperator:
@@ -272,9 +269,7 @@ def build_sigma(p: float) -> DensityOperator:
     ab = np.zeros(18, dtype=complex)
     ab[int(np.ravel_multi_index((0, 0, 2), dims.dims))] = 1.0 / math.sqrt(2.0)
     ab[int(np.ravel_multi_index((1, 1, 2), dims.dims))] = 1.0 / math.sqrt(2.0)
-    return mix(
-        [(p, PureState(dims, bc).density()), (1.0 - p, PureState(dims, ab).density())]
-    )
+    return mix([(p, PureState(dims, bc)), (1.0 - p, PureState(dims, ab))])
 
 
 def build_sigma_prime(shared_pair: PureState, p: float) -> DensityOperator:
@@ -303,9 +298,7 @@ def build_sigma_prime(shared_pair: PureState, p: float) -> DensityOperator:
         for j in range(2):
             bc[int(np.ravel_multi_index((2, i, j), dims.dims))] = pair[i, j]
             ab[int(np.ravel_multi_index((i, j, 2), dims.dims))] = pair[i, j]
-    return mix(
-        [(p, PureState(dims, bc).density()), (1.0 - p, PureState(dims, ab).density())]
-    )
+    return mix([(p, PureState(dims, bc)), (1.0 - p, PureState(dims, ab))])
 
 
 def build_prop3_state(schmidt_coeffs, weights) -> DensityOperator:
@@ -329,10 +322,11 @@ def build_prop3_state(schmidt_coeffs, weights) -> DensityOperator:
     psi = _two_party_schmidt_state(coeffs, 4)
     zero = basis_ket((4,), (0,))
     one = basis_ket((4,), (1,))
-    term1 = tensor(tensor(psi, zero), zero).density()
-    term2 = tensor(tensor(zero, psi), one).density()
-    term3 = tensor(tensor(one, one), psi).density()
-    return mix([(w[0], term1), (w[1], term2), (w[2], term3)])
+    return mix([
+        (w[0], tensor(tensor(psi, zero), zero)),
+        (w[1], tensor(tensor(zero, psi), one)),
+        (w[2], tensor(tensor(one, one), psi)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +415,8 @@ class MergeResult:
 
 
 def _canonical_phase(state: PureState) -> PureState:
-    amps = state.amplitudes
-    pivot = int(np.argmax(np.abs(amps)))
-    phase = amps[pivot] / abs(amps[pivot])
-    return PureState(state.dims, amps / phase, unnormalized=state.unnormalized)
+    amps = _phase_canonical(state.amplitudes)
+    return PureState(state.dims, amps, unnormalized=state.unnormalized)
 
 
 def _schmidt_align_pair(pair: PureState) -> tuple[PureState, tuple[float, float], tuple]:
@@ -758,7 +750,8 @@ def copy_chain(protocol: str, config: ProtocolConfig) -> CopyChain:
         state: DensityOperator | None = rho
         probs = []
         for party in parties:
-            outs = measure(state, level_group_measurement(party, family.dim, family.split))
+            outs = measure(state, level_group_measurement(party, family.dim, family.split),
+                           keep=(family.accept,))
             probs.append(tuple(out.probability for out in outs))
             state = outs[family.accept].post_state
             if state is None:
@@ -1127,7 +1120,9 @@ def sigma_scan(p_list, n_max: int, shots: int, seed: int) -> list[ScanRow]:
         rate = measure(rho, level_group_measurement(2, 3, _SIGMA_SPLIT))[0].probability
         rng = np.random.default_rng(child)
         trials = rng.geometric(rate, size=int(shots))
+        # arrivals[n]: trials that succeed within n repeat copies (none at n=0)
+        arrivals = np.cumsum(np.bincount(np.minimum(trials, n_max + 1), minlength=n_max + 2))
         for n in range(n_max + 1):
-            empirical = 0.0 if n == 0 else float(np.mean(trials <= n))
+            empirical = float(arrivals[n]) / len(trials)
             rows.append(ScanRow(p, n, analytic_Pn(p, n), empirical))
     return rows

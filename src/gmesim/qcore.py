@@ -71,6 +71,16 @@ def _hermitian_part(mat: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
+def _phase_canonical(vec: np.ndarray) -> np.ndarray:
+    """``vec`` divided by the phase of its largest-magnitude entry.
+
+    That entry becomes real and positive, which keeps reported states stable.
+    """
+    pivot = int(np.argmax(np.abs(vec)))
+    phase = vec[pivot] / abs(vec[pivot])
+    return vec / phase
+
+
 def _min_eigenvalue(mat: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian part of ``mat``.
 
@@ -266,7 +276,7 @@ class MeasurementOutcome:
     """One branch of a projective measurement.
 
     ``post_state`` is None when the branch probability is at or below the
-    prune threshold.
+    prune threshold, and when ``measure`` was not asked to keep the outcome.
     """
 
     outcome_index: int
@@ -427,25 +437,29 @@ def _local_kernel(state: State, targets) -> Callable[[np.ndarray], np.ndarray]:
     return apply
 
 
-def _local_branches(state: State, operators, targets) -> list[tuple[float, State | None]]:
+def _local_branches(
+    state: State, operators, targets, keep=None
+) -> list[tuple[float, State | None]]:
     """Apply each operator of a local instrument; one (probability, state) each.
 
     The post-state is renormalized (and, for a density operator, symmetrized)
-    and is None when the probability is at or below the prune threshold.
-    Probabilities are clipped to [0, 1].
+    and is None when the probability is at or below the prune threshold, or
+    when ``keep`` (a collection of operator indices; None keeps all) omits
+    the operator.  Probabilities are clipped to [0, 1].
     """
     apply = _local_kernel(state, targets)
     branches: list[tuple[float, State | None]] = []
-    for op in operators:
+    for i, op in enumerate(operators):
         sub = apply(op)
         post: State | None = None
+        formed = keep is None or i in keep
         if isinstance(state, PureState):
             prob = float(np.real(np.vdot(sub, sub)))
-            if prob > PRUNE_ATOL:
+            if formed and prob > PRUNE_ATOL:
                 post = PureState(state.dims, sub / math.sqrt(prob))
         else:
             prob = float(np.real(np.trace(sub)))
-            if prob > PRUNE_ATOL:
+            if formed and prob > PRUNE_ATOL:
                 post = DensityOperator(state.dims, _hermitian_part(sub, 2.0 * prob))
         branches.append((min(max(prob, 0.0), 1.0), post))
     return branches
@@ -469,10 +483,13 @@ def tensor(left: State, right: State) -> State:
 
 
 def mix(terms) -> DensityOperator:
-    """Convex mixture of density operators.
+    """Convex mixture of density operators and normalized pure states.
 
-    ``terms`` is a sequence of (weight, DensityOperator); weights must be
-    positive and sum to one within tolerance.
+    ``terms`` is a sequence of (weight, DensityOperator or PureState);
+    weights must be positive and sum to one within tolerance.  A pure term
+    adds ``w * outer(psi, psi*)`` straight into the sum, so only the mixture
+    itself is validated as a density operator; an unnormalized one is
+    refused as ``PureState.density`` refuses it.
     """
     terms = list(terms)
     if not terms:
@@ -482,14 +499,19 @@ def mix(terms) -> DensityOperator:
         raise ValueError("mixture weights must be positive")
     if abs(sum(weights) - 1.0) > ATOL:
         raise ValueError(f"mixture weights sum to {sum(weights)!r}, expected 1")
+    if not all(isinstance(term, (DensityOperator, PureState)) for _, term in terms):
+        raise ValueError("mix expects DensityOperator or PureState terms")
     dims = terms[0][1].dims
     acc = np.zeros((dims.total, dims.total), dtype=complex)
-    for w, rho in terms:
-        if not isinstance(rho, DensityOperator):
-            raise ValueError("mix expects DensityOperator terms")
-        if rho.dims != dims:
+    for w, term in terms:
+        if term.dims != dims:
             raise ValueError("all mixture terms must share the same party structure")
-        acc += w * rho.matrix
+        if isinstance(term, DensityOperator):
+            acc += w * term.matrix
+        elif term.unnormalized:
+            raise ValueError("normalize the state before forming a density operator")
+        else:
+            acc += w * np.outer(term.amplitudes, term.amplitudes.conj())
     return DensityOperator(dims, acc)
 
 
@@ -512,18 +534,32 @@ def partial_trace(rho: DensityOperator, discard) -> DensityOperator:
     return DensityOperator(new_dims, reduced.reshape(new_dims.total, new_dims.total))
 
 
-def measure(state: State, measurement: ProjectiveMeasurement) -> list[MeasurementOutcome]:
+def measure(
+    state: State, measurement: ProjectiveMeasurement, keep=None
+) -> list[MeasurementOutcome]:
     """Apply a projective measurement and return every outcome branch.
 
     Returns one ``MeasurementOutcome`` per projector, with renormalized
-    post-measurement states.  Branches with probability <= the prune
-    threshold carry ``post_state=None``.  The probabilities must sum to one
-    within tolerance or an ``InvariantError`` is raised.
+    post-measurement states.  ``keep`` lists the outcome indices whose
+    post-state the caller reads; the other outcomes still report their
+    probability but carry ``post_state=None``, so their states are never
+    formed.  None (the default) keeps every outcome.  Branches with
+    probability <= the prune threshold carry ``post_state=None`` too.  The
+    probabilities must sum to one within tolerance or an ``InvariantError``
+    is raised.
     """
     if isinstance(state, PureState) and state.unnormalized:
         raise ValueError("normalize the state before measuring")
+    if keep is not None:
+        keep = tuple(int(k) for k in keep)
+        n = measurement.n_outcomes
+        for k in keep:
+            if not 0 <= k < n:
+                raise ValueError(f"keep index {k} out of range for {n} outcomes")
+        if len(set(keep)) != len(keep):
+            raise ValueError(f"keep indices {keep} must be distinct")
     targets = measurement.target_parties
-    branches = _local_branches(state, measurement.projectors, targets)
+    branches = _local_branches(state, measurement.projectors, targets, keep)
     outcomes = [MeasurementOutcome(i, prob, post) for i, (prob, post) in enumerate(branches)]
     total = sum(prob for prob, _ in branches)
     if abs(total - 1.0) > ATOL:
@@ -666,8 +702,5 @@ def to_pure(rho: DensityOperator, atol: float = 1e-8) -> PureState:
     top = float(vals[-1])
     if top < 1.0 - atol:
         raise ValueError(f"density operator is not pure (top eigenvalue {top!r})")
-    vec = vecs[:, -1]
-    pivot = int(np.argmax(np.abs(vec)))
-    phase = vec[pivot] / abs(vec[pivot])
-    vec = vec / phase
+    vec = _phase_canonical(vecs[:, -1])
     return PureState(rho.dims, vec / np.linalg.norm(vec))

@@ -16,9 +16,12 @@ from gmesim.entanglement import certify_gme_pure
 from gmesim.protocols import (
     ProtocolConfig,
     ProtocolReport,
+    ScanRow,
     StepRecord,
+    analytic_Pn,
     build_prop2_state,
     build_prop3_state,
+    build_sigma,
     merge_chain_to_ghz,
 )
 from gmesim.qcore import (
@@ -443,3 +446,17 @@ def loop_prop3_tree(config: ProtocolConfig):
         state = rho  # next copy is fresh
     leaves.append((",".join(path), prefix_prob, True, 3))
     return leaves
+
+
+def loop_sigma_scan(p_list, n_max: int, shots: int, seed: int) -> list[ScanRow]:
+    """``sigma_scan`` with one pass over the draws per repeat budget n."""
+    children = np.random.SeedSequence(int(seed)).spawn(len(p_list))
+    rows = []
+    for p, child in zip(p_list, children):
+        rho = build_sigma(p)
+        rate = measure(rho, level_group_measurement(2, 3, [[0, 1], [2]]))[0].probability
+        trials = np.random.default_rng(child).geometric(rate, size=int(shots))
+        for n in range(n_max + 1):
+            empirical = 0.0 if n == 0 else float(np.mean(trials <= n))
+            rows.append(ScanRow(p, n, analytic_Pn(p, n), empirical))
+    return rows

@@ -2,8 +2,8 @@
 
 ``copy_chain`` builds the state once and measures each copy once; the run
 (``replay_chain``) and the exact branch tree (``chain_leaves``) are read off
-it.  These tests pin the number of state builds and measurements of one CLI
-op, and compare runs and trees bit for bit with the measure-as-you-go
+it.  These tests pin the number of state builds, measurements and density
+operators of one CLI op, and compare runs and trees bit for bit with the measure-as-you-go
 oracles in ``helpers``.
 """
 
@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gmesim import cli, protocols
+from gmesim import cli, protocols, qcore
 from gmesim.protocols import (
     ProtocolConfig,
     chain_leaves,
@@ -61,6 +61,29 @@ def test_cli_op_builds_the_state_once_and_measures_each_copy_once(
     assert cli.main([protocol, "--seed", "3", "--shots", "200"]) == 0
     assert capsys.readouterr().out
     assert calls == {"build": 1, "measure": measures}
+
+
+@pytest.mark.parametrize(
+    "protocol, densities, state_dim, full_size",
+    # prop2: state, 2 accepting post-states, 2 pairs; prop3: state, 6, 3
+    [("prop2", 1 + 2 + 2, 27, 1 + 2), ("prop3", 1 + 6 + 3, 256, 1 + 6)],
+)
+def test_cli_op_forms_only_the_density_operators_it_reads(
+    monkeypatch, capsys, protocol, densities, state_dim, full_size
+):
+    """No rejected branch and no mixture term becomes a density operator."""
+    sizes = []
+    validate = qcore.DensityOperator.__post_init__
+
+    def counting_validate(self):
+        sizes.append(self.dims.total)
+        validate(self)
+
+    monkeypatch.setattr(qcore.DensityOperator, "__post_init__", counting_validate)
+    assert cli.main([protocol, "--seed", "3", "--shots", "200"]) == 0
+    assert capsys.readouterr().out
+    assert len(sizes) == densities
+    assert sizes.count(state_dim) == full_size
 
 
 def random_config(protocol: str, seed: int) -> ProtocolConfig:

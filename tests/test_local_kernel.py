@@ -90,17 +90,33 @@ def target_dim(dims, targets):
     return math.prod(dims[t] for t in targets)
 
 
+def state_bytes(state):
+    return (state.amplitudes if isinstance(state, PureState) else state.matrix).tobytes()
+
+
 @PROPERTY
-@given(layouts(), st.booleans())
-def test_measure_matches_loop_embed(layout, pure):
+@given(layouts(), st.booleans(), st.data())
+def test_measure_matches_loop_embed(layout, pure, data):
     dims, targets, seed = layout
     rng = np.random.default_rng(seed)
     state = random_state(dims, rng, pure)
     projectors = random_projectors(target_dim(dims, targets), rng)
-    outcomes = measure(state, ProjectiveMeasurement(targets, projectors))
+    measurement = ProjectiveMeasurement(targets, projectors)
+    outcomes = measure(state, measurement)
     assert [o.outcome_index for o in outcomes] == list(range(len(projectors)))
     for out, proj in zip(outcomes, projectors):
         assert_branch(out.probability, out.post_state, state, lifted(state, proj, targets))
+
+    # keeping some outcomes changes no probability and no kept post-state
+    keep = data.draw(st.lists(st.integers(0, len(projectors) - 1), unique=True), label="keep")
+    kept = measure(state, measurement, keep=keep)
+    assert [o.outcome_index for o in kept] == list(range(len(projectors)))
+    for part, full in zip(kept, outcomes):
+        assert part.probability.hex() == full.probability.hex()
+        if part.outcome_index in keep and full.post_state is not None:
+            assert state_bytes(part.post_state) == state_bytes(full.post_state)
+        else:
+            assert part.post_state is None
 
 
 @PROPERTY
@@ -168,6 +184,16 @@ def test_repeated_target_is_refused():
         apply_local_unitary(state, np.eye(4), (1, 1))
 
 
+def test_bad_keep_index_is_refused():
+    state = PureState(PartyDims((2, 3)), random_pure((2, 3), np.random.default_rng(5)))
+    measurement = ProjectiveMeasurement((1,), tuple(np.diag(np.eye(3)[k]) for k in range(3)))
+    for keep in ((3,), (0, -1)):
+        with pytest.raises(ValueError, match=f"keep index {keep[-1]} out of range for 3 outcomes"):
+            measure(state, measurement, keep=keep)
+    with pytest.raises(ValueError, match=r"keep indices \(2, 0, 2\) must be distinct"):
+        measure(state, measurement, keep=(2, 0, 2))
+
+
 def test_probability_sum_error_names_dims_targets_and_residual(monkeypatch):
     # a projector set that misses |1><1| cannot pass ProjectiveMeasurement's
     # own validation, so switch that validation off for this one construction
@@ -176,9 +202,11 @@ def test_probability_sum_error_names_dims_targets_and_residual(monkeypatch):
     monkeypatch.undo()
     state = PureState(PartyDims((2, 4, 3)), random_pure((2, 4, 3), np.random.default_rng(4)))
     expected_total = sum(abs(state.tensor_view()[0, :, 0]) ** 2)
-    with pytest.raises(InvariantError) as info:
-        measure(state, incomplete)
-    message = str(info.value)
-    assert "parties (2, 0)" in message
-    assert "dims (2, 4, 3)" in message
-    assert f"residual {expected_total - 1.0:.3e}" in message
+    # the sum covers every outcome, kept or not
+    for keep in (None, (0,), ()):
+        with pytest.raises(InvariantError) as info:
+            measure(state, incomplete, keep=keep)
+        message = str(info.value)
+        assert "parties (2, 0)" in message
+        assert "dims (2, 4, 3)" in message
+        assert f"residual {expected_total - 1.0:.3e}" in message

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gmesim import protocols
+from gmesim import protocols, qcore
 from gmesim.entanglement import Bipartition, certify_gme_pure, negativity
 from gmesim.protocols import (
     MergeResult,
@@ -46,6 +46,7 @@ from helpers import (
     ghz_vec,
     kron_all,
     loop_negativity,
+    loop_sigma_scan,
     merge_branch_amplitudes,
     random_pure,
 )
@@ -191,6 +192,27 @@ class TestBuilders:
             build_prop3_state(good_c, (0.5, 0.5, 0.5))
         with pytest.raises(ValueError):
             build_prop3_state(good_c, (1.0, -0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_prop1_example(0.3),
+            lambda: build_prop2_state((0.2, 0.5, math.sqrt(1 - 0.04 - 0.25)), 0.3),
+            lambda: build_sigma(0.3),
+            lambda: build_sigma_prime(ket([0.8, 0, 0, 0.6], (2, 2)), 0.3),
+            lambda: build_prop3_state((0.4, 0.5, 0.6, math.sqrt(1 - 0.77)), (0.2, 0.3, 0.5)),
+        ],
+        ids=["prop1", "prop2", "sigma", "sigma_prime", "prop3"],
+    )
+    def test_pure_terms_mix_like_their_densities_bit_for_bit(self, monkeypatch, build):
+        direct = build()
+
+        def mix_of_densities(terms):
+            assert all(isinstance(term, PureState) for _, term in terms)
+            return qcore.mix([(w, term.density()) for w, term in terms])
+
+        monkeypatch.setattr(protocols, "mix", mix_of_densities)
+        assert build().matrix.tobytes() == direct.matrix.tobytes()
 
 
 class TestSingleStep:
@@ -538,6 +560,20 @@ class TestScan:
     def test_accuracy_at_moderate_shots(self):
         rows = sigma_scan([0.3, 0.5, 0.7], n_max=8, shots=50_000, seed=42)
         assert max(row.abs_error for row in rows) < 0.01
+
+    @pytest.mark.parametrize("seed", [0, 4, 9, 2029167940])
+    def test_one_pass_tally_matches_the_per_n_oracle_bit_for_bit(self, seed):
+        # low rates send many draws past n_max, high ones end most at copy 1
+        p_list = [0.05, 0.5, 0.95]
+        for n_max in (0, 1, 2, 7, 25):
+            for shots in (1, 2, 3, 17, 1_000):
+                new = sigma_scan(p_list, n_max, shots, seed)
+                old = loop_sigma_scan(p_list, n_max, shots, seed)
+                assert len(new) == len(old) == 3 * (n_max + 1)
+                for a, b in zip(new, old):
+                    assert np.array([a.p, a.n, a.analytic, a.empirical]).tobytes() == np.array(
+                        [b.p, b.n, b.analytic, b.empirical]
+                    ).tobytes()
 
     def test_deterministic(self):
         a = sigma_scan([0.5], 3, 1_000, seed=4)

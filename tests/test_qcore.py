@@ -165,6 +165,30 @@ def test_mix_validates_weights():
     assert abs(np.trace(mixed.matrix) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_mix_takes_pure_terms_as_their_densities_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    dims = (2, 3, 4)
+    pure = [PureState(PartyDims(dims), random_pure(dims, rng)) for _ in range(3)]
+    dense = DensityOperator(PartyDims(dims), random_density(dims, rng))
+    w = rng.dirichlet([1.0] * 4)
+    terms = list(zip(w, pure + [dense]))
+    want = mix([(wk, t.density() if isinstance(t, PureState) else t) for wk, t in terms])
+    assert mix(terms).matrix.tobytes() == want.matrix.tobytes()
+
+
+def test_mix_refuses_unnormalized_and_wrong_kind_terms():
+    rho = bell_pair("phi+").density()
+    loose = PureState(PartyDims((2, 2)), 2.0 * bell_pair("phi-").amplitudes, unnormalized=True)
+    with pytest.raises(ValueError, match="normalize the state before forming a density operator"):
+        mix([(0.5, rho), (0.5, loose)])
+    for wrong in (rho.matrix, bell_pair("phi-").amplitudes, None):
+        with pytest.raises(ValueError, match="mix expects DensityOperator or PureState terms"):
+            mix([(0.5, wrong), (0.5, rho)])
+    with pytest.raises(ValueError, match="same party structure"):
+        mix([(0.5, rho), (0.5, basis_ket((4,), (1,)))])
+
+
 class TestPartialTrace:
     def test_bell_reduction_is_maximally_mixed(self):
         rho = partial_trace(bell_pair("phi+").density(), {1})
