@@ -91,6 +91,7 @@ from .qcore import (
     mix,
     partial_trace,
     permute_parties,
+    postselect_levels,
     purity,
     relabel_subspace,
     state_projector_measurement,
@@ -106,7 +107,7 @@ __all__ = [
     "bell_basis", "ghz_state", "tensor", "mix", "measure", "partial_trace",
     "apply_local_unitary", "relabel_subspace", "permute_parties",
     "contract_party", "level_group_measurement", "state_projector_measurement",
-    "fidelity_pure", "purity", "to_pure",
+    "fidelity_pure", "purity", "to_pure", "postselect_levels",
     # entanglement
     "Bipartition", "BipartitionReport", "CutRecord", "SchmidtData",
     "enumerate_bipartitions", "schmidt", "negativity", "partial_transpose",

@@ -16,6 +16,7 @@ pass ``--timestamp`` to stamp a real time.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -690,7 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     p1.add_argument("--ref-c", type=int, default=None, choices=(0, 1),
                     help="custom basis level for party C's reference")
     _add_common(p1)
-    p1.set_defaults(func=cmd_prop1)
 
     p2 = sub.add_parser("prop2", help="two-copy three-qutrit activation")
     p2.add_argument("--p", type=float, default=0.5, help="mixture weight (default 0.5)")
@@ -700,7 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"Monte Carlo shots (default {DEFAULT_SHOTS})")
     p2.add_argument("--no-mc", action="store_true", help="skip the Monte Carlo block")
     _add_common(p2)
-    p2.set_defaults(func=cmd_prop2)
 
     p3 = sub.add_parser("prop3", help="three-copy four-ququart activation")
     p3.add_argument("--weights", default=None,
@@ -711,7 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"Monte Carlo shots (default {DEFAULT_SHOTS})")
     p3.add_argument("--no-mc", action="store_true", help="skip the Monte Carlo block")
     _add_common(p3)
-    p3.set_defaults(func=cmd_prop3)
 
     scan = sub.add_parser("sigma-scan", help="success-law table for the adaptive protocol")
     scan.add_argument("--p-list", default="0.1,0.3,0.5,0.7",
@@ -722,7 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--format", choices=("csv", "json"), default="csv",
                       help="output format (default csv)")
     _add_common(scan)
-    scan.set_defaults(func=cmd_sigma_scan)
 
     cert = sub.add_parser("certify", help="negativity/Schmidt certificates for every cut")
     cert.add_argument("--state-file", default=None, help="JSON state file to certify")
@@ -734,7 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="Schmidt coefficients for parametrized builtins")
     cert.add_argument("--weights", default=None, help="weights for the prop3 builtin")
     _add_common(cert)
-    cert.set_defaults(func=cmd_certify)
 
     svet = sub.add_parser("svetlichny", help="tripartite nonlocality functional")
     svet.add_argument("--state-file", default=None, help="JSON state file (pure, three qubits)")
@@ -748,16 +744,22 @@ def build_parser() -> argparse.ArgumentParser:
     svet.add_argument("--angles", default=None,
                       help="six equatorial angles A,A',B,B',C,C' (default: optimal)")
     _add_common(svet)
-    svet.set_defaults(func=cmd_svetlichny)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up on each call, so the cached parser holds no handler
+    handler = globals()["cmd_" + args.subcommand.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except InvariantError as exc:
         print(f"gmesim: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -7,9 +7,12 @@ stochastic executions step by step, while ``monte_carlo`` replays the exact
 branch distribution of a protocol many times to expose its success statistics.
 
 For ``prop2`` and ``prop3`` the runner and the exact tree read one copy chain
-(``copy_chain``): the state is built once and each copy is measured once
-along its accepting path.  ``replay_chain`` turns the chain into a run and
-``chain_leaves`` into the branch tree, so neither repeats a measurement.
+(``copy_chain``): the pure terms of the family's mixture are built once and
+each copy is measured once along its accepting path by
+``qcore.postselect_levels``, which never forms the mixture's density
+operator; only each copy's reduced pair is one.  ``replay_chain`` turns the
+chain into a run and ``chain_leaves`` into the branch tree, so neither
+repeats a measurement.
 
 Protocol families (the names are the tool's protocol identifiers, also used
 as CLI subcommands):
@@ -59,6 +62,7 @@ from .qcore import (
     mix,
     partial_trace,
     permute_parties,
+    postselect_levels,
     relabel_subspace,
     state_projector_measurement,
     tensor,
@@ -235,12 +239,20 @@ def _two_party_schmidt_state(coeffs, dim: int) -> PureState:
     return PureState(PartyDims((dim, dim)), amps)
 
 
+#: The (weight, pure state) terms of a mixture, as ``mix`` takes them.
+_Terms = list[tuple[float, PureState]]
+
+
 def build_prop2_state(schmidt_coeffs, p: float) -> DensityOperator:
     """Three-qutrit mixture: correlated A-B pair with C at |0>, or mirrored.
 
     ``schmidt_coeffs`` are the three positive coefficients of the shared
     two-qutrit state sum_i a_i |ii>.
     """
+    return mix(_prop2_terms(schmidt_coeffs, p))
+
+
+def _prop2_terms(schmidt_coeffs, p: float) -> _Terms:
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
     coeffs = tuple(float(c) for c in schmidt_coeffs)
@@ -250,7 +262,7 @@ def build_prop2_state(schmidt_coeffs, p: float) -> DensityOperator:
         raise ValueError("squared Schmidt coefficients must sum to 1")
     psi = _two_party_schmidt_state(coeffs, 3)
     zero = basis_ket((3,), (0,))
-    return mix([(p, tensor(psi, zero)), (1.0 - p, tensor(zero, psi))])
+    return [(p, tensor(psi, zero)), (1.0 - p, tensor(zero, psi))]
 
 
 def build_sigma(p: float) -> DensityOperator:
@@ -309,6 +321,10 @@ def build_prop3_state(schmidt_coeffs, weights) -> DensityOperator:
     ``schmidt_coeffs`` are the four coefficients of sum_i a_i |ii>;
     ``weights`` are the three positive mixture weights.
     """
+    return mix(_prop3_terms(schmidt_coeffs, weights))
+
+
+def _prop3_terms(schmidt_coeffs, weights) -> _Terms:
     coeffs = tuple(float(c) for c in schmidt_coeffs)
     if len(coeffs) != 4 or any(c <= 0 for c in coeffs):
         raise ValueError("four positive Schmidt coefficients are required")
@@ -322,11 +338,11 @@ def build_prop3_state(schmidt_coeffs, weights) -> DensityOperator:
     psi = _two_party_schmidt_state(coeffs, 4)
     zero = basis_ket((4,), (0,))
     one = basis_ket((4,), (1,))
-    return mix([
+    return [
         (w[0], tensor(tensor(psi, zero), zero)),
         (w[1], tensor(tensor(zero, psi), one)),
         (w[2], tensor(tensor(one, one), psi)),
-    ])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +542,10 @@ def merge_chain_to_ghz(pairs) -> MergeResult:
 
     total = sum(b.probability for b in branches)
     if abs(total - 1.0) > ATOL:
-        raise InvariantError(f"merge branch probabilities sum to {total!r}")
+        raise InvariantError(
+            f"merge of {m} pairs: {len(branches)} branch probabilities sum to {total!r}, "
+            f"residual {total - 1.0:.3e} exceeds {ATOL:g}"
+        )
     return MergeResult(tuple(branches), tuple(coeffs), tuple(alignments))
 
 
@@ -585,21 +604,27 @@ def teleport(
     )
     outs = measure(joint, meas)
     chosen = range(4) if outcome is None else [int(outcome)]
+    where = f"teleportation of party {input_party} of dims {state.dims.dims}"
     results = []
     for k in chosen:
         out = outs[k]
         if out.post_state is None or abs(out.probability - 0.25) > ATOL:
             raise InvariantError(
-                f"Bell outcome {k} has probability {out.probability!r}, expected 1/4"
+                f"{where}: Bell outcome {k} of 4 has probability {out.probability!r}, "
+                f"expected 1/4, residual {out.probability - 0.25:.3e} exceeds {ATOL:g}"
             )
         post = apply_local_unitary(out.post_state, _BELL_CORRECTIONS[k], (n + 1,))
         post = _contract_pair(post, input_party, n, basis[k])
         # the receiver's qubit is the last axis; move it into the vacated slot
         t = np.moveaxis(post.tensor_view(), -1, input_party)
         results.append(_canonical_phase(PureState(state.dims, t.reshape(-1))))
-    for r in results[1:]:
-        if abs(r.overlap(results[0])) ** 2 < 1.0 - ATOL:
-            raise InvariantError("teleportation branches disagree after correction")
+    for k, r in zip(chosen[1:], results[1:]):
+        fid = abs(r.overlap(results[0])) ** 2
+        if fid < 1.0 - ATOL:
+            raise InvariantError(
+                f"{where}: after correction, Bell branch {k} of {len(results)} has fidelity "
+                f"{fid!r} with branch 0, residual {1.0 - fid:.3e} exceeds {ATOL:g}"
+            )
     return results[0]
 
 
@@ -656,31 +681,32 @@ _LETTERS = "ABCD"
 # ---------------------------------------------------------------------------
 
 
-def _prop2_setup(config: ProtocolConfig) -> tuple[DensityOperator, float]:
+def _prop2_setup(config: ProtocolConfig) -> tuple[_Terms, float]:
     coeffs = config.coeffs_or_uniform(3)
     block = coeffs[1] ** 2 + coeffs[2] ** 2
-    return build_prop2_state(coeffs, config.p), (1.0 - config.p) * block * config.p * block
+    return _prop2_terms(coeffs, config.p), (1.0 - config.p) * block * config.p * block
 
 
-def _prop3_setup(config: ProtocolConfig) -> tuple[DensityOperator, float]:
+def _prop3_setup(config: ProtocolConfig) -> tuple[_Terms, float]:
     coeffs = config.coeffs_or_uniform(4)
     w = config.weights
     block = coeffs[2] ** 2 + coeffs[3] ** 2
-    return build_prop3_state(coeffs, w), w[0] * w[1] * w[2] * block**3
+    return _prop3_terms(coeffs, w), w[0] * w[1] * w[2] * block**3
 
 
 @dataclass(frozen=True)
 class _ChainFamily:
     """Plan of a family whose fresh copies are measured one after another.
 
-    On each copy the listed parties apply ``split`` in turn, keeping outcome
-    ``accept``; tracing out the other parties leaves a pair whose entangled
-    levels ``relabel`` maps onto a qubit.  ``merge_order`` lists the copies
-    whose pairs form the chain A-B, B-C, ... that ``merger`` merges.
+    ``setup`` returns the pure terms of the family's mixture and the analytic
+    success law.  On each copy the listed parties apply ``split`` in turn,
+    keeping outcome ``accept``; tracing out the other parties leaves a pair
+    whose entangled levels ``relabel`` maps onto a qubit.  ``merge_order``
+    lists the copies whose pairs form the chain A-B, B-C, ... that ``merger``
+    merges.
     """
 
-    setup: Callable[[ProtocolConfig], tuple[DensityOperator, float]]
-    dim: int
+    setup: Callable[[ProtocolConfig], tuple[_Terms, float]]
     split: list[list[int]]
     accept: int
     copies: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (parties, traced)
@@ -694,14 +720,14 @@ class _ChainFamily:
 
 _CHAIN_FAMILIES = {
     "prop2": _ChainFamily(
-        setup=_prop2_setup, dim=3, split=_QUTRIT_SPLIT, accept=1,
+        setup=_prop2_setup, split=_QUTRIT_SPLIT, accept=1,
         copies=(((2,), (0,)), ((0,), (2,))),  # B-C pair, then A-B pair
         relabel={1: 0, 2: 1}, merge_order=(1, 0),
         measurement="split {flag level 0} vs {levels 1,2} on ", label="copy{copy}",
         merger="B", merge_text="pair merge: parity then +/- readout at B",
     ),
     "prop3": _ChainFamily(
-        setup=_prop3_setup, dim=4, split=_QUQUART_SPLIT, accept=2,
+        setup=_prop3_setup, split=_QUQUART_SPLIT, accept=2,
         copies=(((2, 3), (0, 1)), ((0, 1), (2, 3)), ((1, 2), (0, 3))),  # C-D, A-B, B-C
         relabel={2: 0, 3: 1}, merge_order=(1, 2, 0),
         measurement="split {0} / {1} / {2,3} on ", label="{party}{copy}",
@@ -715,7 +741,9 @@ class CopyChain:
     """The copies of a prop2 or prop3 execution, each measured once.
 
     ``steps[k]`` holds the outcome probabilities of each measurement on copy
-    k+1 along its accepting path, and ``pairs[k]`` the qubit pair it leaves.
+    k+1 along its accepting path, and ``pairs[k]`` the qubit pair it leaves;
+    both are bit for bit those of measuring the family's density operator
+    (see ``qcore.postselect_levels``).
     After a pruned accepting branch (probability at or below ``PRUNE_ATOL``)
     the copy's later steps are absent and its pair is None.
     """
@@ -735,32 +763,27 @@ def _pruned(chain: CopyChain, copy_index: int) -> ValueError:
 
 
 def copy_chain(protocol: str, config: ProtocolConfig) -> CopyChain:
-    """Build the state of ``protocol`` once and measure each copy once.
+    """Build the terms of ``protocol`` once and postselect each copy once.
 
-    Each copy is measured along its accepting path only; ``replay_chain``
-    (one run) and ``chain_leaves`` (the exact branch tree Monte Carlo
-    samples) both read the result.
+    Each copy is measured along its accepting path only, by
+    ``postselect_levels`` on the mixture's pure terms, so no full density
+    operator is formed; ``replay_chain`` (one run) and ``chain_leaves`` (the
+    exact branch tree Monte Carlo samples) both read the result.
     """
     if protocol not in _CHAIN_FAMILIES:
         raise ValueError(f"no copy chain for protocol {protocol!r}; expected prop2 or prop3")
     family = _CHAIN_FAMILIES[protocol]
-    rho, analytic = family.setup(config)
+    terms, analytic = family.setup(config)
     steps, pairs = [], []
     for parties, traced in family.copies:
-        state: DensityOperator | None = rho
-        probs = []
-        for party in parties:
-            outs = measure(state, level_group_measurement(party, family.dim, family.split),
-                           keep=(family.accept,))
-            probs.append(tuple(out.probability for out in outs))
-            state = outs[family.accept].post_state
-            if state is None:
-                break
-        steps.append(tuple(probs))
-        if state is None:
+        probs, reduced = postselect_levels(
+            terms, [(party, family.split, family.accept) for party in parties], traced
+        )
+        steps.append(probs)
+        if reduced is None:
             pairs.append(None)
             continue
-        pair = to_pure(partial_trace(state, set(traced)))
+        pair = to_pure(reduced)
         pair = relabel_subspace(pair, 0, family.relabel, 2)
         pairs.append(relabel_subspace(pair, 1, family.relabel, 2))
     return CopyChain(protocol, config, analytic, tuple(steps), tuple(pairs))
@@ -1041,10 +1064,14 @@ def sample_leaves(protocol: str, leaves, shots: int, seed: int) -> MonteCarloSum
     if shots < 1:
         raise ValueError("shots must be a positive integer")
     probs = np.array([p for _, p, _, _ in leaves], dtype=float)
-    if abs(probs.sum() - 1.0) > ATOL:
-        raise InvariantError(f"branch probabilities sum to {probs.sum()!r}")
+    total = probs.sum()
+    if abs(total - 1.0) > ATOL:
+        raise InvariantError(
+            f"sampling the {protocol} tree: {len(leaves)} leaf probabilities sum to "
+            f"{float(total)!r}, residual {total - 1.0:.3e} exceeds {ATOL:g}"
+        )
     rng = np.random.default_rng(seed)
-    draws = rng.choice(len(leaves), size=shots, p=probs / probs.sum())
+    draws = rng.choice(len(leaves), size=shots, p=probs / total)
     counts = np.bincount(draws, minlength=len(leaves))
     stats = tuple(
         BranchStat(label, float(prob), float(c) / shots, success, copies)

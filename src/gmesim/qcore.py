@@ -5,8 +5,12 @@ most significant index: the amplitude for basis label ``(i0, i1, ..., ik)``
 sits at flat index ``i0*d1*...*dk + i1*d2*...*dk + ... + ik``, which is the
 ordering produced by chained ``numpy.kron``.
 
-Everything here is dense and immutable: each operation returns new values and
-never mutates its inputs, so values can be shared freely between threads.
+States are dense and immutable: each operation returns new values and never
+mutates its inputs, so values can be shared freely between threads.  One
+operation, ``postselect_levels``, works on a mixture's pure terms instead of
+its density operator: it reads the mixture's diagonal and the block of the
+terms on the accepted levels, so the mixture is never formed or validated
+(only that block, zero-padded to D x D, enters the partial trace).
 """
 
 from __future__ import annotations
@@ -350,16 +354,12 @@ def ghz_state(n_parties: int) -> PureState:
     return PureState(pd, amps)
 
 
-def level_group_measurement(target_party: int, dim: int, groups) -> ProjectiveMeasurement:
-    """Projective measurement whose outcomes are groups of basis levels.
-
-    Example: ``level_group_measurement(2, 3, [[0], [1, 2]])`` measures party 2
-    of a qutrit with projectors |0><0| and |1><1| + |2><2|.
-    """
+def _level_groups(dim: int, groups) -> list[list[int]]:
+    """Check that ``groups`` partition the levels 0..dim-1; return them as ints."""
     seen: set[int] = set()
-    projectors = []
+    out = []
     for group in groups:
-        p = np.zeros((dim, dim), dtype=complex)
+        levels = []
         for lv in group:
             lv = int(lv)
             if lv in seen:
@@ -367,10 +367,24 @@ def level_group_measurement(target_party: int, dim: int, groups) -> ProjectiveMe
             if not 0 <= lv < dim:
                 raise ValueError(f"level {lv} outside dimension {dim}")
             seen.add(lv)
-            p[lv, lv] = 1.0
-        projectors.append(p)
+            levels.append(lv)
+        out.append(levels)
     if len(seen) != dim:
         raise ValueError("groups must cover every basis level exactly once")
+    return out
+
+
+def level_group_measurement(target_party: int, dim: int, groups) -> ProjectiveMeasurement:
+    """Projective measurement whose outcomes are groups of basis levels.
+
+    Example: ``level_group_measurement(2, 3, [[0], [1, 2]])`` measures party 2
+    of a qutrit with projectors |0><0| and |1><1| + |2><2|.
+    """
+    projectors = []
+    for levels in _level_groups(dim, groups):
+        p = np.zeros((dim, dim), dtype=complex)
+        p[levels, levels] = 1.0
+        projectors.append(p)
     return ProjectiveMeasurement((target_party,), tuple(projectors))
 
 
@@ -386,6 +400,11 @@ def state_projector_measurement(target_party: int, reference: PureState) -> Proj
 # ---------------------------------------------------------------------------
 # axis-local kernel
 # ---------------------------------------------------------------------------
+
+
+def _require_party(party: int, n: int) -> None:
+    if not 0 <= party < n:
+        raise ValueError(f"party index {party} out of range for {n} parties")
 
 
 def _local_kernel(state: State, targets) -> Callable[[np.ndarray], np.ndarray]:
@@ -405,8 +424,7 @@ def _local_kernel(state: State, targets) -> Callable[[np.ndarray], np.ndarray]:
     n = dims.n
     targets = tuple(targets)
     for t in targets:
-        if not 0 <= t < n:
-            raise ValueError(f"party index {t} out of range for {n} parties")
+        _require_party(t, n)
     if len(set(targets)) != len(targets):
         raise ValueError(f"target parties {targets} must be distinct")
     tdim = math.prod(dims.dims[t] for t in targets)
@@ -482,14 +500,13 @@ def tensor(left: State, right: State) -> State:
     raise ValueError("tensor requires two states of the same kind")
 
 
-def mix(terms) -> DensityOperator:
-    """Convex mixture of density operators and normalized pure states.
+def _mixture_terms(terms) -> tuple[PartyDims, list]:
+    """Check the (weight, term) pairs of a convex mixture; return (dims, terms).
 
-    ``terms`` is a sequence of (weight, DensityOperator or PureState);
-    weights must be positive and sum to one within tolerance.  A pure term
-    adds ``w * outer(psi, psi*)`` straight into the sum, so only the mixture
-    itself is validated as a density operator; an unnormalized one is
-    refused as ``PureState.density`` refuses it.
+    Weights must be positive and sum to one within tolerance, and every term
+    is a DensityOperator or a normalized PureState on the same parties.  No
+    check reads an amplitude or a matrix entry: each term was validated when
+    it was built.
     """
     terms = list(terms)
     if not terms:
@@ -502,36 +519,134 @@ def mix(terms) -> DensityOperator:
     if not all(isinstance(term, (DensityOperator, PureState)) for _, term in terms):
         raise ValueError("mix expects DensityOperator or PureState terms")
     dims = terms[0][1].dims
-    acc = np.zeros((dims.total, dims.total), dtype=complex)
-    for w, term in terms:
+    for _, term in terms:
         if term.dims != dims:
             raise ValueError("all mixture terms must share the same party structure")
+        if isinstance(term, PureState) and term.unnormalized:
+            raise ValueError("normalize the state before forming a density operator")
+    return dims, terms
+
+
+def mix(terms) -> DensityOperator:
+    """Convex mixture of density operators and normalized pure states.
+
+    ``terms`` is a sequence of (weight, DensityOperator or PureState);
+    weights must be positive and sum to one within tolerance.  A pure term
+    adds ``w * outer(psi, psi*)`` straight into the sum, so only the mixture
+    itself is validated as a density operator; an unnormalized one is
+    refused as ``PureState.density`` refuses it.
+    """
+    dims, terms = _mixture_terms(terms)
+    acc = np.zeros((dims.total, dims.total), dtype=complex)
+    for w, term in terms:
         if isinstance(term, DensityOperator):
             acc += w * term.matrix
-        elif term.unnormalized:
-            raise ValueError("normalize the state before forming a density operator")
         else:
             acc += w * np.outer(term.amplitudes, term.amplitudes.conj())
     return DensityOperator(dims, acc)
 
 
-def partial_trace(rho: DensityOperator, discard) -> DensityOperator:
-    """Trace out the listed parties, keeping the remaining ones in order."""
+def _traced_parties(n: int, discard) -> list[int]:
+    """Sorted distinct parties to trace out of ``n``; some must remain."""
     discard = sorted({int(i) for i in discard})
-    n = rho.dims.n
     if any(i < 0 or i >= n for i in discard):
         raise ValueError("discard index out of range")
     if not discard:
         raise ValueError("nothing to trace out")
     if len(discard) == n:
         raise ValueError("cannot trace out every party")
+    return discard
+
+
+def _trace_out(matrix: np.ndarray, dims: PartyDims, discard: list[int]) -> DensityOperator:
+    """The validated reduction of a D x D ``matrix`` over ``dims`` (see ``partial_trace``)."""
+    n = dims.n
     keep = [i for i in range(n) if i not in discard]
-    t = rho.tensor_view()
     row = list(range(n))
     col = [i if i in discard else n + i for i in range(n)]
-    reduced = np.einsum(t, row + col, keep + [n + i for i in keep])
-    new_dims = PartyDims(tuple(rho.dims.dims[i] for i in keep))
+    reduced = np.einsum(matrix.reshape(dims.dims * 2), row + col, keep + [n + i for i in keep])
+    new_dims = PartyDims(tuple(dims.dims[i] for i in keep))
     return DensityOperator(new_dims, reduced.reshape(new_dims.total, new_dims.total))
+
+
+def partial_trace(rho: DensityOperator, discard) -> DensityOperator:
+    """Trace out the listed parties, keeping the remaining ones in order."""
+    return _trace_out(rho.matrix, rho.dims, _traced_parties(rho.dims.n, discard))
+
+
+def _require_probability_sum(probabilities, targets, dims: PartyDims) -> None:
+    total = sum(probabilities)
+    if abs(total - 1.0) > ATOL:
+        raise InvariantError(
+            f"measurement on parties {targets} of dims {dims.dims}: probabilities "
+            f"sum to {total!r}, residual {total - 1.0:.3e} exceeds {ATOL:g}"
+        )
+
+
+def postselect_levels(
+    terms, steps, discard
+) -> tuple[tuple[tuple[float, ...], ...], DensityOperator | None]:
+    """Postselect a mixture of pure terms on level groups, then trace out ``discard``.
+
+    ``terms`` are the (weight, PureState) terms of a mixture, checked as
+    ``mix`` checks them.  Each step ``(party, groups, accept)`` measures the
+    level groups ``groups`` of one party (as ``level_group_measurement``
+    does) and keeps outcome ``accept``.  Returns a tuple with each step's
+    outcome probabilities, clipped to [0, 1], along the accepting path, and
+    the accepted state with the ``discard`` parties traced out.  When an
+    accepted outcome has probability at or below the prune threshold the
+    later steps are skipped and the state is None.
+
+    The results are bit for bit those of ``measure(..., keep=(accept,))`` on
+    ``mix(terms)``, step after step, followed by ``partial_trace``, but the
+    mixture is never formed: the probabilities are sums over its diagonal,
+    built in O(r*D), and the accepted state is the block of the terms on the
+    levels every step accepted, zero-padded to D x D before the trace.  Only
+    the reduced state is validated as a density operator.
+    """
+    dims, terms = _mixture_terms(terms)
+    if not all(isinstance(term, PureState) for _, term in terms):
+        raise ValueError("postselect_levels expects PureState terms")
+    discard = _traced_parties(dims.n, discard)
+    levels = np.indices(dims.dims).reshape(dims.n, dims.total)  # party level at each index
+    plan = []
+    for party, groups, accept in steps:
+        party = int(party)
+        _require_party(party, dims.n)
+        masks = [np.isin(levels[party], group) for group in _level_groups(dims.dims[party], groups)]
+        accept = int(accept)
+        if not 0 <= accept < len(masks):
+            raise ValueError(f"accept index {accept} out of range for {len(masks)} outcomes")
+        plan.append((party, masks, accept))
+
+    # the elementwise operations mix performs on its diagonal, in term order
+    diag = np.zeros(dims.total, dtype=complex)
+    for w, term in terms:
+        diag += w * (term.amplitudes * term.amplitudes.conj())
+    path, scales = [], []
+    support = np.ones(dims.total, dtype=bool)
+    for party, masks, accept in plan:
+        raw = [float(np.real(np.sum(np.where(mask, diag, 0)))) for mask in masks]
+        probs = tuple(min(max(prob, 0.0), 1.0) for prob in raw)
+        _require_probability_sum(probs, (party,), dims)
+        path.append(probs)
+        if raw[accept] <= PRUNE_ATOL:
+            return tuple(path), None
+        scales.append(2.0 * raw[accept])
+        diag = _hermitian_part(np.where(masks[accept], diag, 0), scales[-1])
+        support &= masks[accept]
+
+    kept = np.flatnonzero(support)
+    block = np.zeros((kept.size, kept.size), dtype=complex)
+    for w, term in terms:
+        amps = term.amplitudes[kept]
+        block += w * np.outer(amps, amps.conj())
+    # each step's symmetrize-and-renormalize acts entrywise, so on the block alone
+    for scale in scales:
+        block = _hermitian_part(block, scale)
+    full = np.zeros((dims.total, dims.total), dtype=complex)
+    full[np.ix_(kept, kept)] = block
+    return tuple(path), _trace_out(full, dims, discard)
 
 
 def measure(
@@ -561,12 +676,7 @@ def measure(
     targets = measurement.target_parties
     branches = _local_branches(state, measurement.projectors, targets, keep)
     outcomes = [MeasurementOutcome(i, prob, post) for i, (prob, post) in enumerate(branches)]
-    total = sum(prob for prob, _ in branches)
-    if abs(total - 1.0) > ATOL:
-        raise InvariantError(
-            f"measurement on parties {targets} of dims {state.dims.dims}: probabilities "
-            f"sum to {total!r}, residual {total - 1.0:.3e} exceeds {ATOL:g}"
-        )
+    _require_probability_sum([prob for prob, _ in branches], targets, state.dims)
     return outcomes
 
 

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written the slow, obvious way -- explicit
 index loops, no code shared with the package -- so the fast implementations
-have something honest to disagree with.  The protocol oracles at the end are
-the exception: they call the package's kernels and builders, but none of the
-copy-chain code they are compared with.
+have something honest to disagree with.  ``loop_postselect_levels`` and the
+protocol oracles at the end are the exception: they call the package's
+kernels and builders, but none of the postselection or copy-chain code they
+are compared with.
 """
 
 import itertools
@@ -30,6 +31,7 @@ from gmesim.qcore import (
     PureState,
     level_group_measurement,
     measure,
+    mix,
     partial_trace,
     relabel_subspace,
     to_pure,
@@ -267,6 +269,20 @@ def eig_psd_accepts(matrix: np.ndarray, atol: float) -> bool:
 
 # ---------------------------------------------------------------------------
 # protocol oracles
+def loop_postselect_levels(terms, steps, discard):
+    """``qcore.postselect_levels`` the dense way: mix, measure step by step, trace."""
+    state = mix(terms)
+    path = []
+    for party, groups, accept in steps:
+        meas = level_group_measurement(party, state.dims.dims[party], groups)
+        outs = measure(state, meas, keep=(accept,))
+        path.append(tuple(out.probability for out in outs))
+        state = outs[accept].post_state
+        if state is None:
+            return tuple(path), None
+    return tuple(path), partial_trace(state, discard)
+
+
 # ---------------------------------------------------------------------------
 # The prop2/prop3 runners and exact branch trees in their measure-as-you-go
 # form: each builds its own state and measures every copy itself, sharing

@@ -281,3 +281,26 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert proc.stdout.startswith("gmesim ")
+
+
+def test_main_builds_one_parser_and_looks_up_handlers_per_call(monkeypatch, capsys):
+    """Reusing the parser leaves artifacts, usage errors and handler lookup unchanged."""
+    from gmesim import cli
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    argv = ["prop2", "--seed", "3", "--no-mc"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:
+        main(["prop2", "--bogus"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    monkeypatch.setattr(cli, "cmd_prop2", lambda args: 0)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert builds == [1]

@@ -1,10 +1,11 @@
 """prop2/prop3 copy chains: one measurement per copy step, same results.
 
-``copy_chain`` builds the state once and measures each copy once; the run
-(``replay_chain``) and the exact branch tree (``chain_leaves``) are read off
-it.  These tests pin the number of state builds, measurements and density
-operators of one CLI op, and compare runs and trees bit for bit with the measure-as-you-go
-oracles in ``helpers``.
+``copy_chain`` builds the mixture's terms once and postselects each copy once
+(``qcore.postselect_levels``); the run (``replay_chain``) and the exact branch
+tree (``chain_leaves``) are read off it.  These tests pin the number of term
+builds, measurements and density operators of one CLI op and of one chain,
+and compare runs and trees bit for bit with the measure-as-you-go oracles in
+``helpers``, which measure the dense mixture.
 """
 
 import dataclasses
@@ -39,12 +40,13 @@ SAMPLED_RUNS = {"prop2": 8, "prop3": 2}
 
 @pytest.mark.parametrize(
     "protocol, builder, measures",
-    [("prop2", "build_prop2_state", 2 + 3), ("prop3", "build_prop3_state", 6 + 15)],
+    [("prop2", "_prop2_terms", 3), ("prop3", "_prop3_terms", 15)],
+    ids=["prop2", "prop3"],
 )
-def test_cli_op_builds_the_state_once_and_measures_each_copy_once(
+def test_cli_op_builds_the_terms_once_and_measures_only_the_merge(
     monkeypatch, capsys, protocol, builder, measures
 ):
-    """Copy steps plus merge steps; the tree adds no measurement."""
+    """The copies are postselected on the terms; the tree adds no measurement."""
     calls = {"build": 0, "measure": 0}
     build, measure = getattr(protocols, builder), protocols.measure
 
@@ -63,15 +65,8 @@ def test_cli_op_builds_the_state_once_and_measures_each_copy_once(
     assert calls == {"build": 1, "measure": measures}
 
 
-@pytest.mark.parametrize(
-    "protocol, densities, state_dim, full_size",
-    # prop2: state, 2 accepting post-states, 2 pairs; prop3: state, 6, 3
-    [("prop2", 1 + 2 + 2, 27, 1 + 2), ("prop3", 1 + 6 + 3, 256, 1 + 6)],
-)
-def test_cli_op_forms_only_the_density_operators_it_reads(
-    monkeypatch, capsys, protocol, densities, state_dim, full_size
-):
-    """No rejected branch and no mixture term becomes a density operator."""
+def count_density_sizes(monkeypatch) -> list[int]:
+    """Record the dimension of every ``DensityOperator`` built from now on."""
     sizes = []
     validate = qcore.DensityOperator.__post_init__
 
@@ -80,10 +75,38 @@ def test_cli_op_forms_only_the_density_operators_it_reads(
         validate(self)
 
     monkeypatch.setattr(qcore.DensityOperator, "__post_init__", counting_validate)
+    return sizes
+
+
+#: One reduced two-party density operator per copy: two qutrits or two ququarts.
+PAIR_SIZES = {"prop2": [9] * 2, "prop3": [16] * 3}
+
+
+@pytest.mark.parametrize("protocol", sorted(PAIR_SIZES))
+def test_cli_op_forms_only_the_density_operators_it_reads(monkeypatch, capsys, protocol):
+    """No mixture, no post-state and no rejected branch becomes a density operator."""
+    sizes = count_density_sizes(monkeypatch)
     assert cli.main([protocol, "--seed", "3", "--shots", "200"]) == 0
     assert capsys.readouterr().out
-    assert len(sizes) == densities
-    assert sizes.count(state_dim) == full_size
+    assert sizes == PAIR_SIZES[protocol]
+
+
+@pytest.mark.parametrize("protocol", sorted(PAIR_SIZES))
+def test_copy_chain_calls_no_measure_and_forms_only_the_pairs(monkeypatch, protocol):
+    calls = []
+    measure = qcore.measure
+
+    def counting_measure(*args, **kwargs):
+        calls.append(args)
+        return measure(*args, **kwargs)
+
+    for module in (qcore, protocols):
+        monkeypatch.setattr(module, "measure", counting_measure)
+    sizes = count_density_sizes(monkeypatch)
+    chain = copy_chain(protocol, random_config(protocol, 0))
+    assert all(pair is not None for pair in chain.pairs)
+    assert calls == []
+    assert sizes == PAIR_SIZES[protocol]
 
 
 def random_config(protocol: str, seed: int) -> ProtocolConfig:

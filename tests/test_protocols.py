@@ -601,3 +601,37 @@ def test_permuted_pair_feeds_teleportation_in_the_adaptive_runner():
     """The A-B pair enters sender-first; a swapped copy must behave the same."""
     pair = bell_pair("phi+")
     assert abs(permute_parties(pair, (1, 0)).overlap(pair)) ** 2 == pytest.approx(1.0)
+
+
+def test_protocol_invariant_errors_name_the_operation_sizes_and_residual(monkeypatch):
+    """Each sum or agreement check reports what failed, how big it was and by how much."""
+    measure = protocols.measure
+
+    def halved(*args, **kwargs):
+        return [qcore.MeasurementOutcome(o.outcome_index, o.probability / 2, o.post_state)
+                for o in measure(*args, **kwargs)]
+
+    monkeypatch.setattr(protocols, "measure", halved)
+    with pytest.raises(qcore.InvariantError,
+                       match=r"merge of 2 pairs: 4 branch probabilities sum to 0\.2499.*, "
+                             r"residual -7\.500e-01 exceeds 1e-09"):
+        merge_chain_to_ghz([bell_pair("phi+"), bell_pair("phi+")])
+    with pytest.raises(qcore.InvariantError,
+                       match=r"teleportation of party 1 of dims \(2, 2, 2\): Bell outcome 0 "
+                             r"of 4 has probability 0\.124.*, expected 1/4, residual -1\.250e-01"):
+        teleport(ghz_state(3), 1, bell_pair("phi+"))
+    monkeypatch.undo()
+
+    # no correction at all: branches 1-3 carry a Z, an X or both on the receiver
+    monkeypatch.setattr(protocols, "_BELL_CORRECTIONS", (np.eye(2, dtype=complex),) * 4)
+    with pytest.raises(qcore.InvariantError,
+                       match=r"teleportation of party 1 of dims \(2, 2, 2\): after correction, "
+                             r"Bell branch 1 of 4 has fidelity 0\.0 with branch 0, "
+                             r"residual 1\.000e\+00 exceeds 1e-09"):
+        teleport(ghz_state(3), 1, bell_pair("phi+"))
+
+    leaves = [("a", 0.5, True, 1), ("b", 0.25, False, 1)]
+    with pytest.raises(qcore.InvariantError,
+                       match=r"sampling the prop2 tree: 2 leaf probabilities sum to 0\.75, "
+                             r"residual -2\.500e-01 exceeds 1e-09"):
+        protocols.sample_leaves("prop2", leaves, 10, 0)

@@ -83,9 +83,9 @@ def test_eigvalsh_decides_when_the_factorization_fails(psd_paths):
 
 
 def test_valid_prop3_intermediates_never_fall_back(psd_paths):
-    """Two state builds, six accepting 256-dim post-states, three pair reductions."""
+    """One state build and three pair reductions: the run forms no 256-dim operator."""
     build_prop3_state((0.5, 0.5, 0.5, 0.5), (0.2, 0.3, 0.5))
     report = run_prop3(ProtocolConfig(), postselect_success=True)
     assert report.success
-    assert psd_paths["cholesky"] == 1 + 1 + 6 + 3
+    assert psd_paths["cholesky"] == 1 + 3
     assert psd_paths["fallback"] == 0
