@@ -149,8 +149,7 @@ def _render_compact(obj) -> str:
 
 
 def _complex_pairs(values) -> list[list[float]]:
-    flat = np.asarray(values, dtype=complex).reshape(-1)
-    return [[float(v.real), float(v.imag)] for v in flat]
+    return np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def state_to_payload(state: PureState | DensityOperator) -> dict:
@@ -161,36 +160,80 @@ def state_to_payload(state: PureState | DensityOperator) -> dict:
     return {"dims": dims, "kind": "density", "matrix": _complex_pairs(state.matrix)}
 
 
+#: Pairs per NumPy conversion.  NumPy keeps 32 bytes per nested list until a
+#: conversion ends (2 MiB for a 256-dim density at once), and that memory
+#: stays resident afterwards.
+_PAIR_CHUNK = 1024
+
+
 def _pairs_to_array(pairs, expected: int, what: str) -> np.ndarray:
+    """Read ``expected`` [re, im] pairs as ``float()`` reads each part.
+
+    NumPy converts a valid list.  Anything it refuses, a wrong shape or a
+    non-finite entry goes to the per-pair loop, which yields the same values
+    and raises the message that names the failing pair.
+    """
+    values = _finite_pairs(pairs, expected)
+    if values is None:
+        return _pairs_loop(pairs, expected, what)
+    return values.view(complex).reshape(expected)
+
+
+def _finite_pairs(pairs, expected: int) -> np.ndarray | None:
+    """``pairs`` as (expected, 2) finite floats, or None where NumPy cannot."""
+    if not isinstance(pairs, list) or len(pairs) != expected:
+        return None
+    values = np.empty((expected, 2))
+    for start in range(0, expected, _PAIR_CHUNK):
+        stop = min(start + _PAIR_CHUNK, expected)
+        try:
+            chunk = np.asarray(pairs[start:stop], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if chunk.shape != (stop - start, 2) or not np.isfinite(chunk).all():
+            return None
+        values[start:stop] = chunk
+    return values
+
+
+def _pairs_loop(pairs, expected: int, what: str) -> np.ndarray:
     if not isinstance(pairs, list) or len(pairs) != expected:
         raise ValueError(f"{what} must be a list of {expected} [re, im] pairs")
     out = np.empty(expected, dtype=complex)
     for i, pair in enumerate(pairs):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"{what}[{i}] is not an [re, im] pair")
-        out[i] = complex(float(pair[0]), float(pair[1]))
+        try:
+            out[i] = complex(float(pair[0]), float(pair[1]))
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"{what}[{i}] is not an [re, im] pair of numbers") from exc
     return out
 
 
 def state_from_payload(data: dict) -> PureState | DensityOperator:
+    """Build the state a decoded JSON state file describes."""
     if not isinstance(data, dict):
         raise ValueError("state file must contain a JSON object")
     try:
-        dims = tuple(int(d) for d in data["dims"])
-        kind = data["kind"]
-    except (KeyError, TypeError) as exc:
+        dims, kind = data["dims"], data["kind"]
+    except KeyError as exc:
         raise ValueError(f"state file is missing a valid field: {exc}") from exc
-    total = int(np.prod(dims)) if dims else 0
+    # JSON integers only: no floats to truncate, no strings to iterate, no bools
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
+        raise ValueError(f"state file 'dims' must be a list of integers, got {dims!r}")
+    # the size cap applies before any pair is read
+    dims = PartyDims(tuple(dims))
+    total = dims.total
     if kind == "pure":
         if "amplitudes" not in data:
             raise ValueError("pure state files need an 'amplitudes' field")
         amps = _pairs_to_array(data["amplitudes"], total, "amplitudes")
-        return PureState(PartyDims(dims), amps)
+        return PureState(dims, amps)
     if kind == "density":
         if "matrix" not in data:
             raise ValueError("density state files need a 'matrix' field")
         mat = _pairs_to_array(data["matrix"], total * total, "matrix")
-        return DensityOperator(PartyDims(dims), mat.reshape(total, total))
+        return DensityOperator(dims, mat.reshape(total, total))
     raise ValueError(f"unknown state kind {kind!r}; expected 'pure' or 'density'")
 
 

@@ -268,6 +268,26 @@ def eig_psd_accepts(matrix: np.ndarray, atol: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# state-file oracles: the per-item forms of the cli's pair conversions
+
+
+def loop_pairs_to_array(pairs, expected: int, what: str) -> np.ndarray:
+    if not isinstance(pairs, list) or len(pairs) != expected:
+        raise ValueError(f"{what} must be a list of {expected} [re, im] pairs")
+    out = np.empty(expected, dtype=complex)
+    for i, pair in enumerate(pairs):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"{what}[{i}] is not an [re, im] pair")
+        out[i] = complex(float(pair[0]), float(pair[1]))
+    return out
+
+
+def loop_complex_pairs(values) -> list[list[float]]:
+    flat = np.asarray(values, dtype=complex).reshape(-1)
+    return [[float(v.real), float(v.imag)] for v in flat]
+
+
+# ---------------------------------------------------------------------------
 # protocol oracles
 def loop_postselect_levels(terms, steps, discard):
     """``qcore.postselect_levels`` the dense way: mix, measure step by step, trace."""
