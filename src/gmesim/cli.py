@@ -466,7 +466,7 @@ def _load_input_state(args, default_builtin: str | None = None):
         if default_builtin is None:
             raise ValueError("one of --state-file or --builtin is required")
         builtin = default_builtin
-    p = float(getattr(args, "p", 0.5) or 0.5)
+    p = float(getattr(args, "p", 0.5))
     state = _builtin_state(builtin, p, getattr(args, "schmidt", None), getattr(args, "weights", None))
     source: dict = {"kind": "builtin", "name": builtin.lower()}
     if builtin.lower() in ("prop1", "prop2", "sigma"):

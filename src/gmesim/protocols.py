@@ -49,7 +49,11 @@ from .qcore import (
     PartyDims,
     ProjectiveMeasurement,
     PureState,
+    _local_kernel,
     _phase_canonical,
+    _require_probability_sum,
+    _require_unit_rows,
+    _require_unitary,
     apply_local_unitary,
     basis_ket,
     bell_basis,
@@ -430,11 +434,6 @@ class MergeResult:
     alignments: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-def _canonical_phase(state: PureState) -> PureState:
-    amps = _phase_canonical(state.amplitudes)
-    return PureState(state.dims, amps, unnormalized=state.unnormalized)
-
-
 def _schmidt_align_pair(pair: PureState) -> tuple[PureState, tuple[float, float], tuple]:
     mat = pair.tensor_view()
     u, svals, vh = np.linalg.svd(mat)
@@ -443,6 +442,32 @@ def _schmidt_align_pair(pair: PureState) -> tuple[PureState, tuple[float, float]
         raise ValueError("merging needs entangled pairs, got a product state")
     aligned = PureState(PartyDims((2, 2)), np.diag([a, b]).reshape(-1))
     return aligned, (a, b), (u.conj().T, vh.conj())
+
+
+def _measure_rows(dims: PartyDims, records, rows: np.ndarray, measurement):
+    """``measure`` on each row of a merge stage, beside its (pattern, probability).
+
+    Returns the live children, parent-major and outcome-minor, and their
+    renormalized rows, with ``measure``'s arithmetic, clipping, pruning and
+    probability-sum check per row.
+    """
+    targets = measurement.target_parties
+    _, apply = _local_kernel(dims, targets, rows)
+    subs = [apply(p) for p in measurement.projectors]
+    children, picked, norms = [], [], []
+    for b, (pattern, prob) in enumerate(records):
+        raw = [float(np.real(np.vdot(sub[b], sub[b]))) for sub in subs]
+        clipped = [min(max(r, 0.0), 1.0) for r in raw]
+        _require_probability_sum(clipped, targets, dims)
+        for k, (r, c) in enumerate(zip(raw, clipped)):
+            if r > PRUNE_ATOL:
+                children.append((pattern + (k,), prob * c))
+                picked.append(subs[k][b])
+                norms.append(math.sqrt(r))
+    out = np.array(picked)
+    out /= np.array(norms)[:, None]
+    _require_unit_rows(out, dims)
+    return children, out
 
 
 def merge_chain_to_ghz(pairs) -> MergeResult:
@@ -455,6 +480,12 @@ def merge_chain_to_ghz(pairs) -> MergeResult:
     out in the |+>/|-> basis, and that qubit is dropped; the recorded Pauli
     corrections leave each branch as alpha|0...0> + beta|1...1>.  For pairs
     with equal coefficients every branch lands on the uniform GHZ state.
+
+    The live branches of a stage are the rows of one ``(B, 4**m)`` array and
+    each step is one axis-local kernel call on it: the parity stages on all
+    parity branches, then each parity branch's 2**(m-1) sign branches as one
+    block.  Each row gets the arithmetic of separate ``measure``,
+    ``contract_party`` and ``apply_local_unitary`` calls, norm checks included.
     """
     pairs = list(pairs)
     if len(pairs) < 2:
@@ -474,69 +505,64 @@ def merge_chain_to_ghz(pairs) -> MergeResult:
     joint = aligned[0]
     for st in aligned[1:]:
         joint = tensor(joint, st)
-
-    # stage 1: parity measurements at every internal party
+    dims = joint.dims
     parity_meas = [
         ProjectiveMeasurement((2 * i - 1, 2 * i), (PARITY_CORRELATED, PARITY_ANTI))
         for i in range(1, m)
     ]
-    stage1: list[tuple[tuple[int, ...], float, PureState]] = [((), 1.0, joint)]
-    for meas in parity_meas:
-        nxt = []
-        for pattern, prob, state in stage1:
-            for out in measure(state, meas):
-                if out.post_state is None:
-                    continue
-                nxt.append((pattern + (out.outcome_index,), prob * out.probability, out.post_state))
-        stage1 = nxt
+    readout = (np.outer(_PLUS, _PLUS.conj()), np.outer(_MINUS, _MINUS.conj()))
+    sign_meas = [ProjectiveMeasurement((2 * i - 1,), readout) for i in range(1, m)]
+    _require_unitary(_X)
+    _require_unitary(_Z)
 
-    # stage 2: |+>/|-> readout of each internal party's first qubit
-    sign_meas = [
-        ProjectiveMeasurement(
-            (2 * i - 1,),
-            (np.outer(_PLUS, _PLUS.conj()), np.outer(_MINUS, _MINUS.conj())),
-        )
-        for i in range(1, m)
-    ]
+    # stage 1: parity measurements at every internal party, on the whole stack
+    parity, rows = [((), 1.0)], joint.amplitudes[None]
+    for meas in parity_meas:
+        parity, rows = _measure_rows(dims, parity, rows, meas)
+
     branches = []
-    for parity_pattern, parity_prob, state in stage1:
-        stage2: list[tuple[tuple[int, ...], float, PureState]] = [((), parity_prob, state)]
+    for (parity_pattern, parity_prob), row in zip(parity, rows):
+        # stage 2: |+>/|-> readout of each internal party's first qubit
+        signs, block = [((), parity_prob)], row[None]
         for meas in sign_meas:
-            nxt = []
-            for pattern, prob, st in stage2:
-                for out in measure(st, meas):
-                    if out.post_state is None:
-                        continue
-                    nxt.append(
-                        (pattern + (out.outcome_index,), prob * out.probability, out.post_state)
-                    )
-            stage2 = nxt
+            signs, block = _measure_rows(dims, signs, block, meas)
+        minus = np.array([pattern for pattern, _ in signs], dtype=bool)
+
+        # drop the measured qubits (descending axis order keeps indices valid)
+        block_dims = dims
+        for i in range(m - 1, 0, -1):
+            front, _ = _local_kernel(block_dims, (2 * i - 1,), block)
+            refs = np.where(minus[:, i - 1, None], _MINUS.conj(), _PLUS.conj())
+            block = np.matmul(refs[:, None], front)[:, 0]
+            weights = np.array([float(np.linalg.norm(r)) for r in block])
+            if np.any(weights <= PRUNE_ATOL):
+                raise ValueError("state has (almost) no overlap with the reference vector")
+            block /= weights[:, None]
+            block_dims = PartyDims(block_dims.dims[: 2 * i - 1] + block_dims.dims[2 * i :])
+            _require_unit_rows(block, block_dims)
 
         # parity prefix decides which parties need a bit flip
         flips = [0]
         for o in parity_pattern:
             flips.append(flips[-1] ^ o)
-
-        for sign_pattern, prob, st in stage2:
-            # drop the measured qubits (descending axis order keeps indices valid)
-            for i in range(m - 1, 0, -1):
-                vec = _MINUS if sign_pattern[i - 1] else _PLUS
-                st = contract_party(st, 2 * i - 1, vec)
-            corrections = []
-            for t in range(1, m + 1):
-                if flips[min(t, m - 1)]:
-                    st = apply_local_unitary(st, _X, (t,))
-                    corrections.append(f"X@{t}")
-            if sum(sign_pattern) % 2 == 1:
-                st = apply_local_unitary(st, _Z, (0,))
-                corrections.append("Z@0")
+        corrections = []
+        for t in range(1, m + 1):
+            if flips[min(t, m - 1)]:
+                block = _local_kernel(block_dims, (t,), block)[1](_X)
+                _require_unit_rows(block, block_dims)
+                corrections.append(f"X@{t}")
+        odd = minus.sum(axis=1) % 2 == 1
+        if odd.any():
+            block[odd] = _local_kernel(block_dims, (0,), block[odd])[1](_Z)
+            _require_unit_rows(block[odd], block_dims)
+        for (sign_pattern, prob), amps, z in zip(signs, block, odd):
             branches.append(
                 MergeBranch(
                     parity_pattern,
                     sign_pattern,
                     prob,
-                    _canonical_phase(st),
-                    tuple(corrections),
+                    PureState(block_dims, _phase_canonical(amps)),
+                    tuple(corrections) + (("Z@0",) if z else ()),
                 )
             )
 
@@ -554,19 +580,6 @@ def merge_chain_to_ghz(pairs) -> MergeResult:
 # ---------------------------------------------------------------------------
 
 _BELL_CORRECTIONS = (np.eye(2, dtype=complex), _Z, _X, _Z @ _X)
-
-
-def _contract_pair(state: PureState, party_a: int, party_b: int, ref: np.ndarray) -> PureState:
-    """Project two parties jointly onto ``ref`` and drop both."""
-    t = state.tensor_view()
-    da = state.dims.dims[party_a]
-    db = state.dims.dims[party_b]
-    out = np.tensordot(ref.conj().reshape(da, db), t, axes=([0, 1], [party_a, party_b]))
-    weight = float(np.linalg.norm(out))
-    if weight <= 1e-12:
-        raise ValueError("state has (almost) no overlap with the reference pair state")
-    remaining = [d for i, d in enumerate(state.dims.dims) if i not in (party_a, party_b)]
-    return PureState(PartyDims(tuple(remaining)), out.reshape(-1) / weight)
 
 
 def teleport(
@@ -614,10 +627,10 @@ def teleport(
                 f"expected 1/4, residual {out.probability - 0.25:.3e} exceeds {ATOL:g}"
             )
         post = apply_local_unitary(out.post_state, _BELL_CORRECTIONS[k], (n + 1,))
-        post = _contract_pair(post, input_party, n, basis[k])
+        post = contract_party(post, (input_party, n), basis[k])
         # the receiver's qubit is the last axis; move it into the vacated slot
         t = np.moveaxis(post.tensor_view(), -1, input_party)
-        results.append(_canonical_phase(PureState(state.dims, t.reshape(-1))))
+        results.append(PureState(state.dims, _phase_canonical(t.reshape(-1))))
     for k, r in zip(chosen[1:], results[1:]):
         fid = abs(r.overlap(results[0])) ** 2
         if fid < 1.0 - ATOL:

@@ -407,20 +407,25 @@ def _require_party(party: int, n: int) -> None:
         raise ValueError(f"party index {party} out of range for {n} parties")
 
 
-def _local_kernel(state: State, targets) -> Callable[[np.ndarray], np.ndarray]:
-    """Prepare ``state`` for operators supported on the listed parties.
+def _local_kernel(
+    dims: PartyDims, targets, data: np.ndarray, density: bool = False
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Prepare states over ``dims`` for operators supported on the listed parties.
 
-    Returns ``apply(op)``: the vector ``(op x 1) psi`` for a pure state, or the
-    matrix ``(op x 1) rho (op x 1)^dagger`` for a density operator, in the
-    system's own party order.  The operator's factor order matches the order
-    in which ``targets`` are listed, which need not be sorted or contiguous.
+    ``data`` is a ``(B, D)`` stack of pure-state rows, or with ``density`` one
+    density matrix.  Returns ``(front, apply)``: ``front`` is a stack with the
+    target axes moved to the front, shape ``(B, tdim, rdim)``; ``apply(op)``
+    gives the rows ``(op x 1) psi_b``, or the matrix ``(op x 1) rho (op x
+    1)^dagger``, in the system's own party order.  The operator's factor order
+    matches the order in which ``targets`` are listed, which need not be
+    sorted or contiguous.
 
     The target axes are transposed to the front once per call; each operator
-    then costs one matmul over the joint target index (a second one for the
-    column axes of a density operator) and the inverse transpose.  No
-    operator on the full space is ever formed.
+    then costs one batched matmul over the joint target index (a second one
+    for the column axes of a density operator) and the inverse transpose, and
+    each row gets exactly the arithmetic of a one-row call.  No operator on
+    the full space is ever formed.
     """
-    dims = state.dims
     n = dims.n
     targets = tuple(targets)
     for t in targets:
@@ -432,27 +437,40 @@ def _local_kernel(state: State, targets) -> Callable[[np.ndarray], np.ndarray]:
     order = list(targets) + [i for i in range(n) if i not in targets]
     back = [order.index(i) for i in range(n)]
     shape = [dims.dims[i] for i in order]
-    pure = isinstance(state, PureState)
-    if pure:
-        front = state.tensor_view().transpose(order).reshape(tdim, rdim)
-    else:
-        front = state.tensor_view().transpose(order + [n + i for i in order])
+    if density:
+        front = data.reshape(dims.dims * 2).transpose(order + [n + i for i in order])
         front = front.reshape(tdim, rdim * dims.total)
         back += [n + i for i in back]
         shape += shape
+    else:
+        rows = data.shape[0]
+        front = data.reshape([rows, *dims.dims]).transpose([0] + [1 + i for i in order])
+        front = front.reshape(rows, tdim, rdim)
 
     def apply(op: np.ndarray) -> np.ndarray:
         if op.shape != (tdim, tdim):
             raise ValueError(
                 f"operator has shape {op.shape}, expected {(tdim, tdim)} for parties {targets}"
             )
-        out = op @ front
-        if pure:
-            return out.reshape(shape).transpose(back).reshape(-1)
+        out = np.matmul(op, front)
+        if not density:
+            out = out.reshape([rows, *shape]).transpose([0] + [1 + i for i in back])
+            return out.reshape(rows, dims.total)
         out = np.matmul(op.conj(), out.reshape(tdim * rdim, tdim, rdim))
         return out.reshape(shape).transpose(back).reshape(dims.total, dims.total)
 
-    return apply
+    return front, apply
+
+
+def _require_unit_rows(rows: np.ndarray, dims: PartyDims) -> None:
+    """``PureState``'s norm check on each row of a stack; a failing row raises its message."""
+    for i in np.flatnonzero(~(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= ATOL)):
+        PureState(dims, rows[i])
+
+
+def _require_unitary(u: np.ndarray) -> None:
+    if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > ATOL:
+        raise ValueError("operator is not unitary within tolerance")
 
 
 def _local_branches(
@@ -465,13 +483,16 @@ def _local_branches(
     when ``keep`` (a collection of operator indices; None keeps all) omits
     the operator.  Probabilities are clipped to [0, 1].
     """
-    apply = _local_kernel(state, targets)
+    pure = isinstance(state, PureState)
+    data = state.amplitudes[None] if pure else state.matrix
+    _, apply = _local_kernel(state.dims, targets, data, density=not pure)
     branches: list[tuple[float, State | None]] = []
     for i, op in enumerate(operators):
         sub = apply(op)
         post: State | None = None
         formed = keep is None or i in keep
-        if isinstance(state, PureState):
+        if pure:
+            sub = sub[0]
             prob = float(np.real(np.vdot(sub, sub)))
             if formed and prob > PRUNE_ATOL:
                 post = PureState(state.dims, sub / math.sqrt(prob))
@@ -683,12 +704,13 @@ def measure(
 def apply_local_unitary(state: State, unitary, target_parties) -> State:
     """Apply a unitary supported on the listed parties."""
     u = np.asarray(unitary, dtype=complex)
-    if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > ATOL:
-        raise ValueError("operator is not unitary within tolerance")
-    out = _local_kernel(state, (int(t) for t in target_parties))(u)
+    _require_unitary(u)
+    targets = (int(t) for t in target_parties)
     if isinstance(state, PureState):
-        return PureState(state.dims, out, unnormalized=state.unnormalized)
-    return DensityOperator(state.dims, out)
+        _, apply = _local_kernel(state.dims, targets, state.amplitudes[None])
+        return PureState(state.dims, apply(u)[0], unnormalized=state.unnormalized)
+    _, apply = _local_kernel(state.dims, targets, state.matrix, density=True)
+    return DensityOperator(state.dims, apply(u))
 
 
 def relabel_subspace(state: State, party: int, basis_map: dict, new_dim: int) -> State:
@@ -762,25 +784,29 @@ def permute_parties(state: State, order) -> State:
     return DensityOperator(new_dims, t.reshape(new_dims.total, new_dims.total))
 
 
-def contract_party(state: PureState, party: int, reference) -> PureState:
+def contract_party(state: PureState, party, reference) -> PureState:
     """Project one party onto a reference vector and drop that party.
 
-    The inner-product contraction <reference|_party |state> renormalizes the
+    ``party`` may also be a tuple of parties, projected jointly onto a
+    reference whose factor order is the order they are listed in.  The
+    inner-product contraction <reference|_party |state> renormalizes the
     remainder; it fails if the overlap is negligible.
     """
     if not isinstance(state, PureState):
         raise ValueError("contract_party operates on pure states")
-    if state.dims.n < 2:
-        raise ValueError("cannot contract the only party")
+    parties = (party,) if np.ndim(party) == 0 else tuple(party)
+    if state.dims.n <= len(parties):
+        raise ValueError("cannot contract every party")
     vec = np.asarray(reference, dtype=complex).reshape(-1)
-    if vec.size != state.dims.dims[party]:
+    front, _ = _local_kernel(state.dims, parties, state.amplitudes[None])
+    if vec.size != front.shape[1]:
         raise ValueError("reference vector does not match the party dimension")
-    t = np.tensordot(vec.conj(), state.tensor_view(), axes=([0], [party]))
+    t = (vec.conj() @ front)[0]
     weight = float(np.linalg.norm(t))
     if weight <= PRUNE_ATOL:
         raise ValueError("state has (almost) no overlap with the reference vector")
-    new_dims = PartyDims(tuple(d for i, d in enumerate(state.dims.dims) if i != party))
-    return PureState(new_dims, t.reshape(-1) / weight)
+    new_dims = PartyDims(tuple(d for i, d in enumerate(state.dims.dims) if i not in parties))
+    return PureState(new_dims, t / weight)
 
 
 def fidelity_pure(rho: State, target: PureState) -> float:

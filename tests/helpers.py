@@ -5,7 +5,10 @@ index loops, no code shared with the package -- so the fast implementations
 have something honest to disagree with.  ``loop_postselect_levels`` and the
 protocol oracles at the end are the exception: they call the package's
 kernels and builders, but none of the postselection or copy-chain code they
-are compared with.
+are compared with.  ``loop_merge_chain_to_ghz`` is the chain merge in its
+branch-by-branch form: it calls ``measure``, ``contract_party`` and
+``apply_local_unitary`` once per branch and step, where the package merges a
+stack of branches per kernel call.
 """
 
 import itertools
@@ -15,6 +18,14 @@ import numpy as np
 
 from gmesim.entanglement import certify_gme_pure
 from gmesim.protocols import (
+    _MINUS,
+    _PLUS,
+    _X,
+    _Z,
+    PARITY_ANTI,
+    PARITY_CORRELATED,
+    MergeBranch,
+    MergeResult,
     ProtocolConfig,
     ProtocolReport,
     ScanRow,
@@ -23,17 +34,24 @@ from gmesim.protocols import (
     build_prop2_state,
     build_prop3_state,
     build_sigma,
-    merge_chain_to_ghz,
 )
+from gmesim.protocols import _schmidt_align_pair
 from gmesim.qcore import (
+    ATOL,
     DensityOperator,
+    InvariantError,
     MeasurementOutcome,
+    ProjectiveMeasurement,
     PureState,
+    _phase_canonical,
+    apply_local_unitary,
+    contract_party,
     level_group_measurement,
     measure,
     mix,
     partial_trace,
     relabel_subspace,
+    tensor,
     to_pure,
 )
 
@@ -371,7 +389,7 @@ def loop_run_prop2(
         return ProtocolReport("prop2", config, tuple(steps), 2, False, analytic)
     pair_ab = _prop2_pair(outs_a[1].post_state, 2)
 
-    merged = merge_chain_to_ghz([pair_ab, pair_bc])
+    merged = loop_merge_chain_to_ghz([pair_ab, pair_bc])
     probs = np.array([b.probability for b in merged.branches])
     bidx = int(rng.choice(len(merged.branches), p=probs / probs.sum()))
     branch = merged.branches[bidx]
@@ -433,7 +451,7 @@ def loop_run_prop3(
             state = outs[2].post_state
         pairs[copy_index] = _prop3_pair(state, traced)
 
-    merged = merge_chain_to_ghz([pairs[2], pairs[3], pairs[1]])  # A-B, B-C, C-D
+    merged = loop_merge_chain_to_ghz([pairs[2], pairs[3], pairs[1]])  # A-B, B-C, C-D
     probs = np.array([b.probability for b in merged.branches])
     bidx = int(rng.choice(len(merged.branches), p=probs / probs.sum()))
     branch = merged.branches[bidx]
@@ -496,3 +514,103 @@ def loop_sigma_scan(p_list, n_max: int, shots: int, seed: int) -> list[ScanRow]:
             empirical = 0.0 if n == 0 else float(np.mean(trials <= n))
             rows.append(ScanRow(p, n, analytic_Pn(p, n), empirical))
     return rows
+
+
+def _canonical_phase(state: PureState) -> PureState:
+    amps = _phase_canonical(state.amplitudes)
+    return PureState(state.dims, amps, unnormalized=state.unnormalized)
+
+
+def loop_merge_chain_to_ghz(pairs) -> MergeResult:
+    """``protocols.merge_chain_to_ghz`` one branch and one step at a time."""
+    pairs = list(pairs)
+    if len(pairs) < 2:
+        raise ValueError("merging needs at least two pairs in the chain")
+    aligned, coeffs, alignments = [], [], []
+    for j, pair in enumerate(pairs):
+        if not isinstance(pair, PureState) or pair.dims.dims != (2, 2):
+            raise ValueError(f"pair {j} is not a two-qubit pure state")
+        if pair.unnormalized:
+            raise ValueError(f"pair {j} must be normalized")
+        st, ab, uv = _schmidt_align_pair(pair)
+        aligned.append(st)
+        coeffs.append(ab)
+        alignments.append(uv)
+
+    m = len(pairs)
+    joint = aligned[0]
+    for st in aligned[1:]:
+        joint = tensor(joint, st)
+
+    # stage 1: parity measurements at every internal party
+    parity_meas = [
+        ProjectiveMeasurement((2 * i - 1, 2 * i), (PARITY_CORRELATED, PARITY_ANTI))
+        for i in range(1, m)
+    ]
+    stage1: list[tuple[tuple[int, ...], float, PureState]] = [((), 1.0, joint)]
+    for meas in parity_meas:
+        nxt = []
+        for pattern, prob, state in stage1:
+            for out in measure(state, meas):
+                if out.post_state is None:
+                    continue
+                nxt.append((pattern + (out.outcome_index,), prob * out.probability, out.post_state))
+        stage1 = nxt
+
+    # stage 2: |+>/|-> readout of each internal party's first qubit
+    sign_meas = [
+        ProjectiveMeasurement(
+            (2 * i - 1,),
+            (np.outer(_PLUS, _PLUS.conj()), np.outer(_MINUS, _MINUS.conj())),
+        )
+        for i in range(1, m)
+    ]
+    branches = []
+    for parity_pattern, parity_prob, state in stage1:
+        stage2: list[tuple[tuple[int, ...], float, PureState]] = [((), parity_prob, state)]
+        for meas in sign_meas:
+            nxt = []
+            for pattern, prob, st in stage2:
+                for out in measure(st, meas):
+                    if out.post_state is None:
+                        continue
+                    nxt.append(
+                        (pattern + (out.outcome_index,), prob * out.probability, out.post_state)
+                    )
+            stage2 = nxt
+
+        # parity prefix decides which parties need a bit flip
+        flips = [0]
+        for o in parity_pattern:
+            flips.append(flips[-1] ^ o)
+
+        for sign_pattern, prob, st in stage2:
+            # drop the measured qubits (descending axis order keeps indices valid)
+            for i in range(m - 1, 0, -1):
+                vec = _MINUS if sign_pattern[i - 1] else _PLUS
+                st = contract_party(st, 2 * i - 1, vec)
+            corrections = []
+            for t in range(1, m + 1):
+                if flips[min(t, m - 1)]:
+                    st = apply_local_unitary(st, _X, (t,))
+                    corrections.append(f"X@{t}")
+            if sum(sign_pattern) % 2 == 1:
+                st = apply_local_unitary(st, _Z, (0,))
+                corrections.append("Z@0")
+            branches.append(
+                MergeBranch(
+                    parity_pattern,
+                    sign_pattern,
+                    prob,
+                    _canonical_phase(st),
+                    tuple(corrections),
+                )
+            )
+
+    total = sum(b.probability for b in branches)
+    if abs(total - 1.0) > ATOL:
+        raise InvariantError(
+            f"merge of {m} pairs: {len(branches)} branch probabilities sum to {total!r}, "
+            f"residual {total - 1.0:.3e} exceeds {ATOL:g}"
+        )
+    return MergeResult(tuple(branches), tuple(coeffs), tuple(alignments))

@@ -304,3 +304,13 @@ def test_main_builds_one_parser_and_looks_up_handlers_per_call(monkeypatch, caps
     assert main(argv) == 0
     assert capsys.readouterr().out == ""
     assert builds == [1]
+
+
+@pytest.mark.parametrize("command", ["certify", "svetlichny"])
+@pytest.mark.parametrize("value", ["0", "0.0"])
+def test_zero_p_is_refused_not_replaced_by_the_default(capsys, command, value):
+    """``--p 0`` reaches the state's constructor, which refuses it; it is not read as 0.5."""
+    assert main([command, "--builtin", "prop1", "--p", value, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "p must lie strictly inside (0, 1)" in captured.err

@@ -3,9 +3,9 @@
 ``copy_chain`` builds the mixture's terms once and postselects each copy once
 (``qcore.postselect_levels``); the run (``replay_chain``) and the exact branch
 tree (``chain_leaves``) are read off it.  These tests pin the number of term
-builds, measurements and density operators of one CLI op and of one chain,
-and compare runs and trees bit for bit with the measure-as-you-go oracles in
-``helpers``, which measure the dense mixture.
+builds, measurements, kernel calls and density operators of one CLI op and of
+one chain, and compare runs and trees bit for bit with the measure-as-you-go
+oracles in ``helpers``, which measure the dense mixture.
 """
 
 import dataclasses
@@ -38,17 +38,26 @@ SEEDS = range(30)
 SAMPLED_RUNS = {"prop2": 8, "prop3": 2}
 
 
+#: Kernel calls of one prop2 (m = 2) and prop3 (m = 3) merge: one per parity
+#: stage, then per parity branch one per sign stage and contraction, one per
+#: X-corrected party and one for Z (see ``merge_chain_to_ghz``).
+MERGE_KERNELS = {"prop2": 1 + 2 * 3 + 2, "prop3": 2 + 4 * 5 + 6}
+
+
 @pytest.mark.parametrize(
-    "protocol, builder, measures",
-    [("prop2", "_prop2_terms", 3), ("prop3", "_prop3_terms", 15)],
+    "protocol, terms", [("prop2", "_prop2_terms"), ("prop3", "_prop3_terms")],
     ids=["prop2", "prop3"],
 )
 def test_cli_op_builds_the_terms_once_and_measures_only_the_merge(
-    monkeypatch, capsys, protocol, builder, measures
+    monkeypatch, capsys, protocol, terms
 ):
-    """The copies are postselected on the terms; the tree adds no measurement."""
-    calls = {"build": 0, "measure": 0}
-    build, measure = getattr(protocols, builder), protocols.measure
+    """The copies are postselected on the terms; the tree adds no measurement.
+
+    The merge measures its branches as stacks, so ``measure`` is never called
+    and the axis-local kernel runs a fixed number of times per op.
+    """
+    calls = {"build": 0, "measure": 0, "kernel": 0}
+    build, measure, kernel = getattr(protocols, terms), protocols.measure, qcore._local_kernel
 
     def counting_build(*args, **kwargs):
         calls["build"] += 1
@@ -58,11 +67,17 @@ def test_cli_op_builds_the_terms_once_and_measures_only_the_merge(
         calls["measure"] += 1
         return measure(*args, **kwargs)
 
-    monkeypatch.setattr(protocols, builder, counting_build)
+    def counting_kernel(*args, **kwargs):
+        calls["kernel"] += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, terms, counting_build)
     monkeypatch.setattr(protocols, "measure", counting_measure)
+    for module in (qcore, protocols):
+        monkeypatch.setattr(module, "_local_kernel", counting_kernel)
     assert cli.main([protocol, "--seed", "3", "--shots", "200"]) == 0
     assert capsys.readouterr().out
-    assert calls == {"build": 1, "measure": measures}
+    assert calls == {"build": 1, "measure": 0, "kernel": MERGE_KERNELS[protocol]}
 
 
 def count_density_sizes(monkeypatch) -> list[int]:

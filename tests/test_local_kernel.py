@@ -1,10 +1,13 @@
-"""The axis-local kernel behind measure, apply_local_unitary and local_filter.
+"""The axis-local kernel behind measure, apply_local_unitary, local_filter,
+contract_party and the chain merge.
 
 Each property draws a random party structure (2-4 parties of local
 dimension 2-4, at most 64 dimensions in all), an ordered tuple of distinct
 target parties (unsorted and non-contiguous ones included) and a random
 operator, and compares the fast kernel with ``helpers.loop_embed``, which
-lifts the operator to the full space one matrix element at a time.
+lifts the operator to the full space one matrix element at a time.  A stack
+of pure-state rows must get, bit for bit, the arithmetic of one state at a
+time, and ``contract_party`` that of ``np.tensordot``.
 """
 
 import math
@@ -23,7 +26,9 @@ from gmesim.qcore import (
     PartyDims,
     ProjectiveMeasurement,
     PureState,
+    _local_kernel,
     apply_local_unitary,
+    contract_party,
     measure,
 )
 
@@ -130,6 +135,65 @@ def test_apply_local_unitary_matches_loop_embed(layout, pure):
     assert got.dims == state.dims
     want = lifted(state, u, targets)
     np.testing.assert_allclose(got.amplitudes if pure else got.matrix, want, atol=ATOL)
+
+
+def one_state_kernel(psi, dims, targets, op):
+    """``op`` on one state vector: targets to the front, one 2-D matmul, back."""
+    n = len(dims)
+    order = list(targets) + [i for i in range(n) if i not in targets]
+    tdim = target_dim(dims, targets)
+    front = psi.reshape(dims).transpose(order).reshape(tdim, -1)
+    out = (op @ front).reshape([dims[i] for i in order])
+    return out.transpose([order.index(i) for i in range(n)]).reshape(-1)
+
+
+@PROPERTY
+@given(layouts(), st.integers(1, 8))
+def test_stacked_rows_match_one_state_at_a_time(layout, rows):
+    dims, targets, seed = layout
+    rng = np.random.default_rng(seed)
+    pd = PartyDims(dims)
+    stack = np.array([random_pure(dims, rng) for _ in range(rows)])
+    d = target_dim(dims, targets)
+    op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    front, apply = _local_kernel(pd, targets, stack)
+    assert front.shape == (rows, d, pd.total // d)
+    out = apply(op)
+    assert out.shape == (rows, pd.total)
+    for psi, got in zip(stack, out):
+        assert got.tobytes() == one_state_kernel(psi, dims, targets, op).tobytes()
+        np.testing.assert_allclose(got, lifted(PureState(pd, psi), op, targets), atol=ATOL)
+    # the one-row calls of the public operations read the same kernel
+    u = random_unitary(d, rng)
+    for psi, got in zip(stack, apply(u)):
+        assert apply_local_unitary(PureState(pd, psi), u, targets).amplitudes.tobytes() == (
+            got.tobytes()
+        )
+
+
+@PROPERTY
+@given(layouts(max_targets=2), st.integers(1, 8))
+def test_contract_party_matches_tensordot(layout, rows):
+    dims, targets, seed = layout
+    rng = np.random.default_rng(seed)
+    pd = PartyDims(dims)
+    stack = np.array([random_pure(dims, rng) for _ in range(rows)])
+    d = target_dim(dims, targets)
+    ref = rng.normal(size=d) + 1j * rng.normal(size=d)
+    party = targets[0] if len(targets) == 1 else targets
+    if len(targets) == len(dims):
+        with pytest.raises(ValueError, match="cannot contract every party"):
+            contract_party(PureState(pd, stack[0]), party, ref)
+        return
+    front, _ = _local_kernel(pd, targets, stack)
+    contracted = ref.conj() @ front
+    factors = ref.conj().reshape([dims[t] for t in targets])
+    for psi, row in zip(stack, contracted):
+        t = np.tensordot(factors, psi.reshape(dims), axes=(list(range(len(targets))), targets))
+        assert row.tobytes() == t.reshape(-1).tobytes()
+        got = contract_party(PureState(pd, psi), party, ref)
+        assert got.dims.dims == tuple(dm for i, dm in enumerate(dims) if i not in targets)
+        assert got.amplitudes.tobytes() == (t.reshape(-1) / float(np.linalg.norm(t))).tobytes()
 
 
 @PROPERTY

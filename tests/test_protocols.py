@@ -322,6 +322,7 @@ class TestMerge:
             raise AssertionError("merge measured before checking the dimension cap")
 
         monkeypatch.setattr(protocols, "measure", no_measure)
+        monkeypatch.setattr(protocols, "_local_kernel", no_measure)
         with pytest.raises(ValueError, match="exceeds the cap"):
             merge_chain_to_ghz([bell_pair("phi+")] * 7)
 
@@ -611,7 +612,14 @@ def test_protocol_invariant_errors_name_the_operation_sizes_and_residual(monkeyp
         return [qcore.MeasurementOutcome(o.outcome_index, o.probability / 2, o.post_state)
                 for o in measure(*args, **kwargs)]
 
+    measure_rows = protocols._measure_rows
+
+    def halved_rows(*args):
+        children, rows = measure_rows(*args)
+        return [(pattern, prob / 2) for pattern, prob in children], rows
+
     monkeypatch.setattr(protocols, "measure", halved)
+    monkeypatch.setattr(protocols, "_measure_rows", halved_rows)
     with pytest.raises(qcore.InvariantError,
                        match=r"merge of 2 pairs: 4 branch probabilities sum to 0\.2499.*, "
                              r"residual -7\.500e-01 exceeds 1e-09"):
