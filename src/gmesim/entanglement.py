@@ -15,7 +15,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .qcore import ATOL, DensityOperator, PartyDims, PureState, _hermitian_part
+from .qcore import (
+    ATOL,
+    DensityOperator,
+    InvariantError,
+    PartyDims,
+    PureState,
+    _hermitian_part,
+)
 
 #: Negativity above this threshold counts as a certified entangled cut.
 ENTANGLED_NEG_ATOL = 1e-9
@@ -171,9 +178,27 @@ def negativity(rho: DensityOperator, cut: Bipartition) -> float:
     Zero for states separable (more precisely, PPT) in the cut; positive
     values certify entanglement.  The value does not depend on which side of
     the cut is transposed.
+
+    Only the support of the partial transpose (the rows and columns holding a
+    nonzero entry) is diagonalized, so the cost scales with the support, not
+    with the full dimension.  This is exact: a zero row and column adds only
+    the eigenvalue 0, which never enters the sum.  Raises ``InvariantError``
+    when the kept block's eigenvalues miss ``Re tr rho`` by more than ``ATOL``.
     """
     pt = partial_transpose(rho, cut)
+    nonzero = pt != 0
+    live = nonzero.any(0) | nonzero.any(1)
+    if not live.all():
+        idx = np.flatnonzero(live)
+        pt = pt[np.ix_(idx, idx)]
     vals = np.linalg.eigvalsh(_hermitian_part(pt, 2.0))
+    residual = float(np.sum(vals)) - float(np.trace(rho.matrix).real)
+    if abs(residual) > ATOL:
+        raise InvariantError(
+            f"negativity across {cut.label} of dims {rho.dims.dims}: the eigenvalues of "
+            f"the kept {len(vals)} of {rho.dims.total} rows miss Re tr rho by "
+            f"residual {residual:.3e}, which exceeds {ATOL:g}"
+        )
     return float(-np.sum(vals[vals < 0.0])) + 0.0  # avoid IEEE -0.0
 
 

@@ -8,7 +8,9 @@ kernels and builders, but none of the postselection or copy-chain code they
 are compared with.  ``loop_merge_chain_to_ghz`` is the chain merge in its
 branch-by-branch form: it calls ``measure``, ``contract_party`` and
 ``apply_local_unitary`` once per branch and step, where the package merges a
-stack of branches per kernel call.
+stack of branches per kernel call.  ``dense_negativity`` is the package's
+former negativity: it diagonalizes the whole partial transpose, where the
+package diagonalizes only its support.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from gmesim.entanglement import certify_gme_pure
+from gmesim.entanglement import certify_gme_pure, partial_transpose
 from gmesim.protocols import (
     _MINUS,
     _PLUS,
@@ -43,6 +45,7 @@ from gmesim.qcore import (
     MeasurementOutcome,
     ProjectiveMeasurement,
     PureState,
+    _hermitian_part,
     _phase_canonical,
     apply_local_unitary,
     contract_party,
@@ -152,6 +155,13 @@ def loop_negativity(rho: np.ndarray, dims, left) -> float:
     pt = loop_partial_transpose(rho, dims, sorted(left))
     vals = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
     return float(sum(-v for v in vals if v < 0.0))
+
+
+def dense_negativity(rho: DensityOperator, cut) -> float:
+    """Negativity from ``eigvalsh`` of the full partial transpose, zero rows and all."""
+    pt = partial_transpose(rho, cut)
+    vals = np.linalg.eigvalsh(_hermitian_part(pt, 2.0))
+    return float(-np.sum(vals[vals < 0.0])) + 0.0  # avoid IEEE -0.0
 
 
 def loop_embed(op: np.ndarray, targets, dims) -> np.ndarray:

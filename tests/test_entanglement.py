@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from gmesim.cli import main
 from gmesim.entanglement import (
+    ENTANGLED_NEG_ATOL,
     Bipartition,
     SVETLICHNY_CLASSICAL_BOUND,
     SVETLICHNY_QUANTUM_BOUND,
@@ -19,9 +21,16 @@ from gmesim.entanglement import (
     schmidt,
     svetlichny_value,
 )
-from gmesim.protocols import build_sigma
+from gmesim.protocols import (
+    build_prop1_example,
+    build_prop2_state,
+    build_prop3_state,
+    build_sigma,
+    normalize_schmidt,
+)
 from gmesim.qcore import (
     DensityOperator,
+    InvariantError,
     PartyDims,
     PureState,
     basis_ket,
@@ -32,7 +41,13 @@ from gmesim.qcore import (
     tensor,
 )
 
-from helpers import loop_negativity, loop_partial_transpose, random_density, random_pure
+from helpers import (
+    dense_negativity,
+    loop_negativity,
+    loop_partial_transpose,
+    random_density,
+    random_pure,
+)
 
 
 class TestBipartition:
@@ -108,7 +123,8 @@ class TestNegativity:
             (0.4, basis_ket((2, 2), (0, 0)).density()),
             (0.6, basis_ket((2, 2), (1, 1)).density()),
         ])
-        assert negativity(rho, Bipartition(frozenset({0}), 2)) == 0.0
+        neg = negativity(rho, Bipartition(frozenset({0}), 2))
+        assert neg == 0.0 and math.copysign(1.0, neg) == 1.0
 
     @pytest.mark.parametrize("w", [0.1, 0.3, 1 / 3, 0.5, 0.8, 1.0])
     def test_werner_family_closed_form(self, w):
@@ -138,6 +154,97 @@ class TestNegativity:
             assert abs(
                 negativity(rho, cut) - loop_negativity(mat, (2, 2, 2), sorted(cut.left))
             ) < 1e-10
+
+
+def _sparse_density(dims, rng, size: int) -> np.ndarray:
+    """Full-rank density on ``size`` random basis states, zero elsewhere."""
+    d = math.prod(dims)
+    support = rng.choice(d, size=size, replace=False)
+    mat = np.zeros((d, d), dtype=complex)
+    mat[np.ix_(support, support)] = random_density((size,), rng)
+    return mat
+
+
+def _record_eigvalsh(monkeypatch) -> list:
+    """Record the shape of each matrix ``gmesim.entanglement`` diagonalizes."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(mat):
+        shapes.append(mat.shape)
+        return eigvalsh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
+
+
+class TestSupportNegativity:
+    """Negativity diagonalizes only the support of the partial transpose."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 3, 3), (2, 3, 4)])
+    def test_full_support_is_bit_identical_to_dense_oracle(self, dims):
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            rho = DensityOperator(PartyDims(dims), random_density(dims, rng))
+            for cut in enumerate_bipartitions(len(dims)):
+                assert negativity(rho, cut) == dense_negativity(rho, cut)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 3, 4)])
+    def test_sparse_support_matches_loop_oracle(self, dims):
+        rng = np.random.default_rng(43)
+        d = math.prod(dims)
+        for _ in range(6):
+            mat = _sparse_density(dims, rng, int(rng.integers(2, d // 3 + 1)))
+            rho = DensityOperator(PartyDims(dims), mat)
+            for cut in enumerate_bipartitions(len(dims)):
+                want = loop_negativity(mat, dims, sorted(cut.left))
+                assert abs(negativity(rho, cut) - want) < 1e-12
+
+    @pytest.mark.parametrize("name", ["prop1", "prop2", "prop3", "sigma"])
+    def test_builder_states_match_dense_oracle(self, name):
+        rho = {
+            "prop1": lambda: build_prop1_example(0.7),
+            "prop2": lambda: build_prop2_state(normalize_schmidt([1.0, 1.3, 0.8]), 0.3),
+            "prop3": lambda: build_prop3_state(
+                normalize_schmidt([0.7, 1.1, 0.9, 1.3]), (0.3, 0.3, 0.4)
+            ),
+            "sigma": lambda: build_sigma(0.5),
+        }[name]()
+        report = certify_entangled_all_cuts(rho)
+        dense = {r.cut.label: dense_negativity(rho, r.cut) for r in report.records}
+        assert report.all_cuts_entangled == all(
+            v > ENTANGLED_NEG_ATOL for v in dense.values()
+        )
+        for rec in report.records:
+            assert abs(rec.negativity - dense[rec.cut.label]) < 1e-12
+
+    def test_certify_prop3_diagonalizes_small_blocks(self, monkeypatch, capsys):
+        shapes = _record_eigvalsh(monkeypatch)
+        assert main(["certify", "--builtin", "prop3", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert len(shapes) == len(enumerate_bipartitions(4))
+        assert max(rows for rows, _ in shapes) <= 64
+
+    def test_full_support_diagonalizes_whole_matrix(self, monkeypatch):
+        dims = (4, 4, 4, 4)
+        rho = DensityOperator(
+            PartyDims(dims), random_density(dims, np.random.default_rng(47))
+        )
+        shapes = _record_eigvalsh(monkeypatch)
+        negativity(rho, Bipartition(frozenset({0, 1}), 4))
+        assert shapes == [(256, 256)]
+
+    def test_eigenvalues_off_the_trace_raise(self, monkeypatch):
+        rho = ghz_state(3).density()
+        cut = Bipartition(frozenset({0}), 3)
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: eigvalsh(mat) + 1e-11)
+        assert abs(negativity(rho, cut) - 0.5) < 1e-9
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: eigvalsh(mat) + 1e-6)
+        with pytest.raises(InvariantError, match=(
+            r"A\|BC of dims \(2, 2, 2\).* kept 4 of 8 rows .*residual 4\.000e-06"
+        )):
+            negativity(rho, cut)
 
 
 class TestCertificates:
