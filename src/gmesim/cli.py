@@ -3,7 +3,8 @@
 Every subcommand writes a single artifact (JSON, or CSV for scan tables)
 that embeds a manifest with the fully resolved configuration, seed, tool
 version and timestamp: re-running the same invocation reproduces the output
-byte for byte.  Floats are serialized with 17 significant digits so doubles
+byte for byte.  Each ``cmd_*`` handler takes the parsed flags and the seed and
+returns its config and payload; ``main`` builds the manifest and writes.  Floats are serialized with 17 significant digits so doubles
 round-trip losslessly; complex amplitudes appear as [re, im] pairs.
 
 Exit codes: 0 success, 2 usage or domain error, 3 internal invariant
@@ -45,8 +46,7 @@ from .protocols import (
     build_prop1_general,
     build_prop2_state,
     build_prop3_state,
-    build_sigma,
-    build_sigma_prime,
+    _sigma_state,
     chain_leaves,
     copy_chain,
     merge_chain_to_ghz,
@@ -254,7 +254,7 @@ def schema_path() -> Path:
 
 
 # ---------------------------------------------------------------------------
-# manifest plumbing
+# seed and timestamp
 # ---------------------------------------------------------------------------
 
 
@@ -284,35 +284,9 @@ def resolve_timestamp(value) -> str:
     return EPOCH_TIMESTAMP
 
 
-def make_manifest(subcommand: str, config: dict, seed: int, timestamp: str) -> dict:
-    return {
-        "subcommand": subcommand,
-        "config": config,
-        "seed": int(seed),
-        "version": __version__,
-        "timestamp": timestamp,
-    }
-
-
-def envelope(manifest: dict, payload: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "manifest": manifest, "payload": payload}
-
-
-def emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 # ---------------------------------------------------------------------------
 # payload pieces
 # ---------------------------------------------------------------------------
-
-
-def _is_gme(report: BipartitionReport) -> bool:
-    return all(r.schmidt_rank is not None and r.schmidt_rank >= 2 for r in report.records)
 
 
 def certificate_payload(report: BipartitionReport, is_gme: bool | None) -> dict:
@@ -354,7 +328,7 @@ def run_report_payload(rep: ProtocolReport) -> dict:
     }
     if rep.final_state is not None:
         out["final_state"] = state_to_payload(rep.final_state)
-        out["certificates"] = certificate_payload(rep.certificates, _is_gme(rep.certificates))
+        out["certificates"] = certificate_payload(rep.certificates, rep.certificates.is_gme)
     else:
         out["final_state"] = None
         out["certificates"] = None
@@ -426,31 +400,32 @@ _BUILTIN_NAMES = (
 
 
 def _builtin_state(name: str, p: float, schmidt_text, weights_text):
+    """The named builtin state and the resolved parameters that rebuild it."""
     name = name.lower()
     if name == "ghz3":
-        return ghz_state(3)
+        return ghz_state(3), {}
     if name == "ghz4":
-        return ghz_state(4)
+        return ghz_state(4), {}
     if name == "phi+":
-        return bell_pair("phi+")
+        return bell_pair("phi+"), {}
     if name == "product3":
-        return basis_ket((2, 2, 2), (0, 0, 0))
+        return basis_ket((2, 2, 2), (0, 0, 0)), {}
     if name == "merged-ghz3":
         merged = merge_chain_to_ghz([bell_pair("phi+"), bell_pair("phi+")])
-        return merged.branches[0].state
+        return merged.branches[0].state, {}
     if name == "prop1":
-        return build_prop1_example(p)
+        return build_prop1_example(p), {"p": p}
     if name == "prop2":
         coeffs = _parse_schmidt(schmidt_text, 3) or normalize_schmidt([1.0, 1.0, 1.0])
-        return build_prop2_state(coeffs, p)
+        return build_prop2_state(coeffs, p), {"p": p, "schmidt": list(coeffs)}
     if name == "prop3":
         coeffs = _parse_schmidt(schmidt_text, 4) or normalize_schmidt([1.0] * 4)
-        return build_prop3_state(coeffs, _parse_weights(weights_text))
+        weights = _parse_weights(weights_text)
+        params = {"weights": list(weights), "schmidt": list(coeffs)}
+        return build_prop3_state(coeffs, weights), params
     if name == "sigma":
-        coeffs = _parse_schmidt(schmidt_text, 2)
-        if coeffs is None or abs(coeffs[0] - coeffs[1]) <= 1e-12:
-            return build_sigma(p)
-        return build_sigma_prime(ket([coeffs[0], 0.0, 0.0, coeffs[1]], (2, 2)), p)
+        coeffs = _parse_schmidt(schmidt_text, 2) or normalize_schmidt([1.0, 1.0])
+        return _sigma_state(p, coeffs)[0], {"p": p, "schmidt": list(coeffs)}
     raise ValueError(f"unknown builtin {name!r}; choose from {', '.join(_BUILTIN_NAMES)}")
 
 
@@ -467,11 +442,10 @@ def _load_input_state(args, default_builtin: str | None = None):
             raise ValueError("one of --state-file or --builtin is required")
         builtin = default_builtin
     p = float(getattr(args, "p", 0.5))
-    state = _builtin_state(builtin, p, getattr(args, "schmidt", None), getattr(args, "weights", None))
-    source: dict = {"kind": "builtin", "name": builtin.lower()}
-    if builtin.lower() in ("prop1", "prop2", "sigma"):
-        source["p"] = p
-    return state, source
+    state, params = _builtin_state(
+        builtin, p, getattr(args, "schmidt", None), getattr(args, "weights", None)
+    )
+    return state, {"kind": "builtin", "name": builtin.lower(), **params}
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +453,7 @@ def _load_input_state(args, default_builtin: str | None = None):
 # ---------------------------------------------------------------------------
 
 
-def cmd_prop1(args) -> int:
-    seed = resolve_seed(args.seed)
-    timestamp = resolve_timestamp(args.timestamp)
+def cmd_prop1(args, seed: int) -> tuple[dict, dict]:
     p = float(args.p)
     rounds = int(args.rounds)
     custom = any(x is not None for x in (args.pair_ab, args.pair_bc, args.ref_a, args.ref_c))
@@ -551,14 +523,12 @@ def cmd_prop1(args) -> int:
         "selected_separable": (chosen.entangled is not None) and (not chosen.entangled),
         "distillation": distill_block,
     }
-    manifest = make_manifest("prop1", config, seed, timestamp)
-    emit(render_json(envelope(manifest, payload)), args.out)
-    return EXIT_OK
+    return config, payload
 
 
-def _run_activation(args, protocol: str) -> int:
-    seed = resolve_seed(args.seed)
-    timestamp = resolve_timestamp(args.timestamp)
+def cmd_prop2(args, seed: int) -> tuple[dict, dict]:
+    """The prop2 or prop3 subcommand, whichever ``args.subcommand`` names."""
+    protocol = args.subcommand
     shots = int(args.shots)
     want_mc = not args.no_mc
     if protocol == "prop2":
@@ -591,64 +561,34 @@ def _run_activation(args, protocol: str) -> int:
         mc_payload(sample_leaves(protocol, chain_leaves(chain), shots, seed))
         if want_mc else None
     )
-    manifest = make_manifest(protocol, config, seed, timestamp)
-    emit(render_json(envelope(manifest, payload)), args.out)
-    return EXIT_OK
+    return config, payload
 
 
-def cmd_prop2(args) -> int:
-    return _run_activation(args, "prop2")
+cmd_prop3 = cmd_prop2
 
 
-def cmd_prop3(args) -> int:
-    return _run_activation(args, "prop3")
-
-
-def cmd_sigma_scan(args) -> int:
-    seed = resolve_seed(args.seed)
-    timestamp = resolve_timestamp(args.timestamp)
+def cmd_sigma_scan(args, seed: int) -> tuple[dict, dict]:
     p_list = _parse_floats(args.p_list, "--p-list")
     n_max = int(args.n_max)
     shots = int(args.shots)
     rows = sigma_scan(p_list, n_max, shots, seed)
     config = {"p_list": p_list, "n_max": n_max, "shots": shots, "format": args.format}
-    manifest = make_manifest("sigma-scan", config, seed, timestamp)
-    if args.format == "json":
-        payload = {
-            "rows": [
-                {
-                    "p": float(r.p),
-                    "n": int(r.n),
-                    "analytic": float(r.analytic),
-                    "empirical": float(r.empirical),
-                    "abs_error": float(r.abs_error),
-                }
-                for r in rows
-            ]
-        }
-        emit(render_json(envelope(manifest, payload)), args.out)
-        return EXIT_OK
-    lines = ["# manifest: " + _render_compact(manifest)]
-    lines.append("p,n,analytic,empirical,abs_error")
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    format_float(r.p),
-                    str(int(r.n)),
-                    format_float(r.analytic),
-                    format_float(r.empirical),
-                    format_float(r.abs_error),
-                )
-            )
-        )
-    emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    payload = {
+        "rows": [
+            {
+                "p": float(r.p),
+                "n": int(r.n),
+                "analytic": float(r.analytic),
+                "empirical": float(r.empirical),
+                "abs_error": float(r.abs_error),
+            }
+            for r in rows
+        ]
+    }
+    return config, payload
 
 
-def cmd_certify(args) -> int:
-    seed = resolve_seed(args.seed)
-    timestamp = resolve_timestamp(args.timestamp)
+def cmd_certify(args, seed: int) -> tuple[dict, dict]:
     state, source = _load_input_state(args)
     if isinstance(state, PureState):
         is_gme, report = certify_gme_pure(state)
@@ -659,15 +599,10 @@ def cmd_certify(args) -> int:
         "dims": [int(d) for d in state.dims.dims],
         "state_kind": "pure" if isinstance(state, PureState) else "density",
     }
-    payload = certificate_payload(report, is_gme)
-    manifest = make_manifest("certify", config, seed, timestamp)
-    emit(render_json(envelope(manifest, payload)), args.out)
-    return EXIT_OK
+    return config, certificate_payload(report, is_gme)
 
 
-def cmd_svetlichny(args) -> int:
-    seed = resolve_seed(args.seed)
-    timestamp = resolve_timestamp(args.timestamp)
+def cmd_svetlichny(args, seed: int) -> tuple[dict, dict]:
     state, source = _load_input_state(args, default_builtin="ghz3")
     if not isinstance(state, PureState):
         raise ValueError("the nonlocality functional needs a pure three-qubit state")
@@ -693,9 +628,7 @@ def cmd_svetlichny(args) -> int:
         "exceeds_classical": bool(value > SVETLICHNY_CLASSICAL_BOUND),
         "within_quantum": bool(value <= SVETLICHNY_QUANTUM_BOUND + 1e-9),
     }
-    manifest = make_manifest("svetlichny", config, seed, timestamp)
-    emit(render_json(envelope(manifest, payload)), args.out)
-    return EXIT_OK
+    return config, payload
 
 
 # ---------------------------------------------------------------------------
@@ -797,12 +730,39 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _artifact(manifest: dict, payload: dict, fmt: str) -> str:
+    """The report envelope as JSON, or for ``csv`` the manifest line plus the row table."""
+    if fmt != "csv":
+        envelope = {"schema_version": SCHEMA_VERSION, "manifest": manifest, "payload": payload}
+        return render_json(envelope)
+    rows = payload["rows"]
+    lines = ["# manifest: " + _render_compact(manifest), ",".join(rows[0])]
+    lines += [",".join(_render(value, 0) for value in row.values()) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # looked up on each call, so the cached parser holds no handler
     handler = globals()["cmd_" + args.subcommand.replace("-", "_")]
     try:
-        return handler(args)
+        seed = resolve_seed(args.seed)
+        timestamp = resolve_timestamp(args.timestamp)
+        config, payload = handler(args, seed)
+        manifest = {
+            "subcommand": args.subcommand,
+            "config": config,
+            "seed": int(seed),
+            "version": __version__,
+            "timestamp": timestamp,
+        }
+        text = _artifact(manifest, payload, getattr(args, "format", "json"))
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        return EXIT_OK
     except InvariantError as exc:
         print(f"gmesim: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -17,6 +17,7 @@ import numpy as np
 
 from .qcore import (
     ATOL,
+    PARTY_LETTERS,
     DensityOperator,
     InvariantError,
     PartyDims,
@@ -69,9 +70,8 @@ class Bipartition:
 
     @property
     def label(self) -> str:
-        letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        lhs = "".join(letters[i] for i in sorted(self.left))
-        rhs = "".join(letters[i] for i in sorted(self.right))
+        lhs = "".join(PARTY_LETTERS[i] for i in sorted(self.left))
+        rhs = "".join(PARTY_LETTERS[i] for i in sorted(self.right))
         return f"{lhs}|{rhs}"
 
 
@@ -134,6 +134,11 @@ class BipartitionReport:
     @property
     def min_negativity(self) -> float:
         return min(r.negativity for r in self.records)
+
+    @property
+    def is_gme(self) -> bool:
+        """Schmidt rank at least 2 across every cut (False for negativity-only records)."""
+        return all(r.schmidt_rank is not None and r.schmidt_rank >= 2 for r in self.records)
 
     def record(self, label: str) -> CutRecord:
         for r in self.records:
@@ -229,8 +234,7 @@ def certify_gme_pure(state: PureState) -> tuple[bool, BipartitionReport]:
             CutRecord(cut, _negativity_from_schmidt(data.coefficients), data.rank)
         )
     report = BipartitionReport(state.dims.n, tuple(records))
-    is_gme = all(r.schmidt_rank is not None and r.schmidt_rank >= 2 for r in report.records)
-    return is_gme, report
+    return report.is_gme, report
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ each copy is measured once along its accepting path by
 ``qcore.postselect_levels``, which never forms the mixture's density
 operator; only each copy's reduced pair is one.  ``replay_chain`` turns the
 chain into a run and ``chain_leaves`` into the branch tree, so neither
-repeats a measurement.
+repeats a measurement.  Likewise ``run_sigma_adaptive`` and the sigma tree
+read one state build and one measurement of A's and C's splits, and the
+prop1 tree reads ``run_prop1_step``.
 
 Protocol families (the names are the tool's protocol identifiers, also used
 as CLI subcommands):
@@ -43,6 +45,7 @@ from .entanglement import (
 )
 from .qcore import (
     ATOL,
+    PARTY_LETTERS,
     PRUNE_ATOL,
     DensityOperator,
     InvariantError,
@@ -278,14 +281,7 @@ def build_sigma(p: float) -> DensityOperator:
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
-    dims = PartyDims((3, 2, 3))
-    bc = np.zeros(18, dtype=complex)
-    bc[int(np.ravel_multi_index((2, 0, 0), dims.dims))] = 1.0 / math.sqrt(2.0)
-    bc[int(np.ravel_multi_index((2, 1, 1), dims.dims))] = 1.0 / math.sqrt(2.0)
-    ab = np.zeros(18, dtype=complex)
-    ab[int(np.ravel_multi_index((0, 0, 2), dims.dims))] = 1.0 / math.sqrt(2.0)
-    ab[int(np.ravel_multi_index((1, 1, 2), dims.dims))] = 1.0 / math.sqrt(2.0)
-    return mix([(p, PureState(dims, bc)), (1.0 - p, PureState(dims, ab))])
+    return _sigma_mixture(bell_pair("phi+"), p)
 
 
 def build_sigma_prime(shared_pair: PureState, p: float) -> DensityOperator:
@@ -306,6 +302,11 @@ def build_sigma_prime(shared_pair: PureState, p: float) -> DensityOperator:
         raise ValueError(
             "the shared pair is maximally entangled; use build_sigma for that case"
         )
+    return _sigma_mixture(shared_pair, p)
+
+
+def _sigma_mixture(shared_pair: PureState, p: float) -> DensityOperator:
+    """Place the two-qubit pair on B-C (A at its flag level) and on A-B (C flagged)."""
     dims = PartyDims((3, 2, 3))
     pair = shared_pair.tensor_view()
     bc = np.zeros(18, dtype=complex)
@@ -315,6 +316,13 @@ def build_sigma_prime(shared_pair: PureState, p: float) -> DensityOperator:
             bc[int(np.ravel_multi_index((2, i, j), dims.dims))] = pair[i, j]
             ab[int(np.ravel_multi_index((i, j, 2), dims.dims))] = pair[i, j]
     return mix([(p, PureState(dims, bc)), (1.0 - p, PureState(dims, ab))])
+
+
+def _sigma_state(p: float, coeffs) -> tuple[DensityOperator, bool]:
+    """The sigma state with pair coefficients ``coeffs``, True when maximal within ``ATOL``."""
+    if abs(coeffs[0] - coeffs[1]) <= ATOL:
+        return build_sigma(p), True
+    return build_sigma_prime(ket([coeffs[0], 0.0, 0.0, coeffs[1]], (2, 2)), p), False
 
 
 def build_prop3_state(schmidt_coeffs, weights) -> DensityOperator:
@@ -686,7 +694,15 @@ def _sample_merge(rng: np.random.Generator, pairs) -> tuple[int, MergeBranch]:
 
 _QUTRIT_SPLIT = [[0], [1, 2]]  # flag level versus the entangled block
 _QUQUART_SPLIT = [[0], [1], [2, 3]]
-_LETTERS = "ABCD"
+
+
+def _qubit_pair(reduced: DensityOperator, levels: dict[int, int]) -> PureState:
+    """The pure pair of ``reduced``, each leg wider than a qubit relabeled by ``levels``."""
+    pair = to_pure(reduced)
+    for axis in (0, 1):
+        if pair.dims.dims[axis] > 2:
+            pair = relabel_subspace(pair, axis, levels, 2)
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -796,9 +812,7 @@ def copy_chain(protocol: str, config: ProtocolConfig) -> CopyChain:
         if reduced is None:
             pairs.append(None)
             continue
-        pair = to_pure(reduced)
-        pair = relabel_subspace(pair, 0, family.relabel, 2)
-        pairs.append(relabel_subspace(pair, 1, family.relabel, 2))
+        pairs.append(_qubit_pair(reduced, family.relabel))
     return CopyChain(protocol, config, analytic, tuple(steps), tuple(pairs))
 
 
@@ -819,8 +833,8 @@ def replay_chain(
         for party, probs in zip(parties, chain.steps[k]):
             idx = family.accept if postselect_success else _sample_index(rng, probs)
             steps.append(
-                StepRecord(k + 1, _LETTERS[party], family.measurement + _LETTERS[party], idx,
-                           probs[idx], idx == family.accept)
+                StepRecord(k + 1, PARTY_LETTERS[party], family.measurement + PARTY_LETTERS[party],
+                           idx, probs[idx], idx == family.accept)
             )
             if idx != family.accept:
                 return ProtocolReport(
@@ -852,7 +866,7 @@ def chain_leaves(chain: CopyChain) -> list[tuple[str, float, bool, int]]:
             raise _pruned(chain, k + 1)
         for party, probs in zip(parties, chain.steps[k]):
             accept = probs[family.accept]
-            label = family.label.format(party=_LETTERS[party], copy=k + 1)
+            label = family.label.format(party=PARTY_LETTERS[party], copy=k + 1)
             leaves.append((",".join(path + [f"reject@{label}"]), prefix_prob * (1.0 - accept),
                            False, k + 1))
             path.append(f"accept@{label}")
@@ -900,25 +914,16 @@ def analytic_Pn(p: float, n: int) -> float:
     return 1.0 - (1.0 - p) ** n
 
 
-def _sigma_state(config: ProtocolConfig) -> tuple[DensityOperator, bool]:
-    coeffs = config.coeffs_or_uniform(2)
-    maximal = abs(coeffs[0] - coeffs[1]) <= ATOL
-    if maximal:
-        return build_sigma(config.p), True
-    return build_sigma_prime(ket([coeffs[0], 0.0, 0.0, coeffs[1]], (2, 2)), config.p), False
-
-
 _SIGMA_SPLIT = [[0, 1], [2]]  # entangled block versus the flag level
+_SIGMA_LEVELS = {0: 0, 1: 1}  # the qutrit leg's entangled block onto a qubit
 
 
-def _sigma_pair(post: DensityOperator, traced: int) -> PureState:
-    """Reduce a sigma-family branch to its two-qubit pair, qutrit leg relabeled."""
-    pair = to_pure(partial_trace(post, {traced}))
-    # exactly one leg of the kept pair is a qutrit; squeeze it onto a qubit
-    for axis in (0, 1):
-        if pair.dims.dims[axis] == 3:
-            pair = relabel_subspace(pair, axis, {0: 0, 1: 1}, 2)
-    return pair
+def _sigma_splits(config: ProtocolConfig):
+    """The sigma state's maximal flag and the outcomes of A's and of C's split on it."""
+    rho, maximal = _sigma_state(config.p, config.coeffs_or_uniform(2))
+    outs_a = measure(rho, level_group_measurement(0, 3, _SIGMA_SPLIT))
+    outs_c = measure(rho, level_group_measurement(2, 3, _SIGMA_SPLIT))
+    return maximal, outs_a, outs_c
 
 
 def run_sigma_adaptive(
@@ -934,11 +939,10 @@ def run_sigma_adaptive(
     On success, B either teleports two legs of a locally prepared GHZ state
     through the two pairs (maximal case) or merges the pairs directly.
     """
-    rho, maximal = _sigma_state(config)
+    maximal, outs_a, outs_c = _sigma_splits(config)
     rng = np.random.default_rng(config.seed) if rng is None else rng
     steps: list[StepRecord] = []
 
-    outs_a = measure(rho, level_group_measurement(0, 3, _SIGMA_SPLIT))
     first = config.first_outcome
     if first is None:
         first = _sample_index(rng, [out.probability for out in outs_a])
@@ -949,15 +953,12 @@ def run_sigma_adaptive(
                    outs_a[first].probability, True)
     )
     if first == 0:
-        have = "AB"
-        pair_first = _sigma_pair(outs_a[0].post_state, 2)
+        pair_first = _qubit_pair(partial_trace(outs_a[0].post_state, {2}), _SIGMA_LEVELS)
         repeat_accept = 0  # C keeps the branch where B-C hold the pair
     else:
-        have = "BC"
-        pair_first = _sigma_pair(outs_a[1].post_state, 0)
+        pair_first = _qubit_pair(partial_trace(outs_a[1].post_state, {0}), _SIGMA_LEVELS)
         repeat_accept = 1
 
-    outs_c = measure(rho, level_group_measurement(2, 3, _SIGMA_SPLIT))
     rates = [out.probability for out in outs_c]
     rate = rates[repeat_accept]
     analytic = 1.0 - (1.0 - rate) ** (config.max_copies - 1)
@@ -974,13 +975,14 @@ def run_sigma_adaptive(
         )
         if accepted:
             traced = 0 if repeat_accept == 0 else 2
-            pair_second = _sigma_pair(outs_c[idx].post_state, traced)
+            pair_second = _qubit_pair(partial_trace(outs_c[idx].post_state, {traced}),
+                                      _SIGMA_LEVELS)
             break
     if pair_second is None:
         return ProtocolReport("sigma", config, tuple(steps), copies, False, analytic)
 
-    pair_ab = pair_first if have == "AB" else pair_second
-    pair_bc = pair_first if have == "BC" else pair_second
+    pair_ab = pair_first if first == 0 else pair_second
+    pair_bc = pair_second if first == 0 else pair_first
     if maximal:
         local = ghz_state(3)
         final = distribute_via_teleportation(
@@ -1032,18 +1034,15 @@ class MonteCarloSummary:
 
 
 def _prop1_tree(config: ProtocolConfig):
-    rho = build_prop1_example(config.p)
-    outs = measure(rho, state_projector_measurement(2, basis_ket((2,), (0,))))
+    kept, separable = run_prop1_step(build_prop1_example(config.p), basis_ket((2,), (0,)))
     return [
-        ("charlie=0 (pair kept)", outs[0].probability, True, 1),
-        ("charlie=1 (separable)", outs[1].probability, False, 1),
+        ("charlie=0 (pair kept)", kept.probability, True, 1),
+        ("charlie=1 (separable)", separable.probability, False, 1),
     ]
 
 
 def _sigma_tree(config: ProtocolConfig):
-    rho, _ = _sigma_state(config)
-    outs_a = measure(rho, level_group_measurement(0, 3, _SIGMA_SPLIT))
-    outs_c = measure(rho, level_group_measurement(2, 3, _SIGMA_SPLIT))
+    _, outs_a, outs_c = _sigma_splits(config)
     firsts = (0, 1) if config.first_outcome is None else (config.first_outcome,)
     total_first = sum(outs_a[f].probability for f in firsts)
     repeats = config.max_copies - 1
@@ -1117,8 +1116,6 @@ def monte_carlo(
         )
     shots = config.shots if shots is None else int(shots)
     seed = config.seed if seed is None else int(seed)
-    if shots < 1:
-        raise ValueError("shots must be a positive integer")
     return sample_leaves(protocol, _TREES[protocol](config), shots, seed)
 
 

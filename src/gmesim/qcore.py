@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,12 +102,11 @@ def _min_eigenvalue(mat: np.ndarray) -> float:
 class PartyDims:
     """Ordered local dimensions of the parties.
 
-    ``cap`` bounds the total dimension and exists so that callers who really
-    need a larger dense space can opt in explicitly.
+    The total dimension is bounded by ``DIM_CAP``, read when each instance is
+    checked.
     """
 
     dims: tuple[int, ...]
-    cap: int = field(default=DIM_CAP, compare=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -116,9 +115,9 @@ class PartyDims:
             raise ValueError("at least one party is required")
         if any(d < 2 for d in dims):
             raise ValueError(f"every local dimension must be >= 2, got {dims}")
-        if math.prod(dims) > self.cap:
+        if math.prod(dims) > DIM_CAP:
             raise ValueError(
-                f"total dimension {math.prod(dims)} exceeds the cap {self.cap}"
+                f"total dimension {math.prod(dims)} exceeds the cap {DIM_CAP}"
             )
 
     @property

@@ -10,15 +10,50 @@ branch-by-branch form: it calls ``measure``, ``contract_party`` and
 ``apply_local_unitary`` once per branch and step, where the package merges a
 stack of branches per kernel call.  ``dense_negativity`` is the package's
 former negativity: it diagonalizes the whole partial transpose, where the
-package diagonalizes only its support.
+package diagonalizes only its support.  ``loop_run_sigma_adaptive``,
+``loop_sigma_tree`` and ``loop_prop1_tree`` are the sigma runner and the
+sigma/prop1 trees with their own state builds and measurements, and
+``oracle_main`` runs the command-line handlers that each wrote their own
+manifest and artifact; all of them call the package's other code.
 """
 
 import itertools
 import math
+import sys
 
 import numpy as np
 
-from gmesim.entanglement import certify_gme_pure, partial_transpose
+from gmesim import __version__
+from gmesim.cli import (
+    _DEFAULT_ANGLES,
+    EXIT_INVARIANT,
+    EXIT_OK,
+    EXIT_USAGE,
+    SCHEMA_VERSION,
+    _load_input_state,
+    _parse_floats,
+    _parse_schmidt,
+    _parse_weights,
+    _render_compact,
+    build_parser,
+    certificate_payload,
+    format_float,
+    mc_payload,
+    render_json,
+    resolve_seed,
+    resolve_timestamp,
+    run_report_payload,
+)
+from gmesim.distill import distill_pipeline
+from gmesim.entanglement import (
+    SVETLICHNY_CLASSICAL_BOUND,
+    SVETLICHNY_QUANTUM_BOUND,
+    certify_entangled_all_cuts,
+    certify_gme_pure,
+    equatorial_observable,
+    partial_transpose,
+    svetlichny_value,
+)
 from gmesim.protocols import (
     _MINUS,
     _PLUS,
@@ -32,11 +67,24 @@ from gmesim.protocols import (
     ProtocolReport,
     ScanRow,
     StepRecord,
+    _sample_merge,
     analytic_Pn,
+    build_prop1_example,
+    build_prop1_general,
     build_prop2_state,
     build_prop3_state,
     build_sigma,
+    build_sigma_prime,
+    chain_leaves,
+    copy_chain,
+    distribute_via_teleportation,
+    normalize_schmidt,
+    replay_chain,
+    run_prop1_step,
+    sample_leaves,
+    sigma_scan,
 )
+from gmesim.protocols import _sample_index as _sample_probabilities
 from gmesim.protocols import _schmidt_align_pair
 from gmesim.qcore import (
     ATOL,
@@ -48,16 +96,22 @@ from gmesim.qcore import (
     _hermitian_part,
     _phase_canonical,
     apply_local_unitary,
+    basis_ket,
+    bell_pair,
     contract_party,
+    fidelity_pure,
+    ghz_state,
+    ket,
     level_group_measurement,
     measure,
     mix,
     partial_trace,
+    permute_parties,
     relabel_subspace,
+    state_projector_measurement,
     tensor,
     to_pure,
 )
-
 
 def kron_all(mats):
     out = np.array([[1.0 + 0.0j]])
@@ -624,3 +678,399 @@ def loop_merge_chain_to_ghz(pairs) -> MergeResult:
             f"residual {total - 1.0:.3e} exceeds {ATOL:g}"
         )
     return MergeResult(tuple(branches), tuple(coeffs), tuple(alignments))
+
+
+# ---------------------------------------------------------------------------
+# The sigma runner and the sigma/prop1 branch trees as they were written
+# before they shared one description: each builds its state and measures its
+# own splits.  Only the package's builders, kernels, sampler and merge are
+# called.
+
+
+def _oracle_sigma_state(config: ProtocolConfig) -> tuple[DensityOperator, bool]:
+    coeffs = config.coeffs_or_uniform(2)
+    maximal = abs(coeffs[0] - coeffs[1]) <= ATOL
+    if maximal:
+        return build_sigma(config.p), True
+    return build_sigma_prime(ket([coeffs[0], 0.0, 0.0, coeffs[1]], (2, 2)), config.p), False
+
+
+_SIGMA_SPLIT = [[0, 1], [2]]  # entangled block versus the flag level
+
+
+def _oracle_sigma_pair(post: DensityOperator, traced: int) -> PureState:
+    """Reduce a sigma-family branch to its two-qubit pair, qutrit leg relabeled."""
+    pair = to_pure(partial_trace(post, {traced}))
+    # exactly one leg of the kept pair is a qutrit; squeeze it onto a qubit
+    for axis in (0, 1):
+        if pair.dims.dims[axis] == 3:
+            pair = relabel_subspace(pair, axis, {0: 0, 1: 1}, 2)
+    return pair
+
+
+def loop_run_sigma_adaptive(
+    config: ProtocolConfig, rng: np.random.Generator | None = None
+) -> ProtocolReport:
+    """``protocols.run_sigma_adaptive`` measuring A's split, then C's, itself."""
+    rho, maximal = _oracle_sigma_state(config)
+    rng = np.random.default_rng(config.seed) if rng is None else rng
+    steps: list[StepRecord] = []
+
+    outs_a = measure(rho, level_group_measurement(0, 3, _SIGMA_SPLIT))
+    first = config.first_outcome
+    if first is None:
+        first = _sample_probabilities(rng, [out.probability for out in outs_a])
+    elif outs_a[first].probability <= 0.0:
+        raise ValueError("the conditioned first outcome has zero probability")
+    steps.append(
+        StepRecord(1, "A", "split {levels 0,1} vs {flag level 2} on A", first,
+                   outs_a[first].probability, True)
+    )
+    if first == 0:
+        have = "AB"
+        pair_first = _oracle_sigma_pair(outs_a[0].post_state, 2)
+        repeat_accept = 0  # C keeps the branch where B-C hold the pair
+    else:
+        have = "BC"
+        pair_first = _oracle_sigma_pair(outs_a[1].post_state, 0)
+        repeat_accept = 1
+
+    outs_c = measure(rho, level_group_measurement(2, 3, _SIGMA_SPLIT))
+    rates = [out.probability for out in outs_c]
+    rate = rates[repeat_accept]
+    analytic = 1.0 - (1.0 - rate) ** (config.max_copies - 1)
+
+    pair_second = None
+    copies = 1
+    for _ in range(config.max_copies - 1):
+        copies += 1
+        idx = _sample_probabilities(rng, rates)
+        accepted = idx == repeat_accept
+        steps.append(
+            StepRecord(copies, "C", "split {levels 0,1} vs {flag level 2} on C", idx,
+                       outs_c[idx].probability, accepted)
+        )
+        if accepted:
+            traced = 0 if repeat_accept == 0 else 2
+            pair_second = _oracle_sigma_pair(outs_c[idx].post_state, traced)
+            break
+    if pair_second is None:
+        return ProtocolReport("sigma", config, tuple(steps), copies, False, analytic)
+
+    pair_ab = pair_first if have == "AB" else pair_second
+    pair_bc = pair_first if have == "BC" else pair_second
+    if maximal:
+        local = ghz_state(3)
+        final = distribute_via_teleportation(
+            local,
+            [(0, permute_parties(pair_ab, (1, 0))), (2, pair_bc)],
+        )
+        steps.append(
+            StepRecord(copies, "B", "teleport GHZ legs to A and C through both pairs",
+                       0, 1.0, True)
+        )
+    else:
+        bidx, branch = _sample_merge(rng, [pair_ab, pair_bc])
+        final = branch.state
+        steps.append(
+            StepRecord(copies, "B", "pair merge: parity then +/- readout at B", bidx,
+                       branch.probability, True)
+        )
+    _, certificates = certify_gme_pure(final)
+    return ProtocolReport(
+        "sigma", config, tuple(steps), copies, True, analytic, final, certificates
+    )
+
+
+def loop_prop1_tree(config: ProtocolConfig):
+    rho = build_prop1_example(config.p)
+    outs = measure(rho, state_projector_measurement(2, basis_ket((2,), (0,))))
+    return [
+        ("charlie=0 (pair kept)", outs[0].probability, True, 1),
+        ("charlie=1 (separable)", outs[1].probability, False, 1),
+    ]
+
+
+def loop_sigma_tree(config: ProtocolConfig):
+    rho, _ = _oracle_sigma_state(config)
+    outs_a = measure(rho, level_group_measurement(0, 3, _SIGMA_SPLIT))
+    outs_c = measure(rho, level_group_measurement(2, 3, _SIGMA_SPLIT))
+    firsts = (0, 1) if config.first_outcome is None else (config.first_outcome,)
+    total_first = sum(outs_a[f].probability for f in firsts)
+    repeats = config.max_copies - 1
+    leaves = []
+    for f in firsts:
+        pf = outs_a[f].probability / total_first
+        q = outs_c[0].probability if f == 0 else outs_c[1].probability
+        name = "AB-first" if f == 0 else "BC-first"
+        for k in range(1, repeats + 1):
+            leaves.append(
+                (f"{name},success@copy{k + 1}", pf * (1.0 - q) ** (k - 1) * q, True, k + 1)
+            )
+        leaves.append((f"{name},exhausted", pf * (1.0 - q) ** repeats, False, config.max_copies))
+    return leaves
+
+
+# ---------------------------------------------------------------------------
+# The command-line handlers as they were written before ``cli.main`` took
+# over the seed, timestamp, manifest and output: each resolves its own seed
+# and timestamp, builds its manifest and writes its artifact.  They call the
+# harness's parsing, payload and state-loading helpers.
+
+
+def make_manifest(subcommand: str, config: dict, seed: int, timestamp: str) -> dict:
+    return {
+        "subcommand": subcommand,
+        "config": config,
+        "seed": int(seed),
+        "version": __version__,
+        "timestamp": timestamp,
+    }
+
+
+def envelope(manifest: dict, payload: dict) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "manifest": manifest, "payload": payload}
+
+
+def emit(text: str, out: str | None) -> None:
+    if out is None:
+        sys.stdout.write(text)
+        return
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def oracle_cmd_prop1(args) -> int:
+    seed = resolve_seed(args.seed)
+    timestamp = resolve_timestamp(args.timestamp)
+    p = float(args.p)
+    rounds = int(args.rounds)
+    custom = any(x is not None for x in (args.pair_ab, args.pair_bc, args.ref_a, args.ref_c))
+    if custom:
+        ab = _parse_schmidt(args.pair_ab, 2, "--pair-ab") or normalize_schmidt([1.0, 1.0])
+        bc = _parse_schmidt(args.pair_bc, 2, "--pair-bc") or normalize_schmidt([1.0, 1.0])
+        ref_a = int(args.ref_a) if args.ref_a is not None else 1
+        ref_c = int(args.ref_c) if args.ref_c is not None else 0
+        if ref_a not in (0, 1) or ref_c not in (0, 1):
+            raise ValueError("--ref-a / --ref-c must be 0 or 1")
+        rho = build_prop1_general(
+            ket([ab[0], 0.0, 0.0, ab[1]], (2, 2)),
+            basis_ket((2,), (ref_c,)),
+            basis_ket((2,), (ref_a,)),
+            ket([bc[0], 0.0, 0.0, bc[1]], (2, 2)),
+            p,
+        )
+        family: dict | str = {
+            "pair_ab": list(ab), "pair_bc": list(bc), "ref_a": ref_a, "ref_c": ref_c,
+        }
+        reference = basis_ket((2,), (ref_c,))
+    else:
+        rho = build_prop1_example(p)
+        family = "standard"
+        reference = basis_ket((2,), (0,))
+
+    branches = run_prop1_step(rho, reference)
+    selected = int(args.charlie_outcome) if args.charlie_outcome is not None else 0
+    if selected not in (0, 1):
+        raise ValueError("--charlie-outcome must be 0 or 1")
+
+    phi_plus = bell_pair("phi+")
+    branch_payload = []
+    for br in branches:
+        entry: dict = {
+            "outcome": int(br.outcome_index),
+            "probability": float(br.probability),
+            "negativity": None if br.negativity is None else float(br.negativity),
+            "entangled": br.entangled,
+            "fidelity_phi_plus": (
+                None if br.pair_state is None else float(fidelity_pure(br.pair_state, phi_plus))
+            ),
+        }
+        branch_payload.append(entry)
+
+    chosen = branches[selected]
+    if chosen.pair_state is None:
+        distill_block: dict = {"status": "no_support"}
+    else:
+        pipe = distill_pipeline(chosen.pair_state, rounds)
+        distill_block = {
+            "status": pipe.status,
+            "filtered": pipe.filtered,
+            "filter_probability": float(pipe.filter_probability),
+            "trajectory": [[float(f), float(q)] for f, q in pipe.trajectory],
+        }
+
+    config = {
+        "p": p,
+        "rounds": rounds,
+        "charlie_outcome": selected,
+        "family": family,
+    }
+    payload = {
+        "branches": branch_payload,
+        "selected_outcome": selected,
+        "selected_separable": (chosen.entangled is not None) and (not chosen.entangled),
+        "distillation": distill_block,
+    }
+    manifest = make_manifest("prop1", config, seed, timestamp)
+    emit(render_json(envelope(manifest, payload)), args.out)
+    return EXIT_OK
+
+
+def _run_activation(args, protocol: str) -> int:
+    seed = resolve_seed(args.seed)
+    timestamp = resolve_timestamp(args.timestamp)
+    shots = int(args.shots)
+    want_mc = not args.no_mc
+    if protocol == "prop2":
+        coeffs = _parse_schmidt(args.schmidt, 3)
+        config_obj = ProtocolConfig(
+            p=float(args.p), schmidt_coeffs=coeffs, shots=shots, seed=seed
+        )
+        config = {
+            "p": config_obj.p,
+            "schmidt": list(config_obj.coeffs_or_uniform(3)),
+            "shots": shots,
+            "mc": want_mc,
+        }
+    else:
+        coeffs = _parse_schmidt(args.schmidt, 4)
+        weights = _parse_weights(args.weights)
+        config_obj = ProtocolConfig(
+            weights=weights, schmidt_coeffs=coeffs, shots=shots, seed=seed
+        )
+        config = {
+            "weights": list(weights),
+            "schmidt": list(config_obj.coeffs_or_uniform(4)),
+            "shots": shots,
+            "mc": want_mc,
+        }
+    # one copy chain feeds both the postselected run and the exact tree
+    chain = copy_chain(protocol, config_obj)
+    payload = {"run": run_report_payload(replay_chain(chain, postselect_success=True))}
+    payload["monte_carlo"] = (
+        mc_payload(sample_leaves(protocol, chain_leaves(chain), shots, seed))
+        if want_mc else None
+    )
+    manifest = make_manifest(protocol, config, seed, timestamp)
+    emit(render_json(envelope(manifest, payload)), args.out)
+    return EXIT_OK
+
+
+def oracle_cmd_prop2(args) -> int:
+    return _run_activation(args, "prop2")
+
+
+def oracle_cmd_prop3(args) -> int:
+    return _run_activation(args, "prop3")
+
+
+def oracle_cmd_sigma_scan(args) -> int:
+    seed = resolve_seed(args.seed)
+    timestamp = resolve_timestamp(args.timestamp)
+    p_list = _parse_floats(args.p_list, "--p-list")
+    n_max = int(args.n_max)
+    shots = int(args.shots)
+    rows = sigma_scan(p_list, n_max, shots, seed)
+    config = {"p_list": p_list, "n_max": n_max, "shots": shots, "format": args.format}
+    manifest = make_manifest("sigma-scan", config, seed, timestamp)
+    if args.format == "json":
+        payload = {
+            "rows": [
+                {
+                    "p": float(r.p),
+                    "n": int(r.n),
+                    "analytic": float(r.analytic),
+                    "empirical": float(r.empirical),
+                    "abs_error": float(r.abs_error),
+                }
+                for r in rows
+            ]
+        }
+        emit(render_json(envelope(manifest, payload)), args.out)
+        return EXIT_OK
+    lines = ["# manifest: " + _render_compact(manifest)]
+    lines.append("p,n,analytic,empirical,abs_error")
+    for r in rows:
+        lines.append(
+            ",".join(
+                (
+                    format_float(r.p),
+                    str(int(r.n)),
+                    format_float(r.analytic),
+                    format_float(r.empirical),
+                    format_float(r.abs_error),
+                )
+            )
+        )
+    emit("\n".join(lines) + "\n", args.out)
+    return EXIT_OK
+
+
+def oracle_cmd_certify(args) -> int:
+    seed = resolve_seed(args.seed)
+    timestamp = resolve_timestamp(args.timestamp)
+    state, source = _load_input_state(args)
+    if isinstance(state, PureState):
+        is_gme, report = certify_gme_pure(state)
+    else:
+        is_gme, report = None, certify_entangled_all_cuts(state)
+    config = {
+        "source": source,
+        "dims": [int(d) for d in state.dims.dims],
+        "state_kind": "pure" if isinstance(state, PureState) else "density",
+    }
+    payload = certificate_payload(report, is_gme)
+    manifest = make_manifest("certify", config, seed, timestamp)
+    emit(render_json(envelope(manifest, payload)), args.out)
+    return EXIT_OK
+
+
+def oracle_cmd_svetlichny(args) -> int:
+    seed = resolve_seed(args.seed)
+    timestamp = resolve_timestamp(args.timestamp)
+    state, source = _load_input_state(args, default_builtin="ghz3")
+    if not isinstance(state, PureState):
+        raise ValueError("the nonlocality functional needs a pure three-qubit state")
+    if args.angles is not None:
+        angles = _parse_floats(args.angles, "--angles")
+        if len(angles) != 6:
+            raise ValueError("--angles expects six values: A, A', B, B', C, C'")
+        settings_source = "custom"
+    else:
+        angles = list(_DEFAULT_ANGLES)
+        settings_source = "default"
+    settings = [equatorial_observable(a) for a in angles]
+    value = svetlichny_value(state, settings)
+    config = {
+        "source": source,
+        "angles": [float(a) for a in angles],
+        "settings_source": settings_source,
+    }
+    payload = {
+        "value": float(value),
+        "classical_bound": float(SVETLICHNY_CLASSICAL_BOUND),
+        "quantum_bound": float(SVETLICHNY_QUANTUM_BOUND),
+        "exceeds_classical": bool(value > SVETLICHNY_CLASSICAL_BOUND),
+        "within_quantum": bool(value <= SVETLICHNY_QUANTUM_BOUND + 1e-9),
+    }
+    manifest = make_manifest("svetlichny", config, seed, timestamp)
+    emit(render_json(envelope(manifest, payload)), args.out)
+    return EXIT_OK
+
+
+def oracle_main(argv) -> int:
+    """``cli.main`` dispatching to the handlers above."""
+    args = build_parser().parse_args(argv)
+    handler = globals()["oracle_cmd_" + args.subcommand.replace("-", "_")]
+    try:
+        return handler(args)
+    except InvariantError as exc:
+        print(f"gmesim: invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except (ValueError, OSError) as exc:
+        print(f"gmesim: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # no exit codes beyond 0/2/3
+        print(f"gmesim: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT

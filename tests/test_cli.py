@@ -15,8 +15,17 @@ import jsonschema
 import numpy as np
 import pytest
 
-from gmesim.cli import EPOCH_TIMESTAMP, format_float, main, schema_path, save_state_file
-from gmesim.qcore import PartyDims, PureState, bell_pair
+from gmesim.cli import (
+    EPOCH_TIMESTAMP,
+    certificate_payload,
+    format_float,
+    main,
+    schema_path,
+    save_state_file,
+)
+from gmesim.entanglement import certify_entangled_all_cuts
+from gmesim.protocols import build_prop2_state, build_prop3_state, build_sigma, build_sigma_prime
+from gmesim.qcore import PartyDims, PureState, bell_pair, ket
 
 SCHEMA = json.loads(schema_path().read_text(encoding="utf-8"))
 
@@ -300,9 +309,10 @@ def test_main_builds_one_parser_and_looks_up_handlers_per_call(monkeypatch, caps
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
     assert main(argv) == 0
     assert capsys.readouterr().out == first
-    monkeypatch.setattr(cli, "cmd_prop2", lambda args: 0)
+    monkeypatch.setattr(cli, "cmd_prop2", lambda args, seed: ({"stub_seed": seed}, {}))
     assert main(argv) == 0
-    assert capsys.readouterr().out == ""
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["manifest"]["config"], doc["payload"]) == ({"stub_seed": 3}, {})
     assert builds == [1]
 
 
@@ -314,3 +324,52 @@ def test_zero_p_is_refused_not_replaced_by_the_default(capsys, command, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "p must lie strictly inside (0, 1)" in captured.err
+
+
+def certify_in_process(capsys, *argv):
+    assert main(["certify", *argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_sigma_builtin_within_atol_of_maximal_certifies_build_sigma(capsys):
+    """Coefficients the adaptive runner treats as maximal select ``build_sigma`` here too."""
+    doc = certify_in_process(capsys, "--builtin", "sigma", "--schmidt", "1,1.000000001",
+                             "--p", "0.3")
+    want = certificate_payload(certify_entangled_all_cuts(build_sigma(0.3)), None)
+    assert doc["payload"] == want
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--builtin", "prop2"),
+        ("--builtin", "prop2", "--schmidt", "1,2,3", "--p", "0.4"),
+        ("--builtin", "prop3"),
+        ("--builtin", "prop3", "--schmidt", "1,2,2,1", "--weights", "1,2,3"),
+        ("--builtin", "sigma", "--p", "0.2"),
+        ("--builtin", "sigma", "--schmidt", "1,2"),
+        ("--builtin", "sigma", "--schmidt", "1,1.000000001"),
+    ],
+)
+def test_builtin_manifest_records_the_parameters_that_rebuild_the_state(capsys, flags):
+    doc = certify_in_process(capsys, *flags)
+    source = doc["manifest"]["config"]["source"]
+    schmidt = source["schmidt"]
+    assert math.isclose(sum(c * c for c in schmidt), 1.0, rel_tol=1e-12)
+    if source["name"] == "prop2":
+        state = build_prop2_state(schmidt, source["p"])
+    elif source["name"] == "prop3":
+        assert math.isclose(sum(source["weights"]), 1.0, rel_tol=1e-12)
+        state = build_prop3_state(schmidt, source["weights"])
+    elif math.isclose(schmidt[0], schmidt[1], abs_tol=1e-9):
+        state = build_sigma(source["p"])
+    else:
+        state = build_sigma_prime(ket([schmidt[0], 0, 0, schmidt[1]], (2, 2)), source["p"])
+    assert doc["payload"] == certificate_payload(certify_entangled_all_cuts(state), None)
+
+
+def test_builtin_manifests_differ_when_the_certified_state_does(capsys):
+    default = certify_in_process(capsys, "--builtin", "prop2")
+    skewed = certify_in_process(capsys, "--builtin", "prop2", "--schmidt", "1,2,3")
+    assert default["payload"] != skewed["payload"]
+    assert default["manifest"] != skewed["manifest"]

@@ -257,16 +257,17 @@ class TestCertificates:
         assert abs(vals["AB|C"] - 0.25) < 1e-9
         assert report.all_cuts_entangled
         assert abs(report.min_negativity - 0.25) < 1e-9
+        assert not report.is_gme  # negativity records carry no Schmidt rank
 
     def test_gme_pure_ghz(self):
         is_gme, report = certify_gme_pure(ghz_state(3))
-        assert is_gme
+        assert is_gme and report.is_gme
         assert all(r.schmidt_rank == 2 for r in report.records)
 
     def test_gme_pure_rejects_one_sided_product(self):
         st = tensor(basis_ket((2,), (0,)), bell_pair("phi+"))
         is_gme, report = certify_gme_pure(st)
-        assert not is_gme
+        assert not is_gme and not report.is_gme
         assert report.record("A|BC").schmidt_rank == 1
         assert report.record("B|AC").schmidt_rank == 2
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gmesim import qcore
 from gmesim.qcore import (
     ATOL,
     DensityOperator,
@@ -62,6 +63,12 @@ class TestPartyDims:
     def test_rejects_oversized_system(self):
         with pytest.raises(ValueError):
             PartyDims((2,) * 13)  # 8192 > the 4096 cap
+
+    def test_cap_is_read_when_each_instance_is_checked(self, monkeypatch):
+        monkeypatch.setattr(qcore, "DIM_CAP", 4)
+        assert PartyDims((2, 2)).total == 4
+        with pytest.raises(ValueError, match=r"^total dimension 8 exceeds the cap 4$"):
+            PartyDims((2, 2, 2))
 
 
 class TestStates:
