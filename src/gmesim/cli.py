@@ -3,9 +3,10 @@
 Every subcommand writes a single artifact (JSON, or CSV for scan tables)
 that embeds a manifest with the fully resolved configuration, seed, tool
 version and timestamp: re-running the same invocation reproduces the output
-byte for byte.  Each ``cmd_*`` handler takes the parsed flags and the seed and
-returns its config and payload; ``main`` builds the manifest and writes.  Floats are serialized with 17 significant digits so doubles
-round-trip losslessly; complex amplitudes appear as [re, im] pairs.
+byte for byte.  Each ``cmd_*`` handler takes the parsed flags and the seed
+and returns its config and payload; ``main`` builds the manifest and writes.
+Floats are serialized with 17 significant digits so doubles round-trip
+losslessly; complex amplitudes appear as [re, im] pairs.
 
 Exit codes: 0 success, 2 usage or domain error, 3 internal invariant
 violation.  The seed resolves from ``--seed``, then the ``GME_SEED``
@@ -46,6 +47,7 @@ from .protocols import (
     build_prop1_general,
     build_prop2_state,
     build_prop3_state,
+    _finite,
     _sigma_state,
     chain_leaves,
     copy_chain,
@@ -365,9 +367,10 @@ def _parse_floats(text: str, name: str) -> list[float]:
     if not parts:
         raise ValueError(f"{name} must be a non-empty comma-separated list of numbers")
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError:
         raise ValueError(f"{name} contains a non-numeric entry: {text!r}") from None
+    return list(_finite(vals, name))
 
 
 def _parse_schmidt(text, n_expected: int | None, name: str = "--schmidt"):

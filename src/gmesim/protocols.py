@@ -16,6 +16,12 @@ repeats a measurement.  Likewise ``run_sigma_adaptive`` and the sigma tree
 read one state build and one measurement of A's and C's splits, and the
 prop1 tree reads ``run_prop1_step``.
 
+``prop2`` and ``prop3`` are the n = 3 and n = 4 instances of one chain rule:
+n parties of dimension n; term k (weight w_k, k = 0..n-2) puts sum_i a_i |ii>
+on parties k, k+1, the parties left of k at flag level k-1 and those right
+of k+1 at level k.  Measuring parties split {0}, ..., {n-3}, {n-2, n-1} and
+keep the top block; the success law is prod_k w_k (a_{n-2}^2 + a_{n-1}^2)^(n-1).
+
 Protocol families (the names are the tool's protocol identifiers, also used
 as CLI subcommands):
 
@@ -87,16 +93,22 @@ PARITY_CORRELATED = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
 PARITY_ANTI = np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex)
 
 
-def _uniform_coeffs(n: int) -> tuple[float, ...]:
-    return (1.0 / math.sqrt(n),) * n
+def _finite(values, what: str) -> tuple[float, ...]:
+    """``values`` as floats; a NaN or infinite entry is a ValueError naming ``what``."""
+    vals = tuple(float(v) for v in values)
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"{what} must be finite, got {vals!r}")
+    return vals
 
 
 def normalize_schmidt(coeffs) -> tuple[float, ...]:
     """Rescale positive coefficients so their squares sum to one."""
-    vals = [float(c) for c in coeffs]
+    vals = _finite(coeffs, "Schmidt coefficients")
     if any(v <= 0 for v in vals):
         raise ValueError("Schmidt coefficients must be positive")
     norm = math.sqrt(sum(v * v for v in vals))
+    if not 0.0 < norm < math.inf:  # the squares underflow to 0 or overflow
+        raise ValueError(f"Schmidt coefficients {vals!r} are too small or too large to normalize")
     return tuple(v / norm for v in vals)
 
 
@@ -126,14 +138,14 @@ class ProtocolConfig:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p={self.p!r} must lie strictly inside (0, 1)")
-        weights = tuple(float(w) for w in self.weights)
+        weights = _finite(self.weights, "weights")
         object.__setattr__(self, "weights", weights)
         if len(weights) != 3 or any(w <= 0 for w in weights):
             raise ValueError("weights must be three positive numbers")
         if abs(sum(weights) - 1.0) > ATOL:
             raise ValueError(f"weights sum to {sum(weights)!r}, expected 1")
         if self.schmidt_coeffs is not None:
-            coeffs = tuple(float(c) for c in self.schmidt_coeffs)
+            coeffs = _finite(self.schmidt_coeffs, "Schmidt coefficients")
             object.__setattr__(self, "schmidt_coeffs", coeffs)
             if any(c <= 0 for c in coeffs):
                 raise ValueError("Schmidt coefficients must be positive")
@@ -151,7 +163,7 @@ class ProtocolConfig:
 
     def coeffs_or_uniform(self, n: int) -> tuple[float, ...]:
         if self.schmidt_coeffs is None:
-            return _uniform_coeffs(n)
+            return (1.0 / math.sqrt(n),) * n
         if len(self.schmidt_coeffs) != n:
             raise ValueError(
                 f"this protocol expects {n} Schmidt coefficients, "
@@ -239,15 +251,24 @@ def build_prop1_example(p: float = 0.5) -> DensityOperator:
     )
 
 
-def _two_party_schmidt_state(coeffs, dim: int) -> PureState:
-    amps = np.zeros(dim * dim, dtype=complex)
-    for i, c in enumerate(coeffs):
-        amps[i * dim + i] = c
-    return PureState(PartyDims((dim, dim)), amps)
+def _chain_terms(schmidt_coeffs, weights) -> list[tuple[float, PureState]]:
+    """The (weight, pure term) pairs of the n-party chain mixture, n = ``len(schmidt_coeffs)``.
 
-
-#: The (weight, pure state) terms of a mixture, as ``mix`` takes them.
-_Terms = list[tuple[float, PureState]]
+    Term k (weight ``weights[k]``, k = 0..n-2) puts sum_i a_i |ii> on parties
+    k and k+1 of n parties of dimension n; the parties left of k sit at flag
+    level k-1 and those right of k+1 at flag level k.
+    """
+    n = len(schmidt_coeffs)
+    dims = PartyDims((n,) * n)
+    terms = []
+    for k, weight in enumerate(weights):
+        levels = [k - 1] * k + [0, 0] + [k] * (n - k - 2)
+        amps = np.zeros(dims.total, dtype=complex)
+        for i, a in enumerate(schmidt_coeffs):
+            levels[k] = levels[k + 1] = i
+            amps[np.ravel_multi_index(levels, dims.dims)] = a
+        terms.append((weight, PureState(dims, amps)))
+    return terms
 
 
 def build_prop2_state(schmidt_coeffs, p: float) -> DensityOperator:
@@ -256,20 +277,14 @@ def build_prop2_state(schmidt_coeffs, p: float) -> DensityOperator:
     ``schmidt_coeffs`` are the three positive coefficients of the shared
     two-qutrit state sum_i a_i |ii>.
     """
-    return mix(_prop2_terms(schmidt_coeffs, p))
-
-
-def _prop2_terms(schmidt_coeffs, p: float) -> _Terms:
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
-    coeffs = tuple(float(c) for c in schmidt_coeffs)
+    coeffs = _finite(schmidt_coeffs, "Schmidt coefficients")
     if len(coeffs) != 3 or any(c <= 0 for c in coeffs):
         raise ValueError("three positive Schmidt coefficients are required")
     if abs(sum(c * c for c in coeffs) - 1.0) > ATOL:
         raise ValueError("squared Schmidt coefficients must sum to 1")
-    psi = _two_party_schmidt_state(coeffs, 3)
-    zero = basis_ket((3,), (0,))
-    return [(p, tensor(psi, zero)), (1.0 - p, tensor(zero, psi))]
+    return mix(_chain_terms(coeffs, (p, 1.0 - p)))
 
 
 def build_sigma(p: float) -> DensityOperator:
@@ -333,28 +348,17 @@ def build_prop3_state(schmidt_coeffs, weights) -> DensityOperator:
     ``schmidt_coeffs`` are the four coefficients of sum_i a_i |ii>;
     ``weights`` are the three positive mixture weights.
     """
-    return mix(_prop3_terms(schmidt_coeffs, weights))
-
-
-def _prop3_terms(schmidt_coeffs, weights) -> _Terms:
-    coeffs = tuple(float(c) for c in schmidt_coeffs)
+    coeffs = _finite(schmidt_coeffs, "Schmidt coefficients")
     if len(coeffs) != 4 or any(c <= 0 for c in coeffs):
         raise ValueError("four positive Schmidt coefficients are required")
     if abs(sum(c * c for c in coeffs) - 1.0) > ATOL:
         raise ValueError("squared Schmidt coefficients must sum to 1")
-    w = tuple(float(x) for x in weights)
+    w = _finite(weights, "weights")
     if len(w) != 3 or any(x <= 0 for x in w):
         raise ValueError("three positive weights are required")
     if abs(sum(w) - 1.0) > ATOL:
         raise ValueError("weights must sum to 1")
-    psi = _two_party_schmidt_state(coeffs, 4)
-    zero = basis_ket((4,), (0,))
-    one = basis_ket((4,), (1,))
-    return [
-        (w[0], tensor(tensor(psi, zero), zero)),
-        (w[1], tensor(tensor(zero, psi), one)),
-        (w[2], tensor(tensor(one, one), psi)),
-    ]
+    return mix(_chain_terms(coeffs, w))
 
 
 # ---------------------------------------------------------------------------
@@ -692,10 +696,6 @@ def _sample_merge(rng: np.random.Generator, pairs) -> tuple[int, MergeBranch]:
     return bidx, merged.branches[bidx]
 
 
-_QUTRIT_SPLIT = [[0], [1, 2]]  # flag level versus the entangled block
-_QUQUART_SPLIT = [[0], [1], [2, 3]]
-
-
 def _qubit_pair(reduced: DensityOperator, levels: dict[int, int]) -> PureState:
     """The pure pair of ``reduced``, each leg wider than a qubit relabeled by ``levels``."""
     pair = to_pure(reduced)
@@ -710,57 +710,44 @@ def _qubit_pair(reduced: DensityOperator, levels: dict[int, int]) -> PureState:
 # ---------------------------------------------------------------------------
 
 
-def _prop2_setup(config: ProtocolConfig) -> tuple[_Terms, float]:
-    coeffs = config.coeffs_or_uniform(3)
-    block = coeffs[1] ** 2 + coeffs[2] ** 2
-    return _prop2_terms(coeffs, config.p), (1.0 - config.p) * block * config.p * block
-
-
-def _prop3_setup(config: ProtocolConfig) -> tuple[_Terms, float]:
-    coeffs = config.coeffs_or_uniform(4)
-    w = config.weights
-    block = coeffs[2] ** 2 + coeffs[3] ** 2
-    return _prop3_terms(coeffs, w), w[0] * w[1] * w[2] * block**3
-
-
 @dataclass(frozen=True)
 class _ChainFamily:
     """Plan of a family whose fresh copies are measured one after another.
 
-    ``setup`` returns the pure terms of the family's mixture and the analytic
-    success law.  On each copy the listed parties apply ``split`` in turn,
-    keeping outcome ``accept``; tracing out the other parties leaves a pair
-    whose entangled levels ``relabel`` maps onto a qubit.  ``merge_order``
-    lists the copies whose pairs form the chain A-B, B-C, ... that ``merger``
-    merges.
+    The n = ``len(copies) + 1`` parties mix ``_chain_terms(coeffs, weights(config))``.
+    On each copy the listed parties measure the chain split in turn; tracing
+    out the others leaves a pair whose top block maps onto a qubit.  ``law``
+    gives the success probability from the weights and a_{n-2}^2 + a_{n-1}^2
+    in the family's own evaluation order.  ``merge_order`` lists the copies
+    whose pairs form the chain A-B, B-C, ... that ``merger`` merges.
     """
 
-    setup: Callable[[ProtocolConfig], tuple[_Terms, float]]
-    split: list[list[int]]
-    accept: int
+    weights: Callable[[ProtocolConfig], tuple[float, ...]]
     copies: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (parties, traced)
-    relabel: dict[int, int]
     merge_order: tuple[int, ...]
     measurement: str  # step text, completed by the party letter
     label: str  # a step's name in the branch tree, from {party} and {copy}
     merger: str
     merge_text: str
+    law: Callable[[tuple[float, ...], float], float]
 
 
 _CHAIN_FAMILIES = {
     "prop2": _ChainFamily(
-        setup=_prop2_setup, split=_QUTRIT_SPLIT, accept=1,
+        weights=lambda config: (config.p, 1.0 - config.p),
         copies=(((2,), (0,)), ((0,), (2,))),  # B-C pair, then A-B pair
-        relabel={1: 0, 2: 1}, merge_order=(1, 0),
+        merge_order=(1, 0),
         measurement="split {flag level 0} vs {levels 1,2} on ", label="copy{copy}",
         merger="B", merge_text="pair merge: parity then +/- readout at B",
+        law=lambda w, block: w[1] * block * w[0] * block,
     ),
     "prop3": _ChainFamily(
-        setup=_prop3_setup, split=_QUQUART_SPLIT, accept=2,
+        weights=lambda config: config.weights,
         copies=(((2, 3), (0, 1)), ((0, 1), (2, 3)), ((1, 2), (0, 3))),  # C-D, A-B, B-C
-        relabel={2: 0, 3: 1}, merge_order=(1, 2, 0),
+        merge_order=(1, 2, 0),
         measurement="split {0} / {1} / {2,3} on ", label="{party}{copy}",
         merger="BC", merge_text="chain merge: parity then +/- readout at B and C",
+        law=lambda w, block: w[0] * w[1] * w[2] * block**3,
     ),
 }
 
@@ -772,7 +759,8 @@ class CopyChain:
     ``steps[k]`` holds the outcome probabilities of each measurement on copy
     k+1 along its accepting path, and ``pairs[k]`` the qubit pair it leaves;
     both are bit for bit those of measuring the family's density operator
-    (see ``qcore.postselect_levels``).
+    (see ``qcore.postselect_levels``).  Every step accepts its last outcome,
+    the top block.
     After a pruned accepting branch (probability at or below ``PRUNE_ATOL``)
     the copy's later steps are absent and its pair is None.
     """
@@ -802,17 +790,22 @@ def copy_chain(protocol: str, config: ProtocolConfig) -> CopyChain:
     if protocol not in _CHAIN_FAMILIES:
         raise ValueError(f"no copy chain for protocol {protocol!r}; expected prop2 or prop3")
     family = _CHAIN_FAMILIES[protocol]
-    terms, analytic = family.setup(config)
+    n = len(family.copies) + 1
+    split = [[level] for level in range(n - 2)] + [[n - 2, n - 1]]
+    top, relabel = len(split) - 1, {n - 2: 0, n - 1: 1}  # keep the last group
+    coeffs, weights = config.coeffs_or_uniform(n), family.weights(config)
+    terms = _chain_terms(coeffs, weights)
+    analytic = family.law(weights, coeffs[n - 2] ** 2 + coeffs[n - 1] ** 2)
     steps, pairs = [], []
     for parties, traced in family.copies:
         probs, reduced = postselect_levels(
-            terms, [(party, family.split, family.accept) for party in parties], traced
+            terms, [(party, split, top) for party in parties], traced
         )
         steps.append(probs)
         if reduced is None:
             pairs.append(None)
             continue
-        pairs.append(_qubit_pair(reduced, family.relabel))
+        pairs.append(_qubit_pair(reduced, relabel))
     return CopyChain(protocol, config, analytic, tuple(steps), tuple(pairs))
 
 
@@ -831,12 +824,13 @@ def replay_chain(
     steps: list[StepRecord] = []
     for k, (parties, _) in enumerate(family.copies):
         for party, probs in zip(parties, chain.steps[k]):
-            idx = family.accept if postselect_success else _sample_index(rng, probs)
+            top = len(probs) - 1
+            idx = top if postselect_success else _sample_index(rng, probs)
             steps.append(
                 StepRecord(k + 1, PARTY_LETTERS[party], family.measurement + PARTY_LETTERS[party],
-                           idx, probs[idx], idx == family.accept)
+                           idx, probs[idx], idx == top)
             )
-            if idx != family.accept:
+            if idx != top:
                 return ProtocolReport(
                     chain.protocol, config, tuple(steps), k + 1, False, chain.analytic_success_prob
                 )
@@ -865,7 +859,7 @@ def chain_leaves(chain: CopyChain) -> list[tuple[str, float, bool, int]]:
         if len(chain.steps[k]) < len(parties):
             raise _pruned(chain, k + 1)
         for party, probs in zip(parties, chain.steps[k]):
-            accept = probs[family.accept]
+            accept = probs[-1]
             label = family.label.format(party=PARTY_LETTERS[party], copy=k + 1)
             leaves.append((",".join(path + [f"reject@{label}"]), prefix_prob * (1.0 - accept),
                            False, k + 1))

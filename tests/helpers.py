@@ -15,6 +15,9 @@ package diagonalizes only its support.  ``loop_run_sigma_adaptive``,
 sigma/prop1 trees with their own state builds and measurements, and
 ``oracle_main`` runs the command-line handlers that each wrote their own
 manifest and artifact; all of them call the package's other code.
+``loop_prop2_terms`` and ``loop_prop3_terms`` place each pair and flag level
+of the prop2/prop3 mixtures by hand, where the package derives every term
+from one chain rule; the prop2/prop3 run and tree oracles mix them.
 """
 
 import itertools
@@ -71,8 +74,6 @@ from gmesim.protocols import (
     analytic_Pn,
     build_prop1_example,
     build_prop1_general,
-    build_prop2_state,
-    build_prop3_state,
     build_sigma,
     build_sigma_prime,
     chain_leaves,
@@ -408,6 +409,49 @@ _QUTRIT_SPLIT = [[0], [1, 2]]  # flag level versus the entangled block
 _QUQUART_SPLIT = [[0], [1], [2, 3]]
 
 
+def _two_party_schmidt_state(coeffs, dim: int) -> PureState:
+    amps = np.zeros(dim * dim, dtype=complex)
+    for i, c in enumerate(coeffs):
+        amps[i * dim + i] = c
+    return PureState((dim, dim), amps)
+
+
+def loop_prop2_terms(schmidt_coeffs, p: float):
+    """The prop2 mixture's two terms, each pair and flag placed by hand."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie strictly inside (0, 1)")
+    coeffs = tuple(float(c) for c in schmidt_coeffs)
+    if len(coeffs) != 3 or any(c <= 0 for c in coeffs):
+        raise ValueError("three positive Schmidt coefficients are required")
+    if abs(sum(c * c for c in coeffs) - 1.0) > ATOL:
+        raise ValueError("squared Schmidt coefficients must sum to 1")
+    psi = _two_party_schmidt_state(coeffs, 3)
+    zero = basis_ket((3,), (0,))
+    return [(p, tensor(psi, zero)), (1.0 - p, tensor(zero, psi))]
+
+
+def loop_prop3_terms(schmidt_coeffs, weights):
+    """The prop3 mixture's three terms, each pair and flag placed by hand."""
+    coeffs = tuple(float(c) for c in schmidt_coeffs)
+    if len(coeffs) != 4 or any(c <= 0 for c in coeffs):
+        raise ValueError("four positive Schmidt coefficients are required")
+    if abs(sum(c * c for c in coeffs) - 1.0) > ATOL:
+        raise ValueError("squared Schmidt coefficients must sum to 1")
+    w = tuple(float(x) for x in weights)
+    if len(w) != 3 or any(x <= 0 for x in w):
+        raise ValueError("three positive weights are required")
+    if abs(sum(w) - 1.0) > ATOL:
+        raise ValueError("weights must sum to 1")
+    psi = _two_party_schmidt_state(coeffs, 4)
+    zero = basis_ket((4,), (0,))
+    one = basis_ket((4,), (1,))
+    return [
+        (w[0], tensor(tensor(psi, zero), zero)),
+        (w[1], tensor(tensor(zero, psi), one)),
+        (w[2], tensor(tensor(one, one), psi)),
+    ]
+
+
 def _prop2_pair(post: DensityOperator, traced_party: int) -> PureState:
     pair = to_pure(partial_trace(post, {traced_party}))
     pair = relabel_subspace(pair, 0, {1: 0, 2: 1}, 2)
@@ -427,7 +471,7 @@ def loop_run_prop2(
     recorded); otherwise outcomes are sampled.
     """
     coeffs = config.coeffs_or_uniform(3)
-    rho = build_prop2_state(coeffs, config.p)
+    rho = mix(loop_prop2_terms(coeffs, config.p))
     rng = np.random.default_rng(config.seed) if rng is None else rng
     block = coeffs[1] ** 2 + coeffs[2] ** 2
     analytic = (1.0 - config.p) * block * config.p * block
@@ -484,7 +528,7 @@ def loop_run_prop3(
     A-B-C-D into a four-party GHZ-class state.
     """
     coeffs = config.coeffs_or_uniform(4)
-    rho = build_prop3_state(coeffs, config.weights)
+    rho = mix(loop_prop3_terms(coeffs, config.weights))
     rng = np.random.default_rng(config.seed) if rng is None else rng
     block = coeffs[2] ** 2 + coeffs[3] ** 2
     w = config.weights
@@ -532,7 +576,7 @@ def loop_run_prop3(
 
 def loop_prop2_tree(config: ProtocolConfig):
     coeffs = config.coeffs_or_uniform(3)
-    rho = build_prop2_state(coeffs, config.p)
+    rho = mix(loop_prop2_terms(coeffs, config.p))
     q1 = measure(rho, level_group_measurement(2, 3, _QUTRIT_SPLIT))[1].probability
     q2 = measure(rho, level_group_measurement(0, 3, _QUTRIT_SPLIT))[1].probability
     return [
@@ -544,7 +588,7 @@ def loop_prop2_tree(config: ProtocolConfig):
 
 def loop_prop3_tree(config: ProtocolConfig):
     coeffs = config.coeffs_or_uniform(4)
-    rho = build_prop3_state(coeffs, config.weights)
+    rho = mix(loop_prop3_terms(coeffs, config.weights))
     plan = [(1, (2, 3)), (2, (0, 1)), (3, (1, 2))]
     letters = "ABCD"
     leaves = []

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -69,6 +70,34 @@ class TestExitCodes:
         proc = run_cli(*args)
         assert proc.returncode == 2
         assert proc.stderr  # a diagnostic is printed
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (("prop3", "--weights", "nan,1,1"), "--weights"),
+            (("certify", "--builtin", "prop3", "--weights", "1,inf,1"), "--weights"),
+            (("prop2", "--schmidt", "inf,1,1"), "--schmidt"),
+            (("prop3", "--schmidt", "1,1,-inf,1"), "--schmidt"),
+            (("certify", "--builtin", "sigma", "--schmidt", "1e999,1"), "--schmidt"),
+            (("svetlichny", "--angles", "nan,0,0,0,0,0"), "--angles"),
+            (("sigma-scan", "--p-list", "0.5,nan"), "--p-list"),
+            (("prop1", "--pair-ab", "nan,1"), "--pair-ab"),
+            (("prop1", "--pair-bc", "1,-inf"), "--pair-bc"),
+        ],
+    )
+    def test_non_finite_flag_values_exit_2_naming_the_flag(self, capsys, args, flag):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(list(args)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"gmesim: error: {flag} must be finite, got (")
+        assert caught == []
+
+    @pytest.mark.parametrize("size", ["1e-200", "1e200"])
+    def test_unnormalizable_schmidt_flag_exits_2(self, capsys, size):
+        assert main(["prop2", "--schmidt", ",".join([size] * 3)]) == 2
+        assert "too small or too large to normalize" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_2(self):
         assert run_cli("prop9").returncode == 2

@@ -5,7 +5,8 @@
 tree (``chain_leaves``) are read off it.  These tests pin the number of term
 builds, measurements, kernel calls and density operators of one CLI op and of
 one chain, and compare runs and trees bit for bit with the measure-as-you-go
-oracles in ``helpers``, which measure the dense mixture.
+oracles in ``helpers``, which measure the dense mixture of the hand-placed
+``loop_prop2_terms``/``loop_prop3_terms``.
 """
 
 import dataclasses
@@ -44,20 +45,15 @@ SAMPLED_RUNS = {"prop2": 8, "prop3": 2}
 MERGE_KERNELS = {"prop2": 1 + 2 * 3 + 2, "prop3": 2 + 4 * 5 + 6}
 
 
-@pytest.mark.parametrize(
-    "protocol, terms", [("prop2", "_prop2_terms"), ("prop3", "_prop3_terms")],
-    ids=["prop2", "prop3"],
-)
-def test_cli_op_builds_the_terms_once_and_measures_only_the_merge(
-    monkeypatch, capsys, protocol, terms
-):
+@pytest.mark.parametrize("protocol", ["prop2", "prop3"])
+def test_cli_op_builds_the_terms_once_and_measures_only_the_merge(monkeypatch, capsys, protocol):
     """The copies are postselected on the terms; the tree adds no measurement.
 
     The merge measures its branches as stacks, so ``measure`` is never called
     and the axis-local kernel runs a fixed number of times per op.
     """
     calls = {"build": 0, "measure": 0, "kernel": 0}
-    build, measure, kernel = getattr(protocols, terms), protocols.measure, qcore._local_kernel
+    build, measure, kernel = protocols._chain_terms, protocols.measure, qcore._local_kernel
 
     def counting_build(*args, **kwargs):
         calls["build"] += 1
@@ -71,7 +67,7 @@ def test_cli_op_builds_the_terms_once_and_measures_only_the_merge(
         calls["kernel"] += 1
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(protocols, terms, counting_build)
+    monkeypatch.setattr(protocols, "_chain_terms", counting_build)
     monkeypatch.setattr(protocols, "measure", counting_measure)
     for module in (qcore, protocols):
         monkeypatch.setattr(module, "_local_kernel", counting_kernel)
