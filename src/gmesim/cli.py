@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .distill import distill_pipeline
 from .entanglement import (
+    _GHZ_OPTIMAL_ANGLES,
     SVETLICHNY_CLASSICAL_BOUND,
     SVETLICHNY_QUANTUM_BOUND,
     BipartitionReport,
@@ -79,8 +80,6 @@ DEFAULT_SEED = 42
 DEFAULT_SHOTS = 100_000
 #: Fixed manifest timestamp used when no explicit time source is given.
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
-
-_DEFAULT_ANGLES = (0.0, math.pi / 2, 0.0, math.pi / 2, -math.pi / 4, math.pi / 4)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +388,10 @@ def _parse_weights(text) -> tuple[float, float, float]:
     if len(vals) != 3 or any(v <= 0 for v in vals):
         raise ValueError("--weights expects three positive values")
     total = sum(vals)
+    if not math.isfinite(total):  # large finite values overflow the plain sum
+        top = max(vals)
+        vals = [v / top for v in vals]
+        total = sum(vals)
     return tuple(v / total for v in vals)
 
 
@@ -615,9 +618,11 @@ def cmd_svetlichny(args, seed: int) -> tuple[dict, dict]:
             raise ValueError("--angles expects six values: A, A', B, B', C, C'")
         settings_source = "custom"
     else:
-        angles = list(_DEFAULT_ANGLES)
+        angles = list(_GHZ_OPTIMAL_ANGLES)
         settings_source = "default"
     settings = [equatorial_observable(a) for a in angles]
+    if state.dims.dims != (2, 2, 2):
+        raise ValueError("the functional is defined for three qubits")
     value = svetlichny_value(state, settings)
     config = {
         "source": source,

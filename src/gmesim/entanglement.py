@@ -3,15 +3,18 @@
 Pure states are certified through Schmidt rank (genuinely multiparty
 entangled iff the rank is at least 2 across every bipartition).  Mixed states
 are certified through negativity of the partial transpose, which is a
-sufficient witness of entanglement in a cut.  A three-party nonlocality
-functional with its known classical and quantum bounds rounds out the module.
+sufficient witness of entanglement in a cut.  The n-party Svetlichny
+functional (2 <= n <= 8 qubits, bi-local bound 2**(n-1), quantum maximum
+2**(n-1)*sqrt(2)) signs each correlator by its count t of primed settings.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
+from operator import add
 
 import numpy as np
 
@@ -31,10 +34,10 @@ ENTANGLED_NEG_ATOL = 1e-9
 #: Schmidt coefficients above this threshold count toward the rank.
 SCHMIDT_RANK_ATOL = 1e-9
 
-#: Local-hidden-variable bound of the three-party nonlocality functional.
+#: Bi-local hidden-variable bound of the functional for three parties, 2**(n-1).
 SVETLICHNY_CLASSICAL_BOUND = 4.0
 
-#: Quantum maximum of the functional, reached by GHZ at optimal settings.
+#: Three-party quantum maximum, 2**(n-1)*sqrt(2), reached by GHZ at optimal settings.
 SVETLICHNY_QUANTUM_BOUND = 4.0 * math.sqrt(2.0)
 
 
@@ -238,11 +241,14 @@ def certify_gme_pure(state: PureState) -> tuple[bool, BipartitionReport]:
 
 
 # ---------------------------------------------------------------------------
-# three-party nonlocality functional
+# n-party nonlocality functional
 # ---------------------------------------------------------------------------
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+
+#: Equatorial angles of (A, A', B, B', C, C') that push GHZ to the quantum maximum.
+_GHZ_OPTIMAL_ANGLES = (0.0, math.pi / 2, 0.0, math.pi / 2, -math.pi / 4, math.pi / 4)
 
 
 def equatorial_observable(angle: float) -> np.ndarray:
@@ -252,14 +258,7 @@ def equatorial_observable(angle: float) -> np.ndarray:
 
 def ghz_optimal_settings() -> tuple[np.ndarray, ...]:
     """Settings (A, A', B, B', C, C') that push GHZ to the quantum maximum."""
-    return (
-        equatorial_observable(0.0),
-        equatorial_observable(math.pi / 2),
-        equatorial_observable(0.0),
-        equatorial_observable(math.pi / 2),
-        equatorial_observable(-math.pi / 4),
-        equatorial_observable(math.pi / 4),
-    )
+    return tuple(equatorial_observable(a) for a in _GHZ_OPTIMAL_ANGLES)
 
 
 def _check_observable(obs: np.ndarray, name: str) -> np.ndarray:
@@ -276,37 +275,31 @@ def _check_observable(obs: np.ndarray, name: str) -> np.ndarray:
 
 
 def svetlichny_value(state: PureState, settings) -> float:
-    """Value of the hybrid nonlocality functional on a three-qubit pure state.
+    """Value of the n-party Svetlichny functional on an n-qubit pure state.
 
-    ``settings`` lists six dichotomic observables (A, A', B, B', C, C'), one
-    primed and one unprimed per party.  Values above
-    ``SVETLICHNY_CLASSICAL_BOUND`` rule out any bi-local hidden-variable
-    model; quantum states cannot exceed ``SVETLICHNY_QUANTUM_BOUND``.
+    ``settings`` lists 2n dichotomic observables (A, A', B, B', ...), two per
+    party.  The correlator of each of the 2**n setting choices enters with
+    sqrt(2)*cos(pi/4*(2t-1)) for t primed settings: +1 when t mod 4 is 0 or
+    1, else -1.  Values above 2**(n-1) (``SVETLICHNY_CLASSICAL_BOUND`` for
+    n = 3) rule out any bi-local hidden-variable model; quantum states cannot
+    exceed 2**(n-1)*sqrt(2) (``SVETLICHNY_QUANTUM_BOUND``).  The cost grows
+    about x8 per qubit, so n outside 2..8 is refused before any operator is
+    formed.
     """
-    if state.dims.dims != (2, 2, 2):
-        raise ValueError("the functional is defined for three qubits")
+    dims = state.dims.dims
+    n = len(dims)
+    if any(d != 2 for d in dims) or not 2 <= n <= 8:
+        raise ValueError(f"the functional is defined for 2 to 8 qubits, got dims {dims}")
     if state.unnormalized:
         raise ValueError("normalize the state first")
-    if len(settings) != 6:
-        raise ValueError("six settings are required: A, A', B, B', C, C'")
-    names = ("A", "A'", "B", "B'", "C", "C'")
-    a0, a1, b0, b1, c0, c1 = (
-        _check_observable(o, n) for o, n in zip(settings, names)
-    )
+    if len(settings) != 2 * n:
+        raise ValueError(f"{2 * n} settings are required for n = {n}, got {len(settings)}")
+    names = [PARTY_LETTERS[i // 2] + "'" * (i % 2) for i in range(2 * n)]
+    obs = [_check_observable(o, name) for o, name in zip(settings, names)]
     psi = state.amplitudes
-
-    def corr(x, y, z) -> float:
-        op = np.kron(np.kron(x, y), z)
-        return float(np.real(np.vdot(psi, op @ psi)))
-
-    value = (
-        corr(a0, b0, c0)
-        + corr(a0, b0, c1)
-        + corr(a0, b1, c0)
-        - corr(a0, b1, c1)
-        + corr(a1, b0, c0)
-        - corr(a1, b0, c1)
-        - corr(a1, b1, c0)
-        - corr(a1, b1, c1)
-    )
-    return value
+    terms = []
+    for choice in product((0, 1), repeat=n):
+        op = reduce(np.kron, (obs[2 * i + c] for i, c in enumerate(choice)))
+        corr = float(np.real(np.vdot(psi, op @ psi)))
+        terms.append(corr if sum(choice) % 4 < 2 else -corr)
+    return reduce(add, terms)  # left to right from the first term: a -0.0 keeps its sign

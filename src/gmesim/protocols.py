@@ -14,7 +14,7 @@ operator; only each copy's reduced pair is one.  ``replay_chain`` turns the
 chain into a run and ``chain_leaves`` into the branch tree, so neither
 repeats a measurement.  Likewise ``run_sigma_adaptive`` and the sigma tree
 read one state build and one measurement of A's and C's splits, and the
-prop1 tree reads ``run_prop1_step``.
+prop1 tree reads C's outcome probabilities without forming a post-state.
 
 ``prop2`` and ``prop3`` are the n = 3 and n = 4 instances of one chain rule:
 n parties of dimension n; term k (weight w_k, k = 0..n-2) puts sum_i a_i |ii>
@@ -1028,7 +1028,8 @@ class MonteCarloSummary:
 
 
 def _prop1_tree(config: ProtocolConfig):
-    kept, separable = run_prop1_step(build_prop1_example(config.p), basis_ket((2,), (0,)))
+    charlie = state_projector_measurement(2, basis_ket((2,), (0,)))
+    kept, separable = measure(build_prop1_example(config.p), charlie, keep=())
     return [
         ("charlie=0 (pair kept)", kept.probability, True, 1),
         ("charlie=1 (separable)", separable.probability, False, 1),

@@ -18,6 +18,9 @@ manifest and artifact; all of them call the package's other code.
 ``loop_prop2_terms`` and ``loop_prop3_terms`` place each pair and flag level
 of the prop2/prop3 mixtures by hand, where the package derives every term
 from one chain rule; the prop2/prop3 run and tree oracles mix them.
+``loop_svetlichny_value`` is the three-qubit nonlocality functional with its
+eight correlators written out, where the package derives the signs of all
+2**n correlators from one rule.
 """
 
 import itertools
@@ -28,7 +31,6 @@ import numpy as np
 
 from gmesim import __version__
 from gmesim.cli import (
-    _DEFAULT_ANGLES,
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_USAGE,
@@ -51,11 +53,11 @@ from gmesim.distill import distill_pipeline
 from gmesim.entanglement import (
     SVETLICHNY_CLASSICAL_BOUND,
     SVETLICHNY_QUANTUM_BOUND,
+    _check_observable,
     certify_entangled_all_cuts,
     certify_gme_pure,
     equatorial_observable,
     partial_transpose,
-    svetlichny_value,
 )
 from gmesim.protocols import (
     _MINUS,
@@ -251,6 +253,37 @@ def loop_embed(op: np.ndarray, targets, dims) -> np.ndarray:
                 tc = flat([cl[t] for t in targets], t_dims)
                 out[r, c] = op[tr, tc]
     return out
+
+
+def loop_svetlichny_value(state: PureState, settings) -> float:
+    """The three-qubit functional with its eight correlators written out."""
+    if state.dims.dims != (2, 2, 2):
+        raise ValueError("the functional is defined for three qubits")
+    if state.unnormalized:
+        raise ValueError("normalize the state first")
+    if len(settings) != 6:
+        raise ValueError("six settings are required: A, A', B, B', C, C'")
+    names = ("A", "A'", "B", "B'", "C", "C'")
+    a0, a1, b0, b1, c0, c1 = (
+        _check_observable(o, n) for o, n in zip(settings, names)
+    )
+    psi = state.amplitudes
+
+    def corr(x, y, z) -> float:
+        op = np.kron(np.kron(x, y), z)
+        return float(np.real(np.vdot(psi, op @ psi)))
+
+    value = (
+        corr(a0, b0, c0)
+        + corr(a0, b0, c1)
+        + corr(a0, b1, c0)
+        - corr(a0, b1, c1)
+        + corr(a1, b0, c0)
+        - corr(a1, b0, c1)
+        - corr(a1, b1, c0)
+        - corr(a1, b1, c1)
+    )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -1070,6 +1103,9 @@ def oracle_cmd_certify(args) -> int:
     return EXIT_OK
 
 
+_GHZ_ANGLES = (0.0, math.pi / 2, 0.0, math.pi / 2, -math.pi / 4, math.pi / 4)
+
+
 def oracle_cmd_svetlichny(args) -> int:
     seed = resolve_seed(args.seed)
     timestamp = resolve_timestamp(args.timestamp)
@@ -1082,10 +1118,10 @@ def oracle_cmd_svetlichny(args) -> int:
             raise ValueError("--angles expects six values: A, A', B, B', C, C'")
         settings_source = "custom"
     else:
-        angles = list(_DEFAULT_ANGLES)
+        angles = list(_GHZ_ANGLES)
         settings_source = "default"
     settings = [equatorial_observable(a) for a in angles]
-    value = svetlichny_value(state, settings)
+    value = loop_svetlichny_value(state, settings)
     config = {
         "source": source,
         "angles": [float(a) for a in angles],

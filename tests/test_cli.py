@@ -402,3 +402,12 @@ def test_builtin_manifests_differ_when_the_certified_state_does(capsys):
     skewed = certify_in_process(capsys, "--builtin", "prop2", "--schmidt", "1,2,3")
     assert default["payload"] != skewed["payload"]
     assert default["manifest"] != skewed["manifest"]
+
+
+def test_weights_whose_plain_sum_overflows_normalize_like_equal_weights(capsys):
+    """Each of 1e308 is finite; their sum is not, so they are scaled by the largest first."""
+    assert main(["prop3", "--weights", "1e308,1e308,1e308", "--no-mc"]) == 0
+    huge = capsys.readouterr()
+    assert main(["prop3", "--weights", "1,1,1", "--no-mc"]) == 0
+    assert huge.out == capsys.readouterr().out
+    assert huge.err == ""
