@@ -211,8 +211,8 @@ def _pairs_loop(pairs, expected: int, what: str) -> np.ndarray:
     return out
 
 
-def state_from_payload(data: dict) -> PureState | DensityOperator:
-    """Build the state a decoded JSON state file describes."""
+def _payload_fields(data) -> tuple[PartyDims, str]:
+    """The dims and the name of the pair field of a decoded state file."""
     if not isinstance(data, dict):
         raise ValueError("state file must contain a JSON object")
     try:
@@ -224,31 +224,260 @@ def state_from_payload(data: dict) -> PureState | DensityOperator:
         raise ValueError(f"state file 'dims' must be a list of integers, got {dims!r}")
     # the size cap applies before any pair is read
     dims = PartyDims(tuple(dims))
-    total = dims.total
     if kind == "pure":
         if "amplitudes" not in data:
             raise ValueError("pure state files need an 'amplitudes' field")
-        amps = _pairs_to_array(data["amplitudes"], total, "amplitudes")
-        return PureState(dims, amps)
+        return dims, "amplitudes"
     if kind == "density":
         if "matrix" not in data:
             raise ValueError("density state files need a 'matrix' field")
-        mat = _pairs_to_array(data["matrix"], total * total, "matrix")
-        return DensityOperator(dims, mat.reshape(total, total))
+        return dims, "matrix"
     raise ValueError(f"unknown state kind {kind!r}; expected 'pure' or 'density'")
 
 
+def _pair_count(dims: PartyDims, field: str) -> int:
+    return dims.total if field == "amplitudes" else dims.total**2
+
+
+def _state_from_values(dims: PartyDims, field: str, values: np.ndarray):
+    if field == "amplitudes":
+        return PureState(dims, values)
+    return DensityOperator(dims, values.reshape(dims.total, dims.total))
+
+
+def state_from_payload(data: dict) -> PureState | DensityOperator:
+    """Build the state a decoded JSON state file describes."""
+    dims, field = _payload_fields(data)
+    values = _pairs_to_array(data[field], _pair_count(dims, field), field)
+    return _state_from_values(dims, field, values)
+
+
+# A state file whose pair array is the last member of its object and holds
+# only JSON numbers is read from its bytes: the array is checked and converted
+# by a few vectorized passes, and ``json`` decodes the rest of the file with
+# the array cut out.  Anything else goes to ``json.load``.
+
+_JSON_SPACE = b" \t\n\r"
+
+#: Byte classes inside a pair array; 0 marks a byte that has no place there.
+_SPACE, _OPEN, _COMMA, _CLOSE, _ZERO, _DIGIT, _MINUS, _PLUS, _DOT, _EXP = range(1, 11)
+_NUMBER = (_ZERO, _DIGIT, _MINUS, _PLUS, _DOT, _EXP)
+_CLASS_BYTES = {_SPACE: _JSON_SPACE, _OPEN: b"[", _COMMA: b",", _CLOSE: b"]", _ZERO: b"0",
+                _DIGIT: b"123456789", _MINUS: b"-", _PLUS: b"+", _DOT: b".", _EXP: b"eE"}
+_BYTE_CLASS = bytes(
+    next((c for c, chars in _CLASS_BYTES.items() if byte in chars), 0) for byte in range(256)
+)
+#: Number bytes kept, every other byte a space.
+_NUMBERS_ONLY = bytes(byte if _BYTE_CLASS[byte] in _NUMBER else 32 for byte in range(256))
+
+#: The classes that may follow each class: the JSON number grammar up to the
+#: count and order of '.' and 'e' and the leading-zero rule.
+_AFTER_SEPARATOR = (_SPACE, _OPEN, _COMMA, _CLOSE, _ZERO, _DIGIT, _MINUS)
+_AFTER_DIGIT = (_SPACE, _COMMA, _CLOSE, _ZERO, _DIGIT, _DOT, _EXP)
+_MAY_FOLLOW = {
+    _SPACE: _AFTER_SEPARATOR, _OPEN: _AFTER_SEPARATOR, _COMMA: _AFTER_SEPARATOR,
+    _CLOSE: _AFTER_SEPARATOR, _ZERO: _AFTER_DIGIT, _DIGIT: _AFTER_DIGIT,
+    _MINUS: (_ZERO, _DIGIT), _PLUS: (_ZERO, _DIGIT), _DOT: (_ZERO, _DIGIT),
+    _EXP: (_ZERO, _DIGIT, _MINUS, _PLUS),
+}
+
+#: What a byte is, from its class and the class before it: nothing to note,
+#: a number's start, the space or punctuation that ends a number, a number's
+#: '.' or 'e', or punctuation.  _BAD marks a byte that may not follow.
+(_QUIET, _START, _END, _END_COMMA, _END_CLOSE, _FRACTION, _EXPONENT,
+ _OPEN_ONLY, _COMMA_ONLY, _CLOSE_ONLY) = range(10)
+_BAD = 15
+
+
+def _byte_event(before: int, byte: int) -> int:
+    if byte not in _MAY_FOLLOW.get(before, ()):
+        return _BAD
+    if byte in _NUMBER:
+        if before not in _NUMBER:
+            return _START
+        return {_DOT: _FRACTION, _EXP: _EXPONENT}.get(byte, _QUIET)
+    if before in _NUMBER:
+        return {_SPACE: _END, _COMMA: _END_COMMA, _CLOSE: _END_CLOSE}[byte]
+    return {_OPEN: _OPEN_ONLY, _COMMA: _COMMA_ONLY, _CLOSE: _CLOSE_ONLY}.get(byte, _QUIET)
+
+
+_BYTE_EVENT = bytes(_byte_event(code >> 4, code & 15) for code in range(256))
+
+#: The events that may follow each event once spaces are skipped: one number
+#: between a pair's '[' and ',' and one between ',' and ']', none elsewhere.
+_ENDS = (_END, _END_COMMA, _END_CLOSE)
+_EVENT_FOLLOWS = {
+    _START: (_FRACTION, _EXPONENT) + _ENDS, _FRACTION: (_EXPONENT,) + _ENDS,
+    _EXPONENT: _ENDS, _END: (_COMMA_ONLY, _CLOSE_ONLY), _END_COMMA: (_START,),
+    _END_CLOSE: (_COMMA_ONLY, _CLOSE_ONLY), _OPEN_ONLY: (_START,),
+    _COMMA_ONLY: (_START, _OPEN_ONLY), _CLOSE_ONLY: (_COMMA_ONLY, _CLOSE_ONLY),
+}
+_EVENT_PAIR_OK = bytes(int(code & 15 in _EVENT_FOLLOWS.get(code >> 4, ())) for code in range(256))
+#: The punctuation an event carries; events without any are deleted.
+_EVENT_PUNCT = bytes.maketrans(
+    bytes([_OPEN_ONLY, _COMMA_ONLY, _END_COMMA, _CLOSE_ONLY, _END_CLOSE]), b"[,,]]")
+_NO_PUNCT = bytes([_START, _END, _FRACTION, _EXPONENT])
+_IS_START = bytes(int(event == _START) for event in range(256))
+_IS_END = bytes(int(event in _ENDS) for event in range(256))
+
+#: No double needs more; JSON would also refuse integers of thousands of digits.
+_MAX_TOKEN = 64
+
+
+def _split_pair_array(raw: bytes) -> tuple[bytes, str, bytearray] | None:
+    """The file with its pair array cut out, the array's key and the array.
+
+    The array must be the last member of the object, under a key spelled
+    once and without escapes before it.
+    """
+    end = len(raw)
+    for closing in b"}]":
+        while end and raw[end - 1] in _JSON_SPACE:
+            end -= 1
+        if not end or raw[end - 1] != closing:
+            return None
+        end -= 1
+    end += 1  # keep the array's ']'
+    colon = raw.rfind(b":", 0, end)
+    head = raw[: colon + 1]
+    key = head[:-1].rstrip(_JSON_SPACE)
+    field = next((f for f in ("amplitudes", "matrix") if key.endswith(b'"%s"' % f.encode())), None)
+    if field is None or b"\\" in head or head.count(b'"%s"' % field.encode()) != 1:
+        return None
+    start = colon + 1
+    while raw[start] in _JSON_SPACE:
+        start += 1
+    return head + b" []" + raw[end:], field, bytearray(memoryview(raw)[start:end])
+
+
+def _positions(flags: bytearray) -> np.ndarray:
+    """1 + the index of each 1 among 0/1 flags, as int32 when that holds every index."""
+    where = np.flatnonzero(np.frombuffer(flags, np.bool_))
+    if len(flags) < 2**31 - 1:
+        where = where.astype(np.int32)
+    where += 1
+    return where
+
+
+def _scan_pair_array(region: bytearray):
+    """Token bounds of a JSON array of [number, number] pairs, or None.
+
+    Returns the pair count, each number token's start and end, and which
+    tokens are literal zeros (-0.0 where ``negative``) that need no
+    conversion.
+    """
+    if not region.startswith(b"["):
+        return None
+    cls = np.frombuffer(region.translate(_BYTE_CLASS), np.uint8)
+    pairs = bytearray(len(region) - 1)
+    codes = np.frombuffer(pairs, np.uint8)
+    np.left_shift(cls[:-1], 4, out=codes)
+    np.bitwise_or(codes, cls[1:], out=codes)
+    events = pairs.translate(_BYTE_EVENT)  # events[i] is the event of byte i + 1
+    # buffers the size of the array go as soon as they are used, which keeps
+    # the peak memory of a read below that of json.load
+    del cls, codes, pairs
+    if _BAD in events:
+        return None
+    kinds = np.frombuffer(events.translate(None, bytes([_QUIET])), np.uint8)
+    if not len(kinds) or kinds[0] != _OPEN_ONLY:
+        return None
+    if 0 in ((kinds[:-1] << 4) | kinds[1:]).tobytes().translate(_EVENT_PAIR_OK):
+        return None
+    punct = kinds.tobytes().translate(_EVENT_PUNCT, _NO_PUNCT)
+    n = len(punct) // 4
+    if n < 1 or punct != b"[,],"* (n - 1) + b"[,]]":
+        return None
+    starts, ends = (_positions(events.translate(table)) for table in (_IS_START, _IS_END))
+    del events, kinds, punct
+    chars = np.frombuffer(region, np.uint8)
+    minus = chars[starts] == ord("-")
+    digits = starts + minus
+    zero = chars[digits] == ord("0")
+    after = chars[digits + 1]  # in range: the array ends with two brackets
+    leading_zero = zero & (after >= ord("0")) & (after <= ord("9"))
+    if leading_zero.any() or (ends - starts).max() > _MAX_TOKEN:
+        return None
+    # "0" and "-0" are integers and read as +0.0; "0.0" and "-0.0" keep their sign
+    size = ends - digits
+    zero &= (size == 1) | ((size == 3) & (chars[digits + 2] == ord("0")))
+    return n, starts, ends, zero, zero & (size == 3) & minus
+
+
+def _token_values(region: bytearray, starts, ends, zero, negative) -> np.ndarray | None:
+    """The tokens as ``float()`` reads them, by one C-level parse of the non-zero ones.
+
+    Overwrites the literal zeros in ``region`` with spaces.
+    """
+    values = np.zeros(len(starts))
+    values[negative] = -0.0
+    keep = ~zero
+    if keep.any():
+        chars = np.frombuffer(region, np.uint8)
+        zero_starts, zero_sizes = starts[zero], (ends - starts)[zero]
+        for offset in range(4):  # a literal zero has at most four bytes ("-0.0")
+            chars[zero_starts[zero_sizes > offset] + offset] = ord(" ")
+        parsed = np.fromstring(bytes(region.translate(_NUMBERS_ONLY)), sep=" ")
+        if len(parsed) != np.count_nonzero(keep):
+            return None
+        values[keep] = parsed
+    return values
+
+
+def _read_pairs(path: str) -> tuple[PartyDims, str, np.ndarray] | None:
+    """The dims, pair field and values of a file of plain-number pairs.
+
+    None sends the file to ``json.load``.
+    """
+    with open(path, "rb") as fh:
+        split = _split_pair_array(fh.read())
+    if split is None:
+        return None
+    head, field, region = split
+    tokens = _scan_pair_array(region)
+    if tokens is None:
+        return None
+    try:
+        data = json.loads(head.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return None
+    # the whole file is valid JSON now, so a dims or kind error is the one json.load gives
+    dims, wanted = _payload_fields(data)
+    n, *bounds = tokens
+    if wanted != field or n != _pair_count(dims, field):
+        return None
+    values = _token_values(region, *bounds)
+    if values is None or not np.isfinite(values).all():
+        return None
+    return dims, field, values.view(complex)
+
+
 def load_state_file(path: str) -> PureState | DensityOperator:
+    pairs = _read_pairs(path)
+    if pairs is not None:
+        return _state_from_values(*pairs)
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     return state_from_payload(data)
 
 
+def _state_file_text(state: PureState | DensityOperator) -> str:
+    """``render_json(state_to_payload(state))``, its pairs formatted in one pass."""
+    pure = isinstance(state, PureState)
+    values = np.ascontiguousarray(state.amplitudes if pure else state.matrix, dtype=complex)
+    flat = values.view(float).ravel()
+    if not np.isfinite(flat).all():
+        raise ValueError("cannot serialize non-finite numbers")
+    pairs = ("    [%.17g, %.17g],\n" * (flat.size // 2)) % tuple(flat.tolist())
+    dims = ", ".join(str(int(d)) for d in state.dims.dims)
+    kind, field = ("pure", "amplitudes") if pure else ("density", "matrix")
+    return '{\n  "dims": [%s],\n  "kind": "%s",\n  "%s": [\n%s\n  ]\n}\n' % (
+        dims, kind, field, pairs[:-2])
+
+
 def save_state_file(path: str, state: PureState | DensityOperator) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_json(state_to_payload(state)))
-
-
+        fh.write(_state_file_text(state))
 def schema_path() -> Path:
     """Location of the JSON schema every report envelope validates against."""
     return Path(__file__).parent / "schemas" / "report-v1.json"
@@ -392,7 +621,10 @@ def _parse_weights(text) -> tuple[float, float, float]:
         top = max(vals)
         vals = [v / top for v in vals]
         total = sum(vals)
-    return tuple(v / total for v in vals)
+    weights = tuple(v / total for v in vals)
+    if 0.0 in weights:  # positive, but too small beside the largest to normalize
+        raise ValueError(f"--weights {text!r}: a weight underflows to 0 when normalized")
+    return weights
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,13 @@ of the prop2/prop3 mixtures by hand, where the package derives every term
 from one chain rule; the prop2/prop3 run and tree oracles mix them.
 ``loop_svetlichny_value`` is the three-qubit nonlocality functional with its
 eight correlators written out, where the package derives the signs of all
-2**n correlators from one rule.
+2**n correlators from one rule.  ``oracle_load_state_file`` reads a state
+file with ``json.load`` and ``state_from_payload`` alone, where the package
+reads plain-number pair arrays from the file's bytes.
 """
 
 import itertools
+import json
 import math
 import sys
 
@@ -48,6 +51,7 @@ from gmesim.cli import (
     resolve_seed,
     resolve_timestamp,
     run_report_payload,
+    state_from_payload,
 )
 from gmesim.distill import distill_pipeline
 from gmesim.entanglement import (
@@ -401,6 +405,13 @@ def loop_pairs_to_array(pairs, expected: int, what: str) -> np.ndarray:
 def loop_complex_pairs(values) -> list[list[float]]:
     flat = np.asarray(values, dtype=complex).reshape(-1)
     return [[float(v.real), float(v.imag)] for v in flat]
+
+
+def oracle_load_state_file(path):
+    """The state file through ``json.load``, every pair through ``state_from_payload``."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    return state_from_payload(data)
 
 
 # ---------------------------------------------------------------------------

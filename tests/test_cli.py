@@ -411,3 +411,12 @@ def test_weights_whose_plain_sum_overflows_normalize_like_equal_weights(capsys):
     assert main(["prop3", "--weights", "1,1,1", "--no-mc"]) == 0
     assert huge.out == capsys.readouterr().out
     assert huge.err == ""
+
+
+@pytest.mark.parametrize("subcommand", [["prop3", "--no-mc"], ["certify", "--builtin", "prop3"]])
+def test_weights_that_underflow_when_normalized_name_the_underflow(capsys, subcommand):
+    """1e-300 / 1e300 is 0.0 although every weight and the sum are finite and positive."""
+    assert main(subcommand + ["--weights", "1e300,1e-300,1"]) == 2
+    assert capsys.readouterr().err == (
+        "gmesim: error: --weights '1e300,1e-300,1': a weight underflows to 0 when normalized\n"
+    )
