@@ -489,15 +489,16 @@ def schema_path() -> Path:
 
 
 def resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("GME_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"GME_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
+    source = "--seed"
+    if value is None:
+        source, value = "GME_SEED", os.environ.get("GME_SEED", DEFAULT_SEED)
+    try:
+        seed = int(value)
+    except ValueError:
+        raise ValueError(f"{source} must be an integer, got {value!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def resolve_timestamp(value) -> str:

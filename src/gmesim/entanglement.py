@@ -151,9 +151,7 @@ class BipartitionReport:
 
 
 def schmidt(state: PureState, cut: Bipartition) -> SchmidtData:
-    """Schmidt decomposition of a normalized pure state across a cut."""
-    if state.unnormalized:
-        raise ValueError("normalize the state before a Schmidt decomposition")
+    """Schmidt decomposition of a pure state across a cut."""
     if cut.n_parties != state.dims.n:
         raise ValueError("cut does not match the number of parties")
     left = sorted(cut.left)
@@ -290,8 +288,6 @@ def svetlichny_value(state: PureState, settings) -> float:
     n = len(dims)
     if any(d != 2 for d in dims) or not 2 <= n <= 8:
         raise ValueError(f"the functional is defined for 2 to 8 qubits, got dims {dims}")
-    if state.unnormalized:
-        raise ValueError("normalize the state first")
     if len(settings) != 2 * n:
         raise ValueError(f"{2 * n} settings are required for n = {n}, got {len(settings)}")
     names = [PARTY_LETTERS[i // 2] + "'" * (i % 2) for i in range(2 * n)]

@@ -158,6 +158,8 @@ class ProtocolConfig:
             raise ValueError("max_copies must be a positive integer")
         object.__setattr__(self, "max_copies", int(self.max_copies))
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.first_outcome is not None and self.first_outcome not in (0, 1):
             raise ValueError("first_outcome must be 0, 1 or None")
 
@@ -506,8 +508,6 @@ def merge_chain_to_ghz(pairs) -> MergeResult:
     for j, pair in enumerate(pairs):
         if not isinstance(pair, PureState) or pair.dims.dims != (2, 2):
             raise ValueError(f"pair {j} is not a two-qubit pure state")
-        if pair.unnormalized:
-            raise ValueError(f"pair {j} must be normalized")
         st, ab, uv = _schmidt_align_pair(pair)
         aligned.append(st)
         coeffs.append(ab)
@@ -607,8 +607,6 @@ def teleport(
     all four correction branches are computed and checked to agree; an
     explicit ``outcome`` selects a single branch.
     """
-    if state.unnormalized:
-        raise ValueError("normalize the state before teleporting")
     n = state.dims.n
     if not 0 <= input_party < n:
         raise ValueError("input party out of range")

@@ -128,9 +128,6 @@ class PartyDims:
     def total(self) -> int:
         return math.prod(self.dims)
 
-    def letter(self, party: int) -> str:
-        return PARTY_LETTERS[party]
-
 
 def _as_party_dims(dims) -> PartyDims:
     if isinstance(dims, PartyDims):
@@ -140,15 +137,10 @@ def _as_party_dims(dims) -> PartyDims:
 
 @dataclass(frozen=True)
 class PureState:
-    """State vector over ``dims``.
-
-    ``unnormalized=True`` marks intermediate postselected vectors; normalized
-    states must have unit Euclidean norm within ``ATOL``.
-    """
+    """Unit vector over ``dims``: norm 1 within ``ATOL``; ``ket`` normalizes raw amplitudes."""
 
     dims: PartyDims
     amplitudes: np.ndarray
-    unnormalized: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _as_party_dims(self.dims))
@@ -162,7 +154,7 @@ class PureState:
         norm = self.norm()
         if not math.isfinite(norm):  # a NaN or infinite amplitude, or overflow
             _require_finite(amps, f"pure state on dims {self.dims.dims}: amplitude")
-        if not self.unnormalized and abs(norm - 1.0) > ATOL:
+        if abs(norm - 1.0) > ATOL:
             raise ValueError(f"state is not normalized (norm={norm!r})")
 
     def norm(self) -> float:
@@ -173,8 +165,6 @@ class PureState:
         return self.amplitudes.reshape(self.dims.dims)
 
     def density(self) -> DensityOperator:
-        if self.unnormalized:
-            raise ValueError("normalize the state before forming a density operator")
         return DensityOperator(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def overlap(self, other: PureState) -> complex:
@@ -513,7 +503,7 @@ def tensor(left: State, right: State) -> State:
     if isinstance(left, PureState) and isinstance(right, PureState):
         dims = PartyDims(left.dims.dims + right.dims.dims)
         amps = np.kron(left.amplitudes, right.amplitudes)
-        return PureState(dims, amps, unnormalized=left.unnormalized or right.unnormalized)
+        return PureState(dims, amps)
     if isinstance(left, DensityOperator) and isinstance(right, DensityOperator):
         dims = PartyDims(left.dims.dims + right.dims.dims)
         return DensityOperator(dims, np.kron(left.matrix, right.matrix))
@@ -524,9 +514,8 @@ def _mixture_terms(terms) -> tuple[PartyDims, list]:
     """Check the (weight, term) pairs of a convex mixture; return (dims, terms).
 
     Weights must be positive and sum to one within tolerance, and every term
-    is a DensityOperator or a normalized PureState on the same parties.  No
-    check reads an amplitude or a matrix entry: each term was validated when
-    it was built.
+    is a DensityOperator or a PureState on the same parties.  No check reads
+    an amplitude or a matrix entry: each term was validated when it was built.
     """
     terms = list(terms)
     if not terms:
@@ -542,19 +531,16 @@ def _mixture_terms(terms) -> tuple[PartyDims, list]:
     for _, term in terms:
         if term.dims != dims:
             raise ValueError("all mixture terms must share the same party structure")
-        if isinstance(term, PureState) and term.unnormalized:
-            raise ValueError("normalize the state before forming a density operator")
     return dims, terms
 
 
 def mix(terms) -> DensityOperator:
-    """Convex mixture of density operators and normalized pure states.
+    """Convex mixture of density operators and pure states.
 
     ``terms`` is a sequence of (weight, DensityOperator or PureState);
     weights must be positive and sum to one within tolerance.  A pure term
     adds ``w * outer(psi, psi*)`` straight into the sum, so only the mixture
-    itself is validated as a density operator; an unnormalized one is
-    refused as ``PureState.density`` refuses it.
+    itself is validated as a density operator.
     """
     dims, terms = _mixture_terms(terms)
     acc = np.zeros((dims.total, dims.total), dtype=complex)
@@ -683,8 +669,6 @@ def measure(
     probabilities must sum to one within tolerance or an ``InvariantError``
     is raised.
     """
-    if isinstance(state, PureState) and state.unnormalized:
-        raise ValueError("normalize the state before measuring")
     if keep is not None:
         keep = tuple(int(k) for k in keep)
         n = measurement.n_outcomes
@@ -707,7 +691,7 @@ def apply_local_unitary(state: State, unitary, target_parties) -> State:
     targets = (int(t) for t in target_parties)
     if isinstance(state, PureState):
         _, apply = _local_kernel(state.dims, targets, state.amplitudes[None])
-        return PureState(state.dims, apply(u)[0], unnormalized=state.unnormalized)
+        return PureState(state.dims, apply(u)[0])
     _, apply = _local_kernel(state.dims, targets, state.matrix, density=True)
     return DensityOperator(state.dims, apply(u))
 
@@ -753,7 +737,7 @@ def relabel_subspace(state: State, party: int, basis_map: dict, new_dim: int) ->
                     f"population {lost!r} outside the relabeled subspace on party {party}"
                 )
         out = np.moveaxis(np.tensordot(isometry, t, axes=([1], [party])), 0, party)
-        return PureState(new_dims, out.reshape(-1), unnormalized=state.unnormalized)
+        return PureState(new_dims, out.reshape(-1))
 
     t = state.tensor_view()
     if unmapped:
@@ -778,7 +762,7 @@ def permute_parties(state: State, order) -> State:
     new_dims = PartyDims(tuple(state.dims.dims[i] for i in order))
     if isinstance(state, PureState):
         t = state.tensor_view().transpose(order)
-        return PureState(new_dims, t.reshape(-1), unnormalized=state.unnormalized)
+        return PureState(new_dims, t.reshape(-1))
     t = state.tensor_view().transpose(order + [n + i for i in order])
     return DensityOperator(new_dims, t.reshape(new_dims.total, new_dims.total))
 
@@ -810,13 +794,9 @@ def contract_party(state: PureState, party, reference) -> PureState:
 
 def fidelity_pure(rho: State, target: PureState) -> float:
     """Fidelity <target| rho |target> against a pure target state."""
-    if target.unnormalized:
-        raise ValueError("target must be normalized")
     if rho.dims != target.dims:
         raise ValueError("dimension mismatch between state and target")
     if isinstance(rho, PureState):
-        if rho.unnormalized:
-            raise ValueError("normalize the state before computing fidelity")
         return float(abs(np.vdot(target.amplitudes, rho.amplitudes)) ** 2)
     val = float(np.real(np.vdot(target.amplitudes, rho.matrix @ target.amplitudes)))
     return min(max(val, 0.0), 1.0)

@@ -263,8 +263,6 @@ def loop_svetlichny_value(state: PureState, settings) -> float:
     """The three-qubit functional with its eight correlators written out."""
     if state.dims.dims != (2, 2, 2):
         raise ValueError("the functional is defined for three qubits")
-    if state.unnormalized:
-        raise ValueError("normalize the state first")
     if len(settings) != 6:
         raise ValueError("six settings are required: A, A', B, B', C, C'")
     names = ("A", "A'", "B", "B'", "C", "C'")
@@ -670,7 +668,7 @@ def loop_sigma_scan(p_list, n_max: int, shots: int, seed: int) -> list[ScanRow]:
 
 def _canonical_phase(state: PureState) -> PureState:
     amps = _phase_canonical(state.amplitudes)
-    return PureState(state.dims, amps, unnormalized=state.unnormalized)
+    return PureState(state.dims, amps)
 
 
 def loop_merge_chain_to_ghz(pairs) -> MergeResult:
@@ -682,8 +680,6 @@ def loop_merge_chain_to_ghz(pairs) -> MergeResult:
     for j, pair in enumerate(pairs):
         if not isinstance(pair, PureState) or pair.dims.dims != (2, 2):
             raise ValueError(f"pair {j} is not a two-qubit pure state")
-        if pair.unnormalized:
-            raise ValueError(f"pair {j} must be normalized")
         st, ab, uv = _schmidt_align_pair(pair)
         aligned.append(st)
         coeffs.append(ab)

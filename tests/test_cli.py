@@ -355,6 +355,26 @@ def test_zero_p_is_refused_not_replaced_by_the_default(capsys, command, value):
     assert "p must lie strictly inside (0, 1)" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["prop1", "--rounds", "1"],
+    ["prop2", "--no-mc"],
+    ["prop3", "--no-mc"],
+    ["sigma-scan"],
+    ["certify", "--builtin", "ghz3"],
+    ["svetlichny"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("source", ["--seed", "GME_SEED"])
+def test_negative_seed_exits_2_naming_its_source(monkeypatch, capsys, argv, source):
+    if source == "--seed":
+        argv = argv + ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("GME_SEED", "-1")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gmesim: error: {source} must be a non-negative integer, got -1\n"
+
+
 def certify_in_process(capsys, *argv):
     assert main(["certify", *argv]) == 0
     return json.loads(capsys.readouterr().out)

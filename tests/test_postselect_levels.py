@@ -105,7 +105,6 @@ def test_refusals_match_mix_and_the_measurement():
         [(0.5, a), (0.4, b)],  # weights that do not sum to one
         [(0.5, a), (0.5, "b")],
         [(0.5, a), (0.5, PureState(PartyDims((3, 2)), b.amplitudes))],  # mixed dims
-        [(0.5, a), (0.5, PureState(PartyDims((2, 3)), 2 * b.amplitudes, unnormalized=True))],
     ):
         assert error_message(postselect_levels, terms, split, [1]) == error_message(mix, terms)
 

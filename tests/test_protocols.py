@@ -97,6 +97,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(first_outcome=2)
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            ProtocolConfig(seed=-1)
+        assert ProtocolConfig(seed=0).seed == 0
+
     def test_normalize_schmidt(self):
         out = normalize_schmidt((1.0, 1.0, 1.0))
         assert out == pytest.approx((1 / math.sqrt(3),) * 3)

@@ -54,7 +54,6 @@ class TestPartyDims:
         d = PartyDims((2, 3, 2))
         assert d.n == 3
         assert d.total == 12
-        assert d.letter(0) == "A" and d.letter(2) == "C"
 
     def test_rejects_trivial_party(self):
         with pytest.raises(ValueError):
@@ -79,10 +78,12 @@ class TestStates:
             ket([0.0, 0.0], (2,))  # nothing to normalize
 
     def test_pure_state_norm_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="state is not normalized"):
             PureState(PartyDims((2,)), np.array([1.0, 1.0]))
-        st = PureState(PartyDims((2,)), np.array([1.0, 1.0]), unnormalized=True)
-        assert st.unnormalized
+        with pytest.raises(ValueError, match="state is not normalized"):
+            PureState(PartyDims((2, 2)), 2.0 * bell_pair("phi-").amplitudes)
+        with pytest.raises(TypeError):  # no field beyond dims and amplitudes
+            PureState(PartyDims((2,)), np.array([1.0, 1.0]), True)
 
     def test_basis_ket(self):
         st = basis_ket((2, 3), (1, 2))
@@ -141,9 +142,8 @@ class TestStates:
     def test_non_finite_entries_rejected(self, bad):
         amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
         amps[2] = bad
-        for unnormalized in (False, True):
-            with pytest.raises(ValueError, match=r"amplitude entry 2 is .*must be finite"):
-                PureState(PartyDims((2, 2)), amps, unnormalized=unnormalized)
+        with pytest.raises(ValueError, match=r"amplitude entry 2 is .*must be finite"):
+            PureState(PartyDims((2, 2)), amps)
         mat = np.eye(2, dtype=complex) / 2
         mat[0, 1] = mat[1, 0] = bad
         with pytest.raises(ValueError, match=r"dims \(2,\): matrix entry \(0, 1\) is .*must be finite"):
@@ -184,11 +184,8 @@ def test_mix_takes_pure_terms_as_their_densities_bit_for_bit(seed):
     assert mix(terms).matrix.tobytes() == want.matrix.tobytes()
 
 
-def test_mix_refuses_unnormalized_and_wrong_kind_terms():
+def test_mix_refuses_wrong_kind_terms():
     rho = bell_pair("phi+").density()
-    loose = PureState(PartyDims((2, 2)), 2.0 * bell_pair("phi-").amplitudes, unnormalized=True)
-    with pytest.raises(ValueError, match="normalize the state before forming a density operator"):
-        mix([(0.5, rho), (0.5, loose)])
     for wrong in (rho.matrix, bell_pair("phi-").amplitudes, None):
         with pytest.raises(ValueError, match="mix expects DensityOperator or PureState terms"):
             mix([(0.5, wrong), (0.5, rho)])
