@@ -152,6 +152,8 @@ class BipartitionReport:
 
 def schmidt(state: PureState, cut: Bipartition) -> SchmidtData:
     """Schmidt decomposition of a pure state across a cut."""
+    if not isinstance(state, PureState):
+        raise ValueError(f"schmidt operates on pure states, got {type(state).__name__}")
     if cut.n_parties != state.dims.n:
         raise ValueError("cut does not match the number of parties")
     left = sorted(cut.left)
@@ -284,6 +286,8 @@ def svetlichny_value(state: PureState, settings) -> float:
     about x8 per qubit, so n outside 2..8 is refused before any operator is
     formed.
     """
+    if not isinstance(state, PureState):
+        raise ValueError(f"svetlichny_value operates on pure states, got {type(state).__name__}")
     dims = state.dims.dims
     n = len(dims)
     if any(d != 2 for d in dims) or not 2 <= n <= 8:

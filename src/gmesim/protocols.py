@@ -101,6 +101,14 @@ def _finite(values, what: str) -> tuple[float, ...]:
     return vals
 
 
+def _seed(value) -> int:
+    """``value`` as a seed for NumPy's generators; a negative one is a ValueError."""
+    seed = int(value)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def normalize_schmidt(coeffs) -> tuple[float, ...]:
     """Rescale positive coefficients so their squares sum to one."""
     vals = _finite(coeffs, "Schmidt coefficients")
@@ -157,9 +165,7 @@ class ProtocolConfig:
         if int(self.max_copies) < 1:
             raise ValueError("max_copies must be a positive integer")
         object.__setattr__(self, "max_copies", int(self.max_copies))
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.first_outcome is not None and self.first_outcome not in (0, 1):
             raise ValueError("first_outcome must be 0, 1 or None")
 
@@ -1060,11 +1066,31 @@ _TREES = {
 }
 
 
+def _count_below(draws: np.ndarray, thresholds) -> list[int]:
+    """How many ``draws`` lie below each of the nondecreasing ``thresholds``.
+
+    One comparison pass per new threshold value, and none once every draw is
+    counted; no per-draw outcome is ever formed.
+    """
+    below = np.empty(draws.shape, dtype=bool)
+    counts, count, last = [], 0, None
+    for t in thresholds:
+        if t != last and count < draws.size:
+            count = int(np.count_nonzero(np.less(draws, t, out=below)))
+            last = t
+        counts.append(count)
+    return counts
+
+
 def sample_leaves(protocol: str, leaves, shots: int, seed: int) -> MonteCarloSummary:
     """Draw ``shots`` seeded samples from an exact branch tree and summarize.
 
     ``leaves`` lists (label, probability, success, copies consumed) tuples,
     as ``chain_leaves`` returns them; the probabilities must sum to one.
+    The counts are those of ``rng.choice(len(leaves), shots, p=...)`` bit for
+    bit: that draw inverts the normalized cumulative sum ``cdf`` at one
+    uniform per shot, so a shot lands at leaf k or before exactly when its
+    uniform lies below ``cdf[k]``.
     """
     if shots < 1:
         raise ValueError("shots must be a positive integer")
@@ -1075,9 +1101,16 @@ def sample_leaves(protocol: str, leaves, shots: int, seed: int) -> MonteCarloSum
             f"sampling the {protocol} tree: {len(leaves)} leaf probabilities sum to "
             f"{float(total)!r}, residual {total - 1.0:.3e} exceeds {ATOL:g}"
         )
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(len(leaves), size=shots, p=probs / total)
-    counts = np.bincount(draws, minlength=len(leaves))
+    bad = np.flatnonzero(~(probs >= 0.0))  # NaN passes the sum check above
+    if bad.size:
+        raise ValueError(
+            f"sampling the {protocol} tree: leaf {bad[0]} has probability "
+            f"{float(probs[bad[0]])!r}"
+        )
+    rng = np.random.default_rng(_seed(seed))
+    cdf = (probs / total).cumsum()
+    cdf /= cdf[-1]
+    counts = np.diff(_count_below(rng.random(shots), cdf), prepend=0)
     stats = tuple(
         BranchStat(label, float(prob), float(c) / shots, success, copies)
         for (label, prob, success, copies), c in zip(leaves, counts)
@@ -1126,6 +1159,39 @@ class ScanRow:
         return abs(self.analytic - self.empirical)
 
 
+#: ``Generator.geometric`` searches running sums from this rate up and
+#: inverts one exponential draw below it (NumPy's own constant).
+_GEOMETRIC_SEARCH_MIN_RATE = 0.333333333333333333333333
+
+
+def _repeat_arrivals(rng: np.random.Generator, rate: float, n_max: int, shots: int) -> list[int]:
+    """How many of ``shots`` repeat trials at ``rate`` succeed within n copies, n = 0..n_max.
+
+    The counts are those of ``rng.geometric(rate, shots)`` bit for bit, read
+    off the draws NumPy turns into trial numbers.  From
+    ``_GEOMETRIC_SEARCH_MIN_RATE`` up a trial takes one uniform u and ends at
+    the first n whose running sum p + pq + ... (summed in NumPy's order)
+    reaches u; below it a trial ends at ceil(E / -log1p(-p)) for one standard
+    exponential E, so within n copies exactly when E / -log1p(-p) <= n.
+    """
+    if rate >= _GEOMETRIC_SEARCH_MIN_RATE:
+        draws = rng.random(shots)
+        limits = [-math.inf]  # no trial ends at copy 0
+        reach = term = rate
+        q = 1.0 - rate
+        for _ in range(n_max):
+            limits.append(reach)
+            term *= q
+            reach += term
+    else:
+        draws = rng.standard_exponential(shots)
+        with np.errstate(over="ignore"):  # E / -log1p(-p) is +inf for a subnormal p
+            draws /= -math.log1p(-rate)
+        limits = range(n_max + 1)
+    # a draw is at most limits[n] exactly when it lies below the next double up
+    return _count_below(draws, np.nextafter(np.array(limits, dtype=float), np.inf))
+
+
 def sigma_scan(p_list, n_max: int, shots: int, seed: int) -> list[ScanRow]:
     """Empirical versus analytic success law of the adaptive repeat phase.
 
@@ -1141,18 +1207,18 @@ def sigma_scan(p_list, n_max: int, shots: int, seed: int) -> list[ScanRow]:
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max cannot be negative")
-    if int(shots) < 1:
+    shots = int(shots)
+    if shots < 1:
         raise ValueError("shots must be a positive integer")
-    children = np.random.SeedSequence(int(seed)).spawn(len(p_list))
+    children = np.random.SeedSequence(_seed(seed)).spawn(len(p_list))
     rows = []
     for p, child in zip(p_list, children):
         rho = build_sigma(p)
         rate = measure(rho, level_group_measurement(2, 3, _SIGMA_SPLIT))[0].probability
-        rng = np.random.default_rng(child)
-        trials = rng.geometric(rate, size=int(shots))
-        # arrivals[n]: trials that succeed within n repeat copies (none at n=0)
-        arrivals = np.cumsum(np.bincount(np.minimum(trials, n_max + 1), minlength=n_max + 2))
+        if not 0.0 < rate <= 1.0:
+            raise ValueError(f"p={p!r} gives a per-copy rate {rate!r} outside (0, 1]")
+        arrivals = _repeat_arrivals(np.random.default_rng(child), rate, n_max, shots)
         for n in range(n_max + 1):
-            empirical = float(arrivals[n]) / len(trials)
+            empirical = float(arrivals[n]) / shots
             rows.append(ScanRow(p, n, analytic_Pn(p, n), empirical))
     return rows

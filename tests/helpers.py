@@ -22,7 +22,10 @@ from one chain rule; the prop2/prop3 run and tree oracles mix them.
 eight correlators written out, where the package derives the signs of all
 2**n correlators from one rule.  ``oracle_load_state_file`` reads a state
 file with ``json.load`` and ``state_from_payload`` alone, where the package
-reads plain-number pair arrays from the file's bytes.
+reads plain-number pair arrays from the file's bytes.  ``loop_sample_leaves``
+and ``loop_sigma_scan`` draw every shot's outcome with NumPy's own
+``Generator.choice`` and ``Generator.geometric``, where the package counts
+the underlying uniform or exponential draws against cumulative thresholds.
 """
 
 import itertools
@@ -70,8 +73,10 @@ from gmesim.protocols import (
     _Z,
     PARITY_ANTI,
     PARITY_CORRELATED,
+    BranchStat,
     MergeBranch,
     MergeResult,
+    MonteCarloSummary,
     ProtocolConfig,
     ProtocolReport,
     ScanRow,
@@ -664,6 +669,30 @@ def loop_sigma_scan(p_list, n_max: int, shots: int, seed: int) -> list[ScanRow]:
             empirical = 0.0 if n == 0 else float(np.mean(trials <= n))
             rows.append(ScanRow(p, n, analytic_Pn(p, n), empirical))
     return rows
+
+
+def loop_sample_leaves(protocol: str, leaves, shots: int, seed: int) -> MonteCarloSummary:
+    """``sample_leaves`` with one ``rng.choice`` outcome per shot, tallied by ``bincount``."""
+    if shots < 1:
+        raise ValueError("shots must be a positive integer")
+    probs = np.array([p for _, p, _, _ in leaves], dtype=float)
+    total = probs.sum()
+    if abs(total - 1.0) > ATOL:
+        raise InvariantError(
+            f"sampling the {protocol} tree: {len(leaves)} leaf probabilities sum to "
+            f"{float(total)!r}, residual {total - 1.0:.3e} exceeds {ATOL:g}"
+        )
+    rng = np.random.default_rng(seed)
+    draws = rng.choice(len(leaves), size=shots, p=probs / total)
+    counts = np.bincount(draws, minlength=len(leaves))
+    stats = tuple(
+        BranchStat(label, float(prob), float(c) / shots, success, copies)
+        for (label, prob, success, copies), c in zip(leaves, counts)
+    )
+    success_rate = float(sum(s.frequency for s in stats if s.success))
+    exact = float(sum(s.probability for s in stats if s.success))
+    mean_copies = float(sum(s.frequency * s.copies for s in stats))
+    return MonteCarloSummary(protocol, shots, seed, stats, success_rate, exact, mean_copies)
 
 
 def _canonical_phase(state: PureState) -> PureState:

@@ -95,6 +95,11 @@ class TestSchmidt:
         data = schmidt(st, Bipartition(frozenset({0}), 2))
         np.testing.assert_allclose(data.coefficients, [0.8, 0.6], atol=1e-12)
 
+    def test_rejects_a_density_operator_by_name(self):
+        with pytest.raises(ValueError, match=r"^schmidt operates on pure states, "
+                                             r"got DensityOperator$"):
+            schmidt(ghz_state(3).density(), Bipartition(frozenset({0}), 3))
+
 
 class TestNegativity:
     def test_partial_transpose_matches_loop_oracle(self):
@@ -302,6 +307,11 @@ class TestSvetlichny:
     def test_rejects_wrong_party_count(self):
         with pytest.raises(ValueError):
             svetlichny_value(ghz_state(4), ghz_optimal_settings())
+
+    def test_rejects_a_density_operator_by_name(self):
+        with pytest.raises(ValueError, match=r"^svetlichny_value operates on pure states, "
+                                             r"got DensityOperator$"):
+            svetlichny_value(ghz_state(3).density(), ghz_optimal_settings())
 
     def test_rejects_bad_settings(self):
         settings = list(ghz_optimal_settings())
