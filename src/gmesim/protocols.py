@@ -92,6 +92,11 @@ _MINUS = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 PARITY_CORRELATED = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
 PARITY_ANTI = np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex)
 
+#: The merge's parity and |+>/|-> measurements, checked once; each fusion step
+#: places their projectors on its own qubits.
+_PARITY = ProjectiveMeasurement((0, 1), (PARITY_CORRELATED, PARITY_ANTI))
+_READOUT = ProjectiveMeasurement((0,), tuple(np.outer(v, v.conj()) for v in (_PLUS, _MINUS)))
+
 
 def _finite(values, what: str) -> tuple[float, ...]:
     """``values`` as floats; a NaN or infinite entry is a ValueError naming ``what``."""
@@ -464,16 +469,16 @@ def _schmidt_align_pair(pair: PureState) -> tuple[PureState, tuple[float, float]
     return aligned, (a, b), (u.conj().T, vh.conj())
 
 
-def _measure_rows(dims: PartyDims, records, rows: np.ndarray, measurement):
+def _measure_rows(dims: PartyDims, records, rows: np.ndarray, targets, projectors):
     """``measure`` on each row of a merge stage, beside its (pattern, probability).
 
     Returns the live children, parent-major and outcome-minor, and their
     renormalized rows, with ``measure``'s arithmetic, clipping, pruning and
     probability-sum check per row.
     """
-    targets = measurement.target_parties
-    _, apply = _local_kernel(dims, targets, rows)
-    subs = [apply(p) for p in measurement.projectors]
+    apply = _local_kernel(dims, targets, rows)[1]
+    subs = [apply(p) for p in projectors]
+    del apply  # frees the kernel's transposed copy of the rows
     children, picked, norms = [], [], []
     for b, (pattern, prob) in enumerate(records):
         raw = [float(np.real(np.vdot(sub[b], sub[b]))) for sub in subs]
@@ -482,9 +487,12 @@ def _measure_rows(dims: PartyDims, records, rows: np.ndarray, measurement):
         for k, (r, c) in enumerate(zip(raw, clipped)):
             if r > PRUNE_ATOL:
                 children.append((pattern + (k,), prob * c))
-                picked.append(subs[k][b])
+                picked.append((k, b))
                 norms.append(math.sqrt(r))
-    out = np.array(picked)
+    out = np.empty((len(picked), dims.total), dtype=complex)
+    for i, (k, b) in enumerate(picked):
+        out[i] = subs[k][b]
+    del subs
     out /= np.array(norms)[:, None]
     _require_unit_rows(out, dims)
     return children, out
@@ -501,11 +509,18 @@ def merge_chain_to_ghz(pairs) -> MergeResult:
     corrections leave each branch as alpha|0...0> + beta|1...1>.  For pairs
     with equal coefficients every branch lands on the uniform GHZ state.
 
-    The live branches of a stage are the rows of one ``(B, 4**m)`` array and
-    each step is one axis-local kernel call on it: the parity stages on all
-    parity branches, then each parity branch's 2**(m-1) sign branches as one
-    block.  Each row gets the arithmetic of separate ``measure``,
+    The pairs are fused one at a time into one stack of rows, the live
+    branches so far: pair j is tensored onto every row, party j measures the
+    parity of its qubits j and j+1 and reads qubit j out, and that qubit is
+    contracted away, so the 4**m joint vector is never formed.  The X and Z
+    corrections follow, one kernel call per corrected party on the rows that
+    need it.  Each row gets the arithmetic of separate ``measure``,
     ``contract_party`` and ``apply_local_unitary`` calls, norm checks included.
+    The branches are sorted from fusion order (parity 1, sign 1, parity 2,
+    ...) back to parity-major order, so branch indices, and the branch a
+    sampled run draws, are those of a merge over the joint vector.  For m = 2
+    each row sees the same calls on the same four-qubit rows as there, so the
+    result is bit for bit the same; from m = 3 on sums run in another order.
     """
     pairs = list(pairs)
     if len(pairs) < 2:
@@ -520,70 +535,52 @@ def merge_chain_to_ghz(pairs) -> MergeResult:
         alignments.append(uv)
 
     m = len(pairs)
-    joint = aligned[0]
-    for st in aligned[1:]:
-        joint = tensor(joint, st)
-    dims = joint.dims
-    parity_meas = [
-        ProjectiveMeasurement((2 * i - 1, 2 * i), (PARITY_CORRELATED, PARITY_ANTI))
-        for i in range(1, m)
-    ]
-    readout = (np.outer(_PLUS, _PLUS.conj()), np.outer(_MINUS, _MINUS.conj()))
-    sign_meas = [ProjectiveMeasurement((2 * i - 1,), readout) for i in range(1, m)]
+    # the joint 2m-qubit space is never formed, but its cap still bounds the
+    # output: 4**(m-1) branches of 2**(m+1) amplitudes
+    PartyDims((2,) * (2 * m))
     _require_unitary(_X)
     _require_unitary(_Z)
 
-    # stage 1: parity measurements at every internal party, on the whole stack
-    parity, rows = [((), 1.0)], joint.amplitudes[None]
-    for meas in parity_meas:
-        parity, rows = _measure_rows(dims, parity, rows, meas)
+    records, rows = [((), 1.0)], aligned[0].amplitudes[None]
+    for j in range(1, m):
+        dims = PartyDims((2,) * (j + 3))
+        rows = (rows[:, :, None] * aligned[j].amplitudes).reshape(len(rows), dims.total)
+        _require_unit_rows(rows, dims)
+        records, rows = _measure_rows(dims, records, rows, (j, j + 1), _PARITY.projectors)
+        records, rows = _measure_rows(dims, records, rows, (j,), _READOUT.projectors)
+        front = _local_kernel(dims, (j,), rows)[0]
+        refs = np.where([[pattern[-1]] for pattern, _ in records], _MINUS.conj(), _PLUS.conj())
+        rows = np.matmul(refs[:, None], front)[:, 0]
+        del front
+        weights = np.array([float(np.linalg.norm(r)) for r in rows])
+        if np.any(weights <= PRUNE_ATOL):
+            raise ValueError("state has (almost) no overlap with the reference vector")
+        rows /= weights[:, None]
+        dims = PartyDims((2,) * (j + 2))
+        _require_unit_rows(rows, dims)
 
-    branches = []
-    for (parity_pattern, parity_prob), row in zip(parity, rows):
-        # stage 2: |+>/|-> readout of each internal party's first qubit
-        signs, block = [((), parity_prob)], row[None]
-        for meas in sign_meas:
-            signs, block = _measure_rows(dims, signs, block, meas)
-        minus = np.array([pattern for pattern, _ in signs], dtype=bool)
+    # the parity prefix decides which parties need a bit flip, the sign count Z@0
+    patterns = [pattern for pattern, _ in records]
+    flips = np.cumsum([pattern[0::2] for pattern in patterns], axis=1) % 2 == 1
+    odd = np.array([sum(pattern[1::2]) % 2 == 1 for pattern in patterns])
+    fixes = [(flips[:, min(t, m - 1) - 1], t, _X, f"X@{t}") for t in range(1, m + 1)]
+    fixes.append((odd, 0, _Z, "Z@0"))
+    for mask, t, pauli, _ in fixes:
+        if mask.any():
+            rows[mask] = _local_kernel(dims, (t,), rows[mask])[1](pauli)
+            _require_unit_rows(rows[mask], dims)
 
-        # drop the measured qubits (descending axis order keeps indices valid)
-        block_dims = dims
-        for i in range(m - 1, 0, -1):
-            front, _ = _local_kernel(block_dims, (2 * i - 1,), block)
-            refs = np.where(minus[:, i - 1, None], _MINUS.conj(), _PLUS.conj())
-            block = np.matmul(refs[:, None], front)[:, 0]
-            weights = np.array([float(np.linalg.norm(r)) for r in block])
-            if np.any(weights <= PRUNE_ATOL):
-                raise ValueError("state has (almost) no overlap with the reference vector")
-            block /= weights[:, None]
-            block_dims = PartyDims(block_dims.dims[: 2 * i - 1] + block_dims.dims[2 * i :])
-            _require_unit_rows(block, block_dims)
-
-        # parity prefix decides which parties need a bit flip
-        flips = [0]
-        for o in parity_pattern:
-            flips.append(flips[-1] ^ o)
-        corrections = []
-        for t in range(1, m + 1):
-            if flips[min(t, m - 1)]:
-                block = _local_kernel(block_dims, (t,), block)[1](_X)
-                _require_unit_rows(block, block_dims)
-                corrections.append(f"X@{t}")
-        odd = minus.sum(axis=1) % 2 == 1
-        if odd.any():
-            block[odd] = _local_kernel(block_dims, (0,), block[odd])[1](_Z)
-            _require_unit_rows(block[odd], block_dims)
-        for (sign_pattern, prob), amps, z in zip(signs, block, odd):
-            branches.append(
-                MergeBranch(
-                    parity_pattern,
-                    sign_pattern,
-                    prob,
-                    PureState(block_dims, _phase_canonical(amps)),
-                    tuple(corrections) + (("Z@0",) if z else ()),
-                )
-            )
-
+    order = sorted(range(len(records)), key=lambda b: (patterns[b][0::2], patterns[b][1::2]))
+    branches = [
+        MergeBranch(
+            patterns[b][0::2],
+            patterns[b][1::2],
+            records[b][1],
+            PureState(dims, _phase_canonical(rows[b])),
+            tuple(name for mask, _, _, name in fixes if mask[b]),
+        )
+        for b in order
+    ]
     total = sum(b.probability for b in branches)
     if abs(total - 1.0) > ATOL:
         raise InvariantError(
