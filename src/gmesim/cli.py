@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -161,43 +162,8 @@ def state_to_payload(state: PureState | DensityOperator) -> dict:
     return {"dims": dims, "kind": "density", "matrix": _complex_pairs(state.matrix)}
 
 
-#: Pairs per NumPy conversion.  NumPy keeps 32 bytes per nested list until a
-#: conversion ends (2 MiB for a 256-dim density at once), and that memory
-#: stays resident afterwards.
-_PAIR_CHUNK = 1024
-
-
-def _pairs_to_array(pairs, expected: int, what: str) -> np.ndarray:
-    """Read ``expected`` [re, im] pairs as ``float()`` reads each part.
-
-    NumPy converts a valid list.  Anything it refuses, a wrong shape or a
-    non-finite entry goes to the per-pair loop, which yields the same values
-    and raises the message that names the failing pair.
-    """
-    values = _finite_pairs(pairs, expected)
-    if values is None:
-        return _pairs_loop(pairs, expected, what)
-    return values.view(complex).reshape(expected)
-
-
-def _finite_pairs(pairs, expected: int) -> np.ndarray | None:
-    """``pairs`` as (expected, 2) finite floats, or None where NumPy cannot."""
-    if not isinstance(pairs, list) or len(pairs) != expected:
-        return None
-    values = np.empty((expected, 2))
-    for start in range(0, expected, _PAIR_CHUNK):
-        stop = min(start + _PAIR_CHUNK, expected)
-        try:
-            chunk = np.asarray(pairs[start:stop], dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            return None
-        if chunk.shape != (stop - start, 2) or not np.isfinite(chunk).all():
-            return None
-        values[start:stop] = chunk
-    return values
-
-
 def _pairs_loop(pairs, expected: int, what: str) -> np.ndarray:
+    """``expected`` [re, im] pairs as ``float()`` reads each part; an error names the pair."""
     if not isinstance(pairs, list) or len(pairs) != expected:
         raise ValueError(f"{what} must be a list of {expected} [re, im] pairs")
     out = np.empty(expected, dtype=complex)
@@ -248,21 +214,20 @@ def _state_from_values(dims: PartyDims, field: str, values: np.ndarray):
 def state_from_payload(data: dict) -> PureState | DensityOperator:
     """Build the state a decoded JSON state file describes."""
     dims, field = _payload_fields(data)
-    values = _pairs_to_array(data[field], _pair_count(dims, field), field)
+    values = _pairs_loop(data[field], _pair_count(dims, field), field)
     return _state_from_values(dims, field, values)
 
 
-# A state file whose pair array is the last member of its object and holds
-# only JSON numbers is read from its bytes: the array is checked and converted
-# by a few vectorized passes, and ``json`` decodes the rest of the file with
-# the array cut out.  Anything else goes to ``json.load``.
-
-_JSON_SPACE = b" \t\n\r"
+# A state file whose pair array is a member of its top-level object, in any
+# place, and holds only JSON numbers is read from its bytes: the array is
+# checked and converted by a few vectorized passes, and ``json`` decodes the
+# rest of the file with the array cut out.  Anything else goes to
+# ``json.load`` and ``state_from_payload``.
 
 #: Byte classes inside a pair array; 0 marks a byte that has no place there.
 _SPACE, _OPEN, _COMMA, _CLOSE, _ZERO, _DIGIT, _MINUS, _PLUS, _DOT, _EXP = range(1, 11)
 _NUMBER = (_ZERO, _DIGIT, _MINUS, _PLUS, _DOT, _EXP)
-_CLASS_BYTES = {_SPACE: _JSON_SPACE, _OPEN: b"[", _COMMA: b",", _CLOSE: b"]", _ZERO: b"0",
+_CLASS_BYTES = {_SPACE: b" \t\n\r", _OPEN: b"[", _COMMA: b",", _CLOSE: b"]", _ZERO: b"0",
                 _DIGIT: b"123456789", _MINUS: b"-", _PLUS: b"+", _DOT: b".", _EXP: b"eE"}
 _BYTE_CLASS = bytes(
     next((c for c, chars in _CLASS_BYTES.items() if byte in chars), 0) for byte in range(256)
@@ -323,31 +288,29 @@ _IS_END = bytes(int(event in _ENDS) for event in range(256))
 #: No double needs more; JSON would also refuse integers of thousands of digits.
 _MAX_TOKEN = 64
 
+#: A pair key, its colon and the opening bracket of its array.
+_PAIR_KEY = re.compile(rb'("amplitudes"|"matrix")[ \t\n\r]*:[ \t\n\r]*\[')
+
 
 def _split_pair_array(raw: bytes) -> tuple[bytes, str, bytearray] | None:
     """The file with its pair array cut out, the array's key and the array.
 
-    The array must be the last member of the object, under a key spelled
-    once and without escapes before it.
+    The array opens at the first pair key and ends at the last ']' before the
+    next '"': any member after it starts with a quote.  The rest of the file
+    must spell the key once and hold no escape, so that key is the one
+    ``json`` sees wherever it sits.
     """
-    end = len(raw)
-    for closing in b"}]":
-        while end and raw[end - 1] in _JSON_SPACE:
-            end -= 1
-        if not end or raw[end - 1] != closing:
-            return None
-        end -= 1
-    end += 1  # keep the array's ']'
-    colon = raw.rfind(b":", 0, end)
-    head = raw[: colon + 1]
-    key = head[:-1].rstrip(_JSON_SPACE)
-    field = next((f for f in ("amplitudes", "matrix") if key.endswith(b'"%s"' % f.encode())), None)
-    if field is None or b"\\" in head or head.count(b'"%s"' % field.encode()) != 1:
+    match = _PAIR_KEY.search(raw)
+    if match is None:
         return None
-    start = colon + 1
-    while raw[start] in _JSON_SPACE:
-        start += 1
-    return head + b" []" + raw[end:], field, bytearray(memoryview(raw)[start:end])
+    start = match.end() - 1
+    quote = raw.find(b'"', start)
+    end = raw.rfind(b"]", start, len(raw) if quote < 0 else quote) + 1
+    rest = raw[:start] + b"[]" + raw[end:]
+    key = match.group(1)
+    if not end or b"\\" in rest or rest.count(key) != 1:
+        return None
+    return rest, key[1:-1].decode(), bytearray(memoryview(raw)[start:end])
 
 
 def _positions(flags: bytearray) -> np.ndarray:
@@ -427,21 +390,25 @@ def _token_values(region: bytearray, starts, ends, zero, negative) -> np.ndarray
 def _read_pairs(path: str) -> tuple[PartyDims, str, np.ndarray] | None:
     """The dims, pair field and values of a file of plain-number pairs.
 
-    None sends the file to ``json.load``.
+    The pair array must be a member of the top-level object.  None sends the
+    file to ``json.load``, which also gives a nested array its own messages.
     """
     with open(path, "rb") as fh:
         split = _split_pair_array(fh.read())
     if split is None:
         return None
-    head, field, region = split
+    rest, field, region = split
     tokens = _scan_pair_array(region)
     if tokens is None:
         return None
     try:
-        data = json.loads(head.decode("utf-8"))
+        data = json.loads(rest.decode("utf-8"))
     except (ValueError, RecursionError):
         return None
-    # the whole file is valid JSON now, so a dims or kind error is the one json.load gives
+    if not isinstance(data, dict) or field not in data:
+        return None
+    # the whole file is valid JSON with the array at top level, so a dims or
+    # kind error is the one json.load gives
     dims, wanted = _payload_fields(data)
     n, *bounds = tokens
     if wanted != field or n != _pair_count(dims, field):

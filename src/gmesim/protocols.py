@@ -824,6 +824,9 @@ def replay_chain(
     rng = np.random.default_rng(config.seed) if rng is None else rng
     steps: list[StepRecord] = []
     for k, (parties, _) in enumerate(family.copies):
+        # a forced acceptance would record a probability that may have underflowed to 0
+        if postselect_success and chain.pairs[k] is None:
+            raise _pruned(chain, k + 1)
         for party, probs in zip(parties, chain.steps[k]):
             top = len(probs) - 1
             idx = top if postselect_success else _sample_index(rng, probs)
@@ -938,46 +941,33 @@ def run_sigma_adaptive(
     rng = np.random.default_rng(config.seed) if rng is None else rng
     steps: list[StepRecord] = []
 
-    first = config.first_outcome
-    if first is None:
-        first = _sample_index(rng, [out.probability for out in outs_a])
-    elif outs_a[first].probability <= 0.0:
+    f = config.first_outcome
+    if f is None:
+        f = _sample_index(rng, [out.probability for out in outs_a])
+    elif outs_a[f].probability <= 0.0:
         raise ValueError("the conditioned first outcome has zero probability")
     steps.append(
-        StepRecord(1, "A", "split {levels 0,1} vs {flag level 2} on A", first,
-                   outs_a[first].probability, True)
+        StepRecord(1, "A", "split {levels 0,1} vs {flag level 2} on A", f,
+                   outs_a[f].probability, True)
     )
-    if first == 0:
-        pair_first = _qubit_pair(partial_trace(outs_a[0].post_state, {2}), _SIGMA_LEVELS)
-        repeat_accept = 0  # C keeps the branch where B-C hold the pair
-    else:
-        pair_first = _qubit_pair(partial_trace(outs_a[1].post_state, {0}), _SIGMA_LEVELS)
-        repeat_accept = 1
-
+    # A's outcome f leaves A-B (f = 0) or B-C (f = 1) holding a pair, and C
+    # keeps its own outcome f, the branch holding the other pair
+    pair_first = _qubit_pair(partial_trace(outs_a[f].post_state, {2 - 2 * f}), _SIGMA_LEVELS)
     rates = [out.probability for out in outs_c]
-    rate = rates[repeat_accept]
-    analytic = 1.0 - (1.0 - rate) ** (config.max_copies - 1)
-
-    pair_second = None
-    copies = 1
-    for _ in range(config.max_copies - 1):
-        copies += 1
+    analytic = 1.0 - (1.0 - rates[f]) ** (config.max_copies - 1)
+    for copies in range(2, config.max_copies + 1):
         idx = _sample_index(rng, rates)
-        accepted = idx == repeat_accept
         steps.append(
             StepRecord(copies, "C", "split {levels 0,1} vs {flag level 2} on C", idx,
-                       outs_c[idx].probability, accepted)
+                       outs_c[idx].probability, idx == f)
         )
-        if accepted:
-            traced = 0 if repeat_accept == 0 else 2
-            pair_second = _qubit_pair(partial_trace(outs_c[idx].post_state, {traced}),
-                                      _SIGMA_LEVELS)
+        if idx == f:
             break
-    if pair_second is None:
-        return ProtocolReport("sigma", config, tuple(steps), copies, False, analytic)
+    else:
+        return ProtocolReport("sigma", config, tuple(steps), config.max_copies, False, analytic)
 
-    pair_ab = pair_first if first == 0 else pair_second
-    pair_bc = pair_second if first == 0 else pair_first
+    pairs = (pair_first, _qubit_pair(partial_trace(outs_c[f].post_state, {2 * f}), _SIGMA_LEVELS))
+    pair_ab, pair_bc = pairs if f == 0 else pairs[::-1]
     if maximal:
         local = ghz_state(3)
         final = distribute_via_teleportation(
@@ -1045,7 +1035,7 @@ def _sigma_tree(config: ProtocolConfig):
     leaves = []
     for f in firsts:
         pf = outs_a[f].probability / total_first
-        q = outs_c[0].probability if f == 0 else outs_c[1].probability
+        q = outs_c[f].probability
         name = "AB-first" if f == 0 else "BC-first"
         for k in range(1, repeats + 1):
             leaves.append(

@@ -440,3 +440,18 @@ def test_weights_that_underflow_when_normalized_name_the_underflow(capsys, subco
     assert capsys.readouterr().err == (
         "gmesim: error: --weights '1e300,1e-300,1': a weight underflows to 0 when normalized\n"
     )
+
+
+@pytest.mark.parametrize("mc", [[], ["--no-mc"]], ids=["mc", "no-mc"])
+@pytest.mark.parametrize("tiny", ["1e-9", "1e-170"])
+@pytest.mark.parametrize("protocol, schmidt", [("prop2", "1,{0},{0}"), ("prop3", "1,1,{0},{0}")],
+                         ids=["prop2", "prop3"])
+def test_a_postselected_chain_names_its_pruned_copy(capsys, protocol, schmidt, tiny, mc):
+    """At 1e-170 the accepting probability underflows to 0.0; the message is the prune's."""
+    assert main([protocol, "--schmidt", schmidt.format(tiny), *mc]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"gmesim: error: {protocol}: an accepting branch of copy 1 has probability at or "
+        "below 1e-12, so the copy leaves no pair\n"
+    )

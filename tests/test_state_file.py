@@ -1,16 +1,15 @@
 """The state-file boundary of ``gmesim.cli``: parsing, refusals, round trips.
 
-``_pairs_to_array`` converts a valid list with NumPy, chunk by chunk, and
-falls back to a per-pair loop only to reject.  The properties compare both directions
-with the per-item oracles in ``tests/helpers.py`` by their bytes, over every
-JSON value ``float()`` accepts: numbers of any size and sign, numeric
-strings and booleans.
+A file the byte reader refuses is decoded by ``json`` and its pairs are
+converted by ``_pairs_loop``, one pair at a time, as ``float()`` reads each
+part: numbers of any size and sign, numeric strings and booleans.  Values
+are compared with the per-item oracles in ``tests/helpers.py`` by their
+bytes; every refusal names the failing pair, value or field.
 """
 
 import json
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,30 +26,7 @@ PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.1e-308, -2.2250738585072014e-308,
                1.7e308, -1.7e308, 1.7976931348623157e308]
-NUMERIC_STRINGS = ["1_000", " 0.5 ", "-0", "\t2.5e-3\n", "+.5", "5.", "1e-320",
-                   "1e500", "-inf", "nan", "١٢"]
-
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
-json_numbers = (
-    st.floats()
-    | st.sampled_from(EDGE_FLOATS)
-    | st.integers(-(2**1023), 2**1023)
-    | st.booleans()
-    | st.floats().map(repr)
-    | st.integers(-(2**80), 2**80).map(str)
-    | st.sampled_from(NUMERIC_STRINGS)
-)
-
-
-@PROPERTY
-@given(pairs=st.lists(st.lists(json_numbers, min_size=2, max_size=2), min_size=1, max_size=24))
-def test_parse_equals_the_per_item_loop(pairs):
-    want = loop_pairs_to_array(pairs, len(pairs), "matrix")
-    for chunk in (1, 5, cli._PAIR_CHUNK):
-        with mock.patch.object(cli, "_PAIR_CHUNK", chunk):
-            got = cli._pairs_to_array(pairs, len(pairs), "matrix")
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
 
 
 @PROPERTY
@@ -90,15 +66,27 @@ def test_256_dim_density_round_trips_bit_for_bit(tmp_path):
 
 
 def test_parse_allocates_little_beyond_its_result():
-    """A whole-list conversion would hold 2 MiB more for 65,536 pairs."""
+    """A whole-list NumPy conversion would hold 2 MiB more for 65,536 pairs."""
     pairs = cli.state_to_payload(_prop3_density())["matrix"]
     tracemalloc.start()
     try:
-        cli._pairs_to_array(pairs, len(pairs), "matrix")
+        cli._pairs_loop(pairs, len(pairs), "matrix")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * 2**20  # the 1 MiB result, one chunk and small change
+    assert peak < 1.25 * 2**20  # the 1 MiB result and small change
+
+
+@pytest.mark.parametrize("pairs", [
+    [[" 0.6 ", False], ["0", "-0"], [0, "0_0"], [False, "8e-1"]],
+    [[True, "0"], [False, " -0.0\n"]],
+])
+def test_numeric_strings_and_booleans_read_as_float_reads_them(tmp_path, pairs):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dims": [len(pairs)], "kind": "pure", "amplitudes": pairs}),
+                    encoding="utf-8")
+    got = cli.load_state_file(str(path)).amplitudes
+    assert got.tobytes() == loop_pairs_to_array(pairs, len(pairs), "amplitudes").tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +194,7 @@ def test_missing_dims_names_the_field(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the per-pair loop runs only on the failure path
+# the per-pair loop runs only on files the byte reader refuses
 
 
 @pytest.fixture

@@ -1,9 +1,9 @@
 """State files read from their bytes, and written in one formatting pass.
 
-``cli.load_state_file`` reads a file whose pair array is the last member of
-its object and holds only JSON numbers without the ``json`` decoder, in any
-whitespace layout; every other file goes to ``json.load`` and
-``state_from_payload``.  Each file must give what
+``cli.load_state_file`` reads a file whose pair array is a member of its
+top-level object, in any place, and holds only JSON numbers without the
+``json`` decoder, in any whitespace layout; every other file goes to
+``json.load`` and ``state_from_payload``.  Each file must give what
 ``helpers.oracle_load_state_file`` gives: the same values bit for bit, or
 the same exception with the same message.  ``save_state_file`` must write
 the bytes ``render_json(state_to_payload(state))`` renders.
@@ -266,9 +266,6 @@ def rewrite(doc_change):
 MUTATIONS = {
     "dropped-outer-bracket": drop_last("]"),
     "dropped-inner-bracket": lambda text: re.sub(r'("amplitudes"\s*:\s*\[\s*)\[', r"\1", text),
-    "extra-key-after-the-array": insert_at("]", ', "note": 1'),
-    "reordered-keys": rewrite(lambda d: {"amplitudes": d["amplitudes"], "dims": d["dims"],
-                                         "kind": d["kind"]}),
     "duplicate-key": insert_at("{", ' "amplitudes": [[1, 0]],'),
     "key-inside-a-string": insert_at("{", ' "note": "\\"amplitudes\\": [[1, 0]]",'),
     "escaped-key": lambda text: text.replace('"amplitudes"', '"ampl\\u0069tudes"'),
@@ -301,17 +298,100 @@ def test_mutations_reach_json_and_give_its_result(tmp_path, mutation, layout):
     assert read == outcome(oracle_load_state_file, path)
 
 
+#: Changes that keep the pair array a plain-number member of the top-level object.
+MEMBER_CHANGES = {
+    "members-before-the-array": insert_at("{", ' "note": {"a": [1, "]"]}, "dims": [4],'),
+    "extra-key-after-the-array": insert_at("]", ', "note": 1'),
+    "reordered-keys": rewrite(lambda d: {"amplitudes": d["amplitudes"], "dims": d["dims"],
+                                         "kind": d["kind"]}),
+}
+
+
 @pytest.mark.parametrize("layout", [0, 1], ids=["save_state_file", "json.dump"])
-def test_members_before_the_array_are_decoded_by_json(tmp_path, layout):
-    """An extra key or a repeated dims before the array: json's values, no fallback."""
+@pytest.mark.parametrize("change", list(MEMBER_CHANGES))
+def test_members_around_the_array_are_decoded_by_json(tmp_path, change, layout):
+    """Extra keys, a repeated dims or another order: json's values, no fallback."""
     path = write_layouts(BASE, tmp_path)[layout]
-    text = insert_at("{", ' "note": {"a": [1, "]"]}, "dims": [4],')(
-        path.read_text(encoding="utf-8"))
+    text = MEMBER_CHANGES[change](path.read_text(encoding="utf-8"))
+    assert text != path.read_text(encoding="utf-8")
     path.write_text(text, encoding="utf-8")
     with json_load_calls() as calls:
         read = outcome(cli.load_state_file, path)
     assert calls == []
     assert read == outcome(oracle_load_state_file, path)
+
+
+# ---------------------------------------------------------------------------
+# the pair array in any place among the top-level members
+
+
+SWEEP_STATES = [BASE, DensityOperator((2,), np.array([[0.75, 0.25j], [-0.25j, 0.25]]))]
+
+#: Members placed right before or right after the pair array.
+DECOYS = {
+    "none": (None, None),
+    "brackets-before": ("before", lambda field: {"a": [1, "]"], "b": "[[0, 1]]"}),
+    "brackets-after": ("after", lambda field: {"a": [1, "]"], "b": "[[0, 1]]"}),
+    "nested-key-before": ("before", lambda field: {field: [[1, 0]]}),
+    "nested-key-after": ("after", lambda field: [{field: [[1, 0]]}]),
+}
+
+
+def sweep_document(state, order, extras, decoy):
+    """The state's members in ``order``, with extra members and a decoy around them."""
+    pure = isinstance(state, PureState)
+    field = "amplitudes" if pure else "matrix"
+    members = {"dims": list(state.dims.dims), "kind": "pure" if pure else "density",
+               "pairs": cli._complex_pairs(state.amplitudes if pure else state.matrix)}
+    items = [(field if name == "pairs" else name, members[name]) for name in order]
+    where, make = DECOYS[decoy]
+    if where is not None:
+        items.insert(order.index("pairs") + (where == "after"), ("decoy", make(field)))
+    if "before" in extras:
+        items.insert(0, ("before", [1, {"x": None}]))
+    if "after" in extras:
+        items.append(("after", {"y": [True, 2.5]}))
+    return dict(items)
+
+
+@pytest.mark.parametrize("decoy", list(DECOYS))
+@pytest.mark.parametrize("extras", [(), ("before",), ("after",), ("before", "after")],
+                         ids=["alone", "before", "after", "around"])
+@pytest.mark.parametrize("order", list(itertools.permutations(("dims", "kind", "pairs"))),
+                         ids="-".join)
+def test_the_array_in_any_place_reads_as_the_oracle_reads_it(tmp_path, order, extras, decoy):
+    """A key spelled once takes the byte path; a nested copy of it sends the file to json."""
+    path = tmp_path / "state.json"
+    for state, indent in itertools.product(SWEEP_STATES, (None, 2)):
+        path.write_text(json.dumps(sweep_document(state, order, extras, decoy), indent=indent),
+                        encoding="utf-8")
+        with json_load_calls() as calls:
+            read = outcome(cli.load_state_file, path)
+        assert read == outcome(oracle_load_state_file, path)
+        assert calls == ([str(path)] if decoy.startswith("nested-key") else [])
+
+
+def nested(doc, inner):
+    """The document with its pair array moved into the member ``inner`` builds."""
+    return {"dims": doc["dims"], "kind": doc["kind"], "inner": inner(doc["amplitudes"])}
+
+
+@pytest.mark.parametrize("wrap, message", [
+    (lambda doc: {**doc, "amplitudes": None, "inner": {"amplitudes": doc["amplitudes"]}},
+     "amplitudes must be a list of 4 [re, im] pairs"),
+    (lambda doc: nested(doc, lambda pairs: {"amplitudes": pairs}),
+     "pure state files need an 'amplitudes' field"),
+    (lambda doc: nested(doc, lambda pairs: [{"amplitudes": pairs}]),
+     "pure state files need an 'amplitudes' field"),
+    (lambda doc: [doc], "state file must contain a JSON object"),
+], ids=["beside-a-null-key", "in-an-object", "in-a-list", "document-in-a-list"])
+def test_a_nested_pair_array_goes_to_json_and_gives_its_message(tmp_path, wrap, message):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(wrap(cli.state_to_payload(BASE))), encoding="utf-8")
+    with json_load_calls() as calls:
+        read = outcome(cli.load_state_file, path)
+    assert calls == [str(path)]
+    assert read == outcome(oracle_load_state_file, path) == ("ValueError", message)
 
 
 @pytest.mark.parametrize("dims, message", [
