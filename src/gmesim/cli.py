@@ -424,7 +424,10 @@ def load_state_file(path: str) -> PureState | DensityOperator:
     if pairs is not None:
         return _state_from_values(*pairs)
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"state file {path} nests its JSON too deeply to read") from None
     return state_from_payload(data)
 
 
@@ -472,14 +475,17 @@ def resolve_timestamp(value) -> str:
     if value is not None:
         return str(value)
     env = os.environ.get("SOURCE_DATE_EPOCH")
-    if env is not None:
-        try:
-            epoch = int(env)
-        except ValueError:
-            raise ValueError(f"SOURCE_DATE_EPOCH must be an integer, got {env!r}") from None
+    if env is None:
+        return EPOCH_TIMESTAMP
+    try:
+        epoch = int(env)
+    except ValueError:
+        raise ValueError(f"SOURCE_DATE_EPOCH must be an integer, got {env!r}") from None
+    try:
         moment = datetime.fromtimestamp(epoch, tz=timezone.utc)
-        return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
-    return EPOCH_TIMESTAMP
+    except (OverflowError, OSError, ValueError):
+        raise ValueError(f"SOURCE_DATE_EPOCH is out of range, got {env!r}") from None
+    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +575,11 @@ def _parse_floats(text: str, name: str) -> list[float]:
     return list(_finite(vals, name))
 
 
-def _parse_schmidt(text, n_expected: int | None, name: str = "--schmidt"):
+def _parse_schmidt(text, n_expected: int, name: str = "--schmidt"):
     if text is None:
         return None
     vals = _parse_floats(text, name)
-    if n_expected is not None and len(vals) != n_expected:
+    if len(vals) != n_expected:
         raise ValueError(f"{name} expects {n_expected} values, got {len(vals)}")
     return normalize_schmidt(vals)
 
@@ -637,20 +643,14 @@ def _builtin_state(name: str, p: float, schmidt_text, weights_text):
 
 def _load_input_state(args, default_builtin: str | None = None):
     """Resolve --state-file / --builtin into a state plus a source record."""
-    state_file = getattr(args, "state_file", None)
-    builtin = getattr(args, "builtin", None)
-    if state_file and builtin:
+    if args.state_file and args.builtin:
         raise ValueError("pass either --state-file or --builtin, not both")
-    if state_file:
-        return load_state_file(state_file), {"kind": "file", "path": str(state_file)}
+    if args.state_file:
+        return load_state_file(args.state_file), {"kind": "file", "path": str(args.state_file)}
+    builtin = default_builtin if args.builtin is None else args.builtin
     if builtin is None:
-        if default_builtin is None:
-            raise ValueError("one of --state-file or --builtin is required")
-        builtin = default_builtin
-    p = float(getattr(args, "p", 0.5))
-    state, params = _builtin_state(
-        builtin, p, getattr(args, "schmidt", None), getattr(args, "weights", None)
-    )
+        raise ValueError("one of --state-file or --builtin is required")
+    state, params = _builtin_state(builtin, args.p, args.schmidt, args.weights)
     return state, {"kind": "builtin", "name": builtin.lower(), **params}
 
 
@@ -660,36 +660,29 @@ def _load_input_state(args, default_builtin: str | None = None):
 
 
 def cmd_prop1(args, seed: int) -> tuple[dict, dict]:
-    p = float(args.p)
-    rounds = int(args.rounds)
-    custom = any(x is not None for x in (args.pair_ab, args.pair_bc, args.ref_a, args.ref_c))
-    if custom:
+    if any(x is not None for x in (args.pair_ab, args.pair_bc, args.ref_a, args.ref_c)):
         ab = _parse_schmidt(args.pair_ab, 2, "--pair-ab") or normalize_schmidt([1.0, 1.0])
         bc = _parse_schmidt(args.pair_bc, 2, "--pair-bc") or normalize_schmidt([1.0, 1.0])
-        ref_a = int(args.ref_a) if args.ref_a is not None else 1
-        ref_c = int(args.ref_c) if args.ref_c is not None else 0
-        if ref_a not in (0, 1) or ref_c not in (0, 1):
-            raise ValueError("--ref-a / --ref-c must be 0 or 1")
+        ref_a = 1 if args.ref_a is None else args.ref_a
+        ref_c = 0 if args.ref_c is None else args.ref_c
         rho = build_prop1_general(
             ket([ab[0], 0.0, 0.0, ab[1]], (2, 2)),
             basis_ket((2,), (ref_c,)),
             basis_ket((2,), (ref_a,)),
             ket([bc[0], 0.0, 0.0, bc[1]], (2, 2)),
-            p,
+            args.p,
         )
         family: dict | str = {
             "pair_ab": list(ab), "pair_bc": list(bc), "ref_a": ref_a, "ref_c": ref_c,
         }
         reference = basis_ket((2,), (ref_c,))
     else:
-        rho = build_prop1_example(p)
+        rho = build_prop1_example(args.p)
         family = "standard"
         reference = basis_ket((2,), (0,))
 
     branches = run_prop1_step(rho, reference)
-    selected = int(args.charlie_outcome) if args.charlie_outcome is not None else 0
-    if selected not in (0, 1):
-        raise ValueError("--charlie-outcome must be 0 or 1")
+    selected = 0 if args.charlie_outcome is None else args.charlie_outcome
 
     phi_plus = bell_pair("phi+")
     branch_payload = []
@@ -709,7 +702,7 @@ def cmd_prop1(args, seed: int) -> tuple[dict, dict]:
     if chosen.pair_state is None:
         distill_block: dict = {"status": "no_support"}
     else:
-        pipe = distill_pipeline(chosen.pair_state, rounds)
+        pipe = distill_pipeline(chosen.pair_state, args.rounds)
         distill_block = {
             "status": pipe.status,
             "filtered": pipe.filtered,
@@ -717,12 +710,7 @@ def cmd_prop1(args, seed: int) -> tuple[dict, dict]:
             "trajectory": [[float(f), float(q)] for f, q in pipe.trajectory],
         }
 
-    config = {
-        "p": p,
-        "rounds": rounds,
-        "charlie_outcome": selected,
-        "family": family,
-    }
+    config = {"p": args.p, "rounds": args.rounds, "charlie_outcome": selected, "family": family}
     payload = {
         "branches": branch_payload,
         "selected_outcome": selected,
@@ -733,33 +721,19 @@ def cmd_prop1(args, seed: int) -> tuple[dict, dict]:
 
 
 def cmd_prop2(args, seed: int) -> tuple[dict, dict]:
-    """The prop2 or prop3 subcommand, whichever ``args.subcommand`` names."""
+    """The prop2 (n = 3) or prop3 (n = 4) subcommand, whichever ``args.subcommand`` names."""
     protocol = args.subcommand
-    shots = int(args.shots)
-    want_mc = not args.no_mc
-    if protocol == "prop2":
-        coeffs = _parse_schmidt(args.schmidt, 3)
-        config_obj = ProtocolConfig(
-            p=float(args.p), schmidt_coeffs=coeffs, shots=shots, seed=seed
-        )
-        config = {
-            "p": config_obj.p,
-            "schmidt": list(config_obj.coeffs_or_uniform(3)),
-            "shots": shots,
-            "mc": want_mc,
-        }
-    else:
-        coeffs = _parse_schmidt(args.schmidt, 4)
-        weights = _parse_weights(args.weights)
-        config_obj = ProtocolConfig(
-            weights=weights, schmidt_coeffs=coeffs, shots=shots, seed=seed
-        )
-        config = {
-            "weights": list(weights),
-            "schmidt": list(config_obj.coeffs_or_uniform(4)),
-            "shots": shots,
-            "mc": want_mc,
-        }
+    n = 3 if protocol == "prop2" else 4
+    shots, want_mc = args.shots, not args.no_mc
+    coeffs = _parse_schmidt(args.schmidt, n)
+    mixture = {"p": args.p} if n == 3 else {"weights": list(_parse_weights(args.weights))}
+    config_obj = ProtocolConfig(**mixture, schmidt_coeffs=coeffs, shots=shots, seed=seed)
+    config = {
+        **mixture,
+        "schmidt": list(config_obj.coeffs_or_uniform(n)),
+        "shots": shots,
+        "mc": want_mc,
+    }
     # one copy chain feeds both the postselected run and the exact tree
     chain = copy_chain(protocol, config_obj)
     payload = {"run": run_report_payload(replay_chain(chain, postselect_success=True))}
@@ -775,10 +749,8 @@ cmd_prop3 = cmd_prop2
 
 def cmd_sigma_scan(args, seed: int) -> tuple[dict, dict]:
     p_list = _parse_floats(args.p_list, "--p-list")
-    n_max = int(args.n_max)
-    shots = int(args.shots)
-    rows = sigma_scan(p_list, n_max, shots, seed)
-    config = {"p_list": p_list, "n_max": n_max, "shots": shots, "format": args.format}
+    rows = sigma_scan(p_list, args.n_max, args.shots, seed)
+    config = {"p_list": p_list, "n_max": args.n_max, "shots": args.shots, "format": args.format}
     payload = {
         "rows": [
             {
@@ -844,12 +816,65 @@ def cmd_svetlichny(args, seed: int) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None,
-                     help="RNG seed (default: GME_SEED env var, else 42)")
-    sub.add_argument("--timestamp", default=None,
-                     help="manifest timestamp (default: fixed epoch, or SOURCE_DATE_EPOCH)")
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+#: The shared flag rows.  A row is (flag, type, default, help[, choices]);
+#: the type ``bool`` marks a switch.
+_OUTPUT_ROWS = (
+    ("--seed", int, None, "RNG seed (default: GME_SEED env var, else 42)"),
+    ("--timestamp", str, None, "manifest timestamp (default: fixed epoch, or SOURCE_DATE_EPOCH)"),
+    ("--out", str, None, "output path (default: stdout)"),
+)
+_P_ROW = ("--p", float, 0.5, "mixture weight (default 0.5)")
+_MC_ROWS = (("--shots", int, DEFAULT_SHOTS, f"Monte Carlo shots (default {DEFAULT_SHOTS})"),
+            ("--no-mc", bool, False, "skip the Monte Carlo block"))
+_BUILTIN_ROWS = (("--schmidt", str, None, "Schmidt coefficients for parametrized builtins"),
+                 ("--weights", str, None, "weights for the prop3 builtin"))
+
+#: Each subcommand's help line and flag rows, in ``--help`` order.
+_SUBCOMMANDS = {
+    "prop1": ("single-step three-qubit protocol plus distillation", (
+        _P_ROW,
+        ("--rounds", int, 3, "distillation rounds (default 3)"),
+        ("--charlie-outcome", int, None, "report this branch (default 0, the entangled one)",
+         (0, 1)),
+        ("--pair-ab", str, None, "Schmidt coefficients a,b of a custom A-B pair"),
+        ("--pair-bc", str, None, "Schmidt coefficients a,b of a custom B-C pair"),
+        ("--ref-a", int, None, "custom basis level for party A's reference", (0, 1)),
+        ("--ref-c", int, None, "custom basis level for party C's reference", (0, 1)),
+        *_OUTPUT_ROWS,
+    )),
+    "prop2": ("two-copy three-qutrit activation", (
+        _P_ROW,
+        ("--schmidt", str, None, "three Schmidt coefficients (normalized; default uniform)"),
+        *_MC_ROWS, *_OUTPUT_ROWS,
+    )),
+    "prop3": ("three-copy four-ququart activation", (
+        ("--weights", str, None, "three mixture weights (normalized; default uniform)"),
+        ("--schmidt", str, None, "four Schmidt coefficients (normalized; default uniform)"),
+        *_MC_ROWS, *_OUTPUT_ROWS,
+    )),
+    "sigma-scan": ("success-law table for the adaptive protocol", (
+        ("--p-list", str, "0.1,0.3,0.5,0.7",
+         "comma-separated per-copy rates (default 0.1,0.3,0.5,0.7)"),
+        ("--n-max", int, 20, "largest repeat budget (default 20)"),
+        ("--shots", int, DEFAULT_SHOTS, f"samples per rate (default {DEFAULT_SHOTS})"),
+        ("--format", str, "csv", "output format (default csv)", ("csv", "json")),
+        *_OUTPUT_ROWS,
+    )),
+    "certify": ("negativity/Schmidt certificates for every cut", (
+        ("--state-file", str, None, "JSON state file to certify"),
+        ("--builtin", str, None, f"builtin state name ({', '.join(_BUILTIN_NAMES)})"),
+        ("--p", float, 0.5, "mixture weight for parametrized builtins (default 0.5)"),
+        *_BUILTIN_ROWS, *_OUTPUT_ROWS,
+    )),
+    "svetlichny": ("tripartite nonlocality functional", (
+        ("--state-file", str, None, "JSON state file (pure, three qubits)"),
+        ("--builtin", str, None, "builtin state name (default ghz3)"),
+        ("--p", float, 0.5, "mixture weight for parametrized builtins"),
+        *_BUILTIN_ROWS,
+        ("--angles", str, None, "six equatorial angles A,A',B,B',C,C' (default: optimal)"),
+        *_OUTPUT_ROWS,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -860,75 +885,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gmesim {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p1 = sub.add_parser("prop1", help="single-step three-qubit protocol plus distillation")
-    p1.add_argument("--p", type=float, default=0.5, help="mixture weight (default 0.5)")
-    p1.add_argument("--rounds", type=int, default=3, help="distillation rounds (default 3)")
-    p1.add_argument("--charlie-outcome", type=int, default=None, choices=(0, 1),
-                    help="report this branch (default 0, the entangled one)")
-    p1.add_argument("--pair-ab", default=None,
-                    help="Schmidt coefficients a,b of a custom A-B pair")
-    p1.add_argument("--pair-bc", default=None,
-                    help="Schmidt coefficients a,b of a custom B-C pair")
-    p1.add_argument("--ref-a", type=int, default=None, choices=(0, 1),
-                    help="custom basis level for party A's reference")
-    p1.add_argument("--ref-c", type=int, default=None, choices=(0, 1),
-                    help="custom basis level for party C's reference")
-    _add_common(p1)
-
-    p2 = sub.add_parser("prop2", help="two-copy three-qutrit activation")
-    p2.add_argument("--p", type=float, default=0.5, help="mixture weight (default 0.5)")
-    p2.add_argument("--schmidt", default=None,
-                    help="three Schmidt coefficients (normalized; default uniform)")
-    p2.add_argument("--shots", type=int, default=DEFAULT_SHOTS,
-                    help=f"Monte Carlo shots (default {DEFAULT_SHOTS})")
-    p2.add_argument("--no-mc", action="store_true", help="skip the Monte Carlo block")
-    _add_common(p2)
-
-    p3 = sub.add_parser("prop3", help="three-copy four-ququart activation")
-    p3.add_argument("--weights", default=None,
-                    help="three mixture weights (normalized; default uniform)")
-    p3.add_argument("--schmidt", default=None,
-                    help="four Schmidt coefficients (normalized; default uniform)")
-    p3.add_argument("--shots", type=int, default=DEFAULT_SHOTS,
-                    help=f"Monte Carlo shots (default {DEFAULT_SHOTS})")
-    p3.add_argument("--no-mc", action="store_true", help="skip the Monte Carlo block")
-    _add_common(p3)
-
-    scan = sub.add_parser("sigma-scan", help="success-law table for the adaptive protocol")
-    scan.add_argument("--p-list", default="0.1,0.3,0.5,0.7",
-                      help="comma-separated per-copy rates (default 0.1,0.3,0.5,0.7)")
-    scan.add_argument("--n-max", type=int, default=20, help="largest repeat budget (default 20)")
-    scan.add_argument("--shots", type=int, default=DEFAULT_SHOTS,
-                      help=f"samples per rate (default {DEFAULT_SHOTS})")
-    scan.add_argument("--format", choices=("csv", "json"), default="csv",
-                      help="output format (default csv)")
-    _add_common(scan)
-
-    cert = sub.add_parser("certify", help="negativity/Schmidt certificates for every cut")
-    cert.add_argument("--state-file", default=None, help="JSON state file to certify")
-    cert.add_argument("--builtin", default=None,
-                      help=f"builtin state name ({', '.join(_BUILTIN_NAMES)})")
-    cert.add_argument("--p", type=float, default=0.5,
-                      help="mixture weight for parametrized builtins (default 0.5)")
-    cert.add_argument("--schmidt", default=None,
-                      help="Schmidt coefficients for parametrized builtins")
-    cert.add_argument("--weights", default=None, help="weights for the prop3 builtin")
-    _add_common(cert)
-
-    svet = sub.add_parser("svetlichny", help="tripartite nonlocality functional")
-    svet.add_argument("--state-file", default=None, help="JSON state file (pure, three qubits)")
-    svet.add_argument("--builtin", default=None,
-                      help="builtin state name (default ghz3)")
-    svet.add_argument("--p", type=float, default=0.5,
-                      help="mixture weight for parametrized builtins")
-    svet.add_argument("--schmidt", default=None,
-                      help="Schmidt coefficients for parametrized builtins")
-    svet.add_argument("--weights", default=None, help="weights for the prop3 builtin")
-    svet.add_argument("--angles", default=None,
-                      help="six equatorial angles A,A',B,B',C,C' (default: optimal)")
-    _add_common(svet)
-
+    for name, (help_line, rows) in _SUBCOMMANDS.items():
+        cmd = sub.add_parser(name, help=help_line)
+        for flag, kind, default, text, *choices in rows:
+            if kind is bool:
+                cmd.add_argument(flag, action="store_true", help=text)
+            else:
+                cmd.add_argument(flag, type=kind, default=default, help=text,
+                                 choices=choices[0] if choices else None)
     return parser
 
 

@@ -109,6 +109,9 @@ class PartyDims:
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        # int() would truncate 2.7 to 2 and read "3" as 3
+        if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in self.dims):
+            raise ValueError(f"local dimensions must be integers, got {self.dims!r}")
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) == 0:

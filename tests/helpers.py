@@ -14,7 +14,9 @@ package diagonalizes only its support.  ``loop_run_sigma_adaptive``,
 ``loop_sigma_tree`` and ``loop_prop1_tree`` are the sigma runner and the
 sigma/prop1 trees with their own state builds and measurements, and
 ``oracle_main`` runs the command-line handlers that each wrote their own
-manifest and artifact; all of them call the package's other code.
+manifest and artifact, parsed by ``loop_build_parser``, which declares every
+flag of every subcommand by hand where the package builds its parser from one
+table; all of them call the package's other code.
 ``loop_prop2_terms`` and ``loop_prop3_terms`` place each pair and flag level
 of the prop2/prop3 mixtures by hand, where the package derives every term
 from one chain rule; the prop2/prop3 run and tree oracles mix them.
@@ -28,6 +30,7 @@ and ``loop_sigma_scan`` draw every shot's outcome with NumPy's own
 the underlying uniform or exponential draws against cumulative thresholds.
 """
 
+import argparse
 import itertools
 import json
 import math
@@ -37,6 +40,8 @@ import numpy as np
 
 from gmesim import __version__
 from gmesim.cli import (
+    _BUILTIN_NAMES,
+    DEFAULT_SHOTS,
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_USAGE,
@@ -46,7 +51,6 @@ from gmesim.cli import (
     _parse_schmidt,
     _parse_weights,
     _render_compact,
-    build_parser,
     certificate_payload,
     format_float,
     mc_payload,
@@ -1175,9 +1179,97 @@ def oracle_cmd_svetlichny(args) -> int:
     return EXIT_OK
 
 
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--seed", type=int, default=None,
+                     help="RNG seed (default: GME_SEED env var, else 42)")
+    sub.add_argument("--timestamp", default=None,
+                     help="manifest timestamp (default: fixed epoch, or SOURCE_DATE_EPOCH)")
+    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+
+
+def loop_build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gmesim",
+        description="Protocols and certificates for activating genuine "
+                    "multipartite entanglement from biseparable states.",
+    )
+    parser.add_argument("--version", action="version", version=f"gmesim {__version__}")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p1 = sub.add_parser("prop1", help="single-step three-qubit protocol plus distillation")
+    p1.add_argument("--p", type=float, default=0.5, help="mixture weight (default 0.5)")
+    p1.add_argument("--rounds", type=int, default=3, help="distillation rounds (default 3)")
+    p1.add_argument("--charlie-outcome", type=int, default=None, choices=(0, 1),
+                    help="report this branch (default 0, the entangled one)")
+    p1.add_argument("--pair-ab", default=None,
+                    help="Schmidt coefficients a,b of a custom A-B pair")
+    p1.add_argument("--pair-bc", default=None,
+                    help="Schmidt coefficients a,b of a custom B-C pair")
+    p1.add_argument("--ref-a", type=int, default=None, choices=(0, 1),
+                    help="custom basis level for party A's reference")
+    p1.add_argument("--ref-c", type=int, default=None, choices=(0, 1),
+                    help="custom basis level for party C's reference")
+    _add_common(p1)
+
+    p2 = sub.add_parser("prop2", help="two-copy three-qutrit activation")
+    p2.add_argument("--p", type=float, default=0.5, help="mixture weight (default 0.5)")
+    p2.add_argument("--schmidt", default=None,
+                    help="three Schmidt coefficients (normalized; default uniform)")
+    p2.add_argument("--shots", type=int, default=DEFAULT_SHOTS,
+                    help=f"Monte Carlo shots (default {DEFAULT_SHOTS})")
+    p2.add_argument("--no-mc", action="store_true", help="skip the Monte Carlo block")
+    _add_common(p2)
+
+    p3 = sub.add_parser("prop3", help="three-copy four-ququart activation")
+    p3.add_argument("--weights", default=None,
+                    help="three mixture weights (normalized; default uniform)")
+    p3.add_argument("--schmidt", default=None,
+                    help="four Schmidt coefficients (normalized; default uniform)")
+    p3.add_argument("--shots", type=int, default=DEFAULT_SHOTS,
+                    help=f"Monte Carlo shots (default {DEFAULT_SHOTS})")
+    p3.add_argument("--no-mc", action="store_true", help="skip the Monte Carlo block")
+    _add_common(p3)
+
+    scan = sub.add_parser("sigma-scan", help="success-law table for the adaptive protocol")
+    scan.add_argument("--p-list", default="0.1,0.3,0.5,0.7",
+                      help="comma-separated per-copy rates (default 0.1,0.3,0.5,0.7)")
+    scan.add_argument("--n-max", type=int, default=20, help="largest repeat budget (default 20)")
+    scan.add_argument("--shots", type=int, default=DEFAULT_SHOTS,
+                      help=f"samples per rate (default {DEFAULT_SHOTS})")
+    scan.add_argument("--format", choices=("csv", "json"), default="csv",
+                      help="output format (default csv)")
+    _add_common(scan)
+
+    cert = sub.add_parser("certify", help="negativity/Schmidt certificates for every cut")
+    cert.add_argument("--state-file", default=None, help="JSON state file to certify")
+    cert.add_argument("--builtin", default=None,
+                      help=f"builtin state name ({', '.join(_BUILTIN_NAMES)})")
+    cert.add_argument("--p", type=float, default=0.5,
+                      help="mixture weight for parametrized builtins (default 0.5)")
+    cert.add_argument("--schmidt", default=None,
+                      help="Schmidt coefficients for parametrized builtins")
+    cert.add_argument("--weights", default=None, help="weights for the prop3 builtin")
+    _add_common(cert)
+
+    svet = sub.add_parser("svetlichny", help="tripartite nonlocality functional")
+    svet.add_argument("--state-file", default=None, help="JSON state file (pure, three qubits)")
+    svet.add_argument("--builtin", default=None,
+                      help="builtin state name (default ghz3)")
+    svet.add_argument("--p", type=float, default=0.5,
+                      help="mixture weight for parametrized builtins")
+    svet.add_argument("--schmidt", default=None,
+                      help="Schmidt coefficients for parametrized builtins")
+    svet.add_argument("--weights", default=None, help="weights for the prop3 builtin")
+    svet.add_argument("--angles", default=None,
+                      help="six equatorial angles A,A',B,B',C,C' (default: optimal)")
+    _add_common(svet)
+
+    return parser
+
+
 def oracle_main(argv) -> int:
     """``cli.main`` dispatching to the handlers above."""
-    args = build_parser().parse_args(argv)
+    args = loop_build_parser().parse_args(argv)
     handler = globals()["oracle_cmd_" + args.subcommand.replace("-", "_")]
     try:
         return handler(args)

@@ -375,6 +375,16 @@ def test_negative_seed_exits_2_naming_its_source(monkeypatch, capsys, argv, sour
     assert captured.err == f"gmesim: error: {source} must be a non-negative integer, got -1\n"
 
 
+@pytest.mark.parametrize("value", ["9" * 20, "253402300800", "-" + "9" * 20])
+def test_out_of_range_source_date_epoch_exits_2_naming_it(monkeypatch, capsys, value):
+    monkeypatch.delenv("GME_SEED", raising=False)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+    assert main(["prop2", "--no-mc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gmesim: error: SOURCE_DATE_EPOCH is out of range, got {value!r}\n"
+
+
 def certify_in_process(capsys, *argv):
     assert main(["certify", *argv]) == 0
     return json.loads(capsys.readouterr().out)

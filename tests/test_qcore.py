@@ -63,6 +63,18 @@ class TestPartyDims:
         with pytest.raises(ValueError):
             PartyDims((2,) * 13)  # 8192 > the 4096 cap
 
+    @pytest.mark.parametrize("dims", [(2.7, 2), (2.0, 2), ("3", 2), (True, 2), "23"])
+    def test_rejects_dims_that_are_not_integers(self, dims):
+        with pytest.raises(ValueError, match=r"^local dimensions must be integers, got "):
+            PartyDims(dims)
+
+    def test_ket_refuses_float_dims_instead_of_truncating(self):
+        with pytest.raises(ValueError, match=r"got \(2\.9, 3\)$"):
+            ket(np.ones(6), (2.9, 3))
+
+    def test_accepts_numpy_integers(self):
+        assert PartyDims((np.int64(2), np.int32(3))).dims == (2, 3)
+
     def test_cap_is_read_when_each_instance_is_checked(self, monkeypatch):
         monkeypatch.setattr(qcore, "DIM_CAP", 4)
         assert PartyDims((2, 2)).total == 4

@@ -193,6 +193,23 @@ def test_missing_dims_names_the_field(tmp_path, capsys):
     assert err == "gmesim: error: state file is missing a valid field: 'dims'\n"
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "text", [_DEEP, json.dumps(_bell_doc())[:-1] + ', "extra": ' + _DEEP + "}"],
+    ids=["bare", "extra-member"],
+)
+def test_deeply_nested_file_is_a_usage_error_naming_the_file(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    message = f"state file {path} nests its JSON too deeply to read"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cli.load_state_file(str(path))
+    assert cli.main(["certify", "--state-file", str(path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"gmesim: error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # the per-pair loop runs only on files the byte reader refuses
 
