@@ -63,6 +63,8 @@ from .qcore import (
     _require_probability_sum,
     _require_unit_rows,
     _require_unitary,
+    _row_dots,
+    _row_norms,
     apply_local_unitary,
     basis_ket,
     bell_basis,
@@ -92,10 +94,13 @@ _MINUS = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 PARITY_CORRELATED = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
 PARITY_ANTI = np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex)
 
-#: The merge's parity and |+>/|-> measurements, checked once; each fusion step
-#: places their projectors on its own qubits.
+#: The merge's parity and |+>/|-> measurements and Pauli corrections, checked
+#: once; each fusion step places them on its own qubits.
 _PARITY = ProjectiveMeasurement((0, 1), (PARITY_CORRELATED, PARITY_ANTI))
 _READOUT = ProjectiveMeasurement((0,), tuple(np.outer(v, v.conj()) for v in (_PLUS, _MINUS)))
+_require_unitary(_X)
+_require_unitary(_Z)
+_REFERENCES = np.array([_PLUS.conj(), _MINUS.conj()])  # <+| and <-|, by readout outcome
 
 
 def _finite(values, what: str) -> tuple[float, ...]:
@@ -474,28 +479,83 @@ def _measure_rows(dims: PartyDims, records, rows: np.ndarray, targets, projector
 
     Returns the live children, parent-major and outcome-minor, and their
     renormalized rows, with ``measure``'s arithmetic, clipping, pruning and
-    probability-sum check per row.
+    probability-sum check per row, each one call on the whole stack.
     """
     apply = _local_kernel(dims, targets, rows)[1]
     subs = [apply(p) for p in projectors]
     del apply  # frees the kernel's transposed copy of the rows
-    children, picked, norms = [], [], []
-    for b, (pattern, prob) in enumerate(records):
-        raw = [float(np.real(np.vdot(sub[b], sub[b]))) for sub in subs]
-        clipped = [min(max(r, 0.0), 1.0) for r in raw]
-        _require_probability_sum(clipped, targets, dims)
-        for k, (r, c) in enumerate(zip(raw, clipped)):
-            if r > PRUNE_ATOL:
-                children.append((pattern + (k,), prob * c))
-                picked.append((k, b))
-                norms.append(math.sqrt(r))
-    out = np.empty((len(picked), dims.total), dtype=complex)
-    for i, (k, b) in enumerate(picked):
-        out[i] = subs[k][b]
-    del subs
-    out /= np.array(norms)[:, None]
+    subs = np.stack(subs, axis=1)  # (rows, outcomes, D)
+    raw = _row_dots(subs)
+    clipped = np.minimum(np.maximum(raw, 0.0), 1.0)
+    for b in (np.abs(np.add.reduce(clipped, axis=1) - 1.0) > ATOL).nonzero()[0]:
+        _require_probability_sum(clipped[b].tolist(), targets, dims)
+    live = raw > PRUNE_ATOL
+    children = [(records[b][0] + (k,), records[b][1] * c) for b, k, c in
+                zip(*(index.tolist() for index in live.nonzero()), clipped[live].tolist())]
+    out = subs[live]
+    out /= np.sqrt(raw[live])[:, None]
     _require_unit_rows(out, dims)
     return children, out
+
+
+def _fuse_chain(pairs):
+    """``merge_chain_to_ghz`` short of the corrections, its branches sorted parity-major."""
+    pairs = list(pairs)
+    if len(pairs) < 2:
+        raise ValueError("merging needs at least two pairs in the chain")
+    for j, pair in enumerate(pairs):
+        if not isinstance(pair, PureState) or pair.dims.dims != (2, 2):
+            raise ValueError(f"pair {j} is not a two-qubit pure state")
+    aligned, coeffs, alignments = zip(*(_schmidt_align_pair(pair) for pair in pairs))
+
+    m = len(pairs)
+    # the 2m-qubit joint space is never formed; its cap bounds 4**(m-1) branches
+    PartyDims((2,) * (2 * m))
+
+    records, rows = [((), 1.0)], aligned[0].amplitudes[None]
+    for j in range(1, m):
+        dims = PartyDims((2,) * (j + 3))
+        rows = (rows[:, :, None] * aligned[j].amplitudes).reshape(len(rows), dims.total)
+        _require_unit_rows(rows, dims)
+        records, rows = _measure_rows(dims, records, rows, (j, j + 1), _PARITY.projectors)
+        records, rows = _measure_rows(dims, records, rows, (j,), _READOUT.projectors)
+        front = _local_kernel(dims, (j,), rows)[0]
+        rows = np.matmul(_REFERENCES[[pattern[-1] for pattern, _ in records], None], front)[:, 0]
+        del front
+        weights = _row_norms(rows)
+        if (weights <= PRUNE_ATOL).any():
+            raise ValueError("state has (almost) no overlap with the reference vector")
+        rows /= weights[:, None]
+        dims = PartyDims((2,) * (j + 2))
+        _require_unit_rows(rows, dims)
+
+    order = sorted(range(len(records)), key=lambda b: (records[b][0][0::2], records[b][0][1::2]))
+    records = [records[b] for b in order]
+    total = sum(prob for _, prob in records)
+    if abs(total - 1.0) > ATOL:
+        raise InvariantError(
+            f"merge of {m} pairs: {len(records)} branch probabilities sum to {total!r}, "
+            f"residual {total - 1.0:.3e} exceeds {ATOL:g}"
+        )
+    return coeffs, alignments, dims, records, rows[order]
+
+
+def _finish_branches(dims: PartyDims, records, rows: np.ndarray) -> list[MergeBranch]:
+    """Correct fused rows (parity prefix: X flips, sign count: Z@0), phase-fix
+    them as ``_phase_canonical`` does, and validate each once, in ``PureState``."""
+    m = dims.n - 1
+    flips = np.cumsum([pattern[0::2] for pattern, _ in records], axis=1) % 2 == 1
+    odd = np.array([sum(pattern[1::2]) % 2 == 1 for pattern, _ in records])
+    fixes = [(flips[:, min(t, m - 1) - 1], t, _X, f"X@{t}") for t in range(1, m + 1)]
+    fixes.append((odd, 0, _Z, "Z@0"))
+    for mask, t, pauli, _ in fixes:
+        if mask.any():
+            rows[mask] = _local_kernel(dims, (t,), rows[mask])[1](pauli)
+    pivots = rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)]
+    rows /= (pivots / np.abs(pivots))[:, None]
+    return [MergeBranch(pattern[0::2], pattern[1::2], prob, PureState(dims, rows[b]),
+                        tuple(name for mask, _, _, name in fixes if mask[b]))
+            for b, (pattern, prob) in enumerate(records)]
 
 
 def merge_chain_to_ghz(pairs) -> MergeResult:
@@ -512,82 +572,19 @@ def merge_chain_to_ghz(pairs) -> MergeResult:
     The pairs are fused one at a time into one stack of rows, the live
     branches so far: pair j is tensored onto every row, party j measures the
     parity of its qubits j and j+1 and reads qubit j out, and that qubit is
-    contracted away, so the 4**m joint vector is never formed.  The X and Z
-    corrections follow, one kernel call per corrected party on the rows that
-    need it.  Each row gets the arithmetic of separate ``measure``,
-    ``contract_party`` and ``apply_local_unitary`` calls, norm checks included.
-    The branches are sorted from fusion order (parity 1, sign 1, parity 2,
-    ...) back to parity-major order, so branch indices, and the branch a
-    sampled run draws, are those of a merge over the joint vector.  For m = 2
-    each row sees the same calls on the same four-qubit rows as there, so the
-    result is bit for bit the same; from m = 3 on sums run in another order.
+    contracted away, so the 4**m joint vector is never formed; X and Z
+    corrections follow.  Each step is one call on the whole stack, one BLAS dot
+    per row for a probability or weight, so each row gets the arithmetic of
+    separate ``measure``, ``contract_party`` and ``apply_local_unitary``
+    calls; each branch is validated once, by ``PureState``.  The branches are
+    sorted from fusion order (parity 1, sign 1, parity 2, ...) to parity-major
+    order, so branch indices, and the branch a sampled run draws, are those of
+    a merge over the joint vector.  For m = 2 each row sees the same calls on
+    the same rows as there, so the result is bit for bit the same; from m = 3
+    on sums run in another order.
     """
-    pairs = list(pairs)
-    if len(pairs) < 2:
-        raise ValueError("merging needs at least two pairs in the chain")
-    aligned, coeffs, alignments = [], [], []
-    for j, pair in enumerate(pairs):
-        if not isinstance(pair, PureState) or pair.dims.dims != (2, 2):
-            raise ValueError(f"pair {j} is not a two-qubit pure state")
-        st, ab, uv = _schmidt_align_pair(pair)
-        aligned.append(st)
-        coeffs.append(ab)
-        alignments.append(uv)
-
-    m = len(pairs)
-    # the joint 2m-qubit space is never formed, but its cap still bounds the
-    # output: 4**(m-1) branches of 2**(m+1) amplitudes
-    PartyDims((2,) * (2 * m))
-    _require_unitary(_X)
-    _require_unitary(_Z)
-
-    records, rows = [((), 1.0)], aligned[0].amplitudes[None]
-    for j in range(1, m):
-        dims = PartyDims((2,) * (j + 3))
-        rows = (rows[:, :, None] * aligned[j].amplitudes).reshape(len(rows), dims.total)
-        _require_unit_rows(rows, dims)
-        records, rows = _measure_rows(dims, records, rows, (j, j + 1), _PARITY.projectors)
-        records, rows = _measure_rows(dims, records, rows, (j,), _READOUT.projectors)
-        front = _local_kernel(dims, (j,), rows)[0]
-        refs = np.where([[pattern[-1]] for pattern, _ in records], _MINUS.conj(), _PLUS.conj())
-        rows = np.matmul(refs[:, None], front)[:, 0]
-        del front
-        weights = np.array([float(np.linalg.norm(r)) for r in rows])
-        if np.any(weights <= PRUNE_ATOL):
-            raise ValueError("state has (almost) no overlap with the reference vector")
-        rows /= weights[:, None]
-        dims = PartyDims((2,) * (j + 2))
-        _require_unit_rows(rows, dims)
-
-    # the parity prefix decides which parties need a bit flip, the sign count Z@0
-    patterns = [pattern for pattern, _ in records]
-    flips = np.cumsum([pattern[0::2] for pattern in patterns], axis=1) % 2 == 1
-    odd = np.array([sum(pattern[1::2]) % 2 == 1 for pattern in patterns])
-    fixes = [(flips[:, min(t, m - 1) - 1], t, _X, f"X@{t}") for t in range(1, m + 1)]
-    fixes.append((odd, 0, _Z, "Z@0"))
-    for mask, t, pauli, _ in fixes:
-        if mask.any():
-            rows[mask] = _local_kernel(dims, (t,), rows[mask])[1](pauli)
-            _require_unit_rows(rows[mask], dims)
-
-    order = sorted(range(len(records)), key=lambda b: (patterns[b][0::2], patterns[b][1::2]))
-    branches = [
-        MergeBranch(
-            patterns[b][0::2],
-            patterns[b][1::2],
-            records[b][1],
-            PureState(dims, _phase_canonical(rows[b])),
-            tuple(name for mask, _, _, name in fixes if mask[b]),
-        )
-        for b in order
-    ]
-    total = sum(b.probability for b in branches)
-    if abs(total - 1.0) > ATOL:
-        raise InvariantError(
-            f"merge of {m} pairs: {len(branches)} branch probabilities sum to {total!r}, "
-            f"residual {total - 1.0:.3e} exceeds {ATOL:g}"
-        )
-    return MergeResult(tuple(branches), tuple(coeffs), tuple(alignments))
+    coeffs, alignments, dims, records, rows = _fuse_chain(pairs)
+    return MergeResult(tuple(_finish_branches(dims, records, rows)), coeffs, alignments)
 
 
 # ---------------------------------------------------------------------------
@@ -690,11 +687,11 @@ def _sample_index(rng: np.random.Generator, probabilities) -> int:
 
 
 def _sample_merge(rng: np.random.Generator, pairs) -> tuple[int, MergeBranch]:
-    """Merge a chain of pairs and draw one branch by its probability."""
-    merged = merge_chain_to_ghz(pairs)
-    probs = np.array([b.probability for b in merged.branches])
-    bidx = int(rng.choice(len(merged.branches), p=probs / probs.sum()))
-    return bidx, merged.branches[bidx]
+    """Draw one branch of ``merge_chain_to_ghz`` by its probability; only it is finished."""
+    _, _, dims, records, rows = _fuse_chain(pairs)
+    probs = np.array([prob for _, prob in records])
+    bidx = int(rng.choice(len(records), p=probs / probs.sum()))
+    return bidx, _finish_branches(dims, records[bidx:bidx + 1], rows[bidx:bidx + 1])[0]
 
 
 def _qubit_pair(reduced: DensityOperator, levels: dict[int, int]) -> PureState:

@@ -10,7 +10,7 @@ mutates its inputs, so values can be shared freely between threads.  One
 operation, ``postselect_levels``, works on a mixture's pure terms instead of
 its density operator: it reads the mixture's diagonal and the block of the
 terms on the accepted levels, so the mixture is never formed or validated
-(only that block, zero-padded to D x D, enters the partial trace).
+(only that block enters the partial trace, and no D x D array is formed).
 """
 
 from __future__ import annotations
@@ -454,9 +454,20 @@ def _local_kernel(
     return front, apply
 
 
+def _row_dots(rows: np.ndarray) -> np.ndarray:
+    """``np.vdot(r, r).real`` per row ``r``, bit for bit: each matmul item is that BLAS dot."""
+    return np.matmul(rows.conj()[..., None, :], rows[..., :, None])[..., 0, 0].real
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(r)`` per row ``r``, bit for bit: the root of its two real BLAS dots."""
+    re, im = rows.real[..., None, :], rows.imag[..., None, :]
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
 def _require_unit_rows(rows: np.ndarray, dims: PartyDims) -> None:
     """``PureState``'s norm check on each row of a stack; a failing row raises its message."""
-    for i in np.flatnonzero(~(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= ATOL)):
+    for i in (~(np.abs(_row_norms(rows) - 1.0) <= ATOL)).nonzero()[0]:
         PureState(dims, rows[i])
 
 
@@ -567,14 +578,19 @@ def _traced_parties(n: int, discard) -> list[int]:
     return discard
 
 
-def _trace_out(matrix: np.ndarray, dims: PartyDims, discard: list[int]) -> DensityOperator:
-    """The validated reduction of a D x D ``matrix`` over ``dims`` (see ``partial_trace``)."""
+def _trace_out(matrix, dims: PartyDims, discard: list[int], levels=None) -> DensityOperator:
+    """The validated reduction of a D x D ``matrix`` over ``dims`` (see ``partial_trace``),
+    or with ``levels`` (sorted, per party) of its block on their product only."""
     n = dims.n
     keep = [i for i in range(n) if i not in discard]
+    shape = dims.dims if levels is None else tuple(len(lv) for lv in levels)
     row = list(range(n))
     col = [i if i in discard else n + i for i in range(n)]
-    reduced = np.einsum(matrix.reshape(dims.dims * 2), row + col, keep + [n + i for i in keep])
+    reduced = np.einsum(matrix.reshape(shape * 2), row + col, keep + [n + i for i in keep])
     new_dims = PartyDims(tuple(dims.dims[i] for i in keep))
+    if levels is not None:  # place the traced block on the kept parties' levels
+        reduced, block = np.zeros(new_dims.dims * 2, dtype=complex), reduced
+        reduced[np.ix_(*[levels[i] for i in keep] * 2)] = block
     return DensityOperator(new_dims, reduced.reshape(new_dims.total, new_dims.total))
 
 
@@ -610,8 +626,8 @@ def postselect_levels(
     ``mix(terms)``, step after step, followed by ``partial_trace``, but the
     mixture is never formed: the probabilities are sums over its diagonal,
     built in O(r*D), and the accepted state is the block of the terms on the
-    levels every step accepted, zero-padded to D x D before the trace.  Only
-    the reduced state is validated as a density operator.
+    levels every step accepted, traced without padding it to D x D.  Only the
+    reduced state is validated as a density operator.
     """
     dims, terms = _mixture_terms(terms)
     if not all(isinstance(term, PureState) for _, term in terms):
@@ -622,11 +638,14 @@ def postselect_levels(
     for party, groups, accept in steps:
         party = int(party)
         _require_party(party, dims.n)
-        masks = [np.isin(levels[party], group) for group in _level_groups(dims.dims[party], groups)]
+        groups = _level_groups(dims.dims[party], groups)
         accept = int(accept)
-        if not 0 <= accept < len(masks):
-            raise ValueError(f"accept index {accept} out of range for {len(masks)} outcomes")
-        plan.append((party, masks, accept))
+        if not 0 <= accept < len(groups):
+            raise ValueError(f"accept index {accept} out of range for {len(groups)} outcomes")
+        table = np.empty(dims.dims[party], dtype=np.intp)  # the group of each level
+        for g, group in enumerate(groups):
+            table[group] = g
+        plan.append((party, table[levels[party]] == np.arange(len(groups))[:, None], accept))
 
     # the elementwise operations mix performs on its diagonal, in term order
     diag = np.zeros(dims.total, dtype=complex)
@@ -645,7 +664,8 @@ def postselect_levels(
         diag = _hermitian_part(np.where(masks[accept], diag, 0), scales[-1])
         support &= masks[accept]
 
-    kept = np.flatnonzero(support)
+    kept = np.flatnonzero(support)  # the product of each party's accepted levels
+    sets = [np.flatnonzero(np.bincount(lv[kept], minlength=d)) for lv, d in zip(levels, dims.dims)]
     block = np.zeros((kept.size, kept.size), dtype=complex)
     for w, term in terms:
         amps = term.amplitudes[kept]
@@ -653,9 +673,7 @@ def postselect_levels(
     # each step's symmetrize-and-renormalize acts entrywise, so on the block alone
     for scale in scales:
         block = _hermitian_part(block, scale)
-    full = np.zeros((dims.total, dims.total), dtype=complex)
-    full[np.ix_(kept, kept)] = block
-    return tuple(path), _trace_out(full, dims, discard)
+    return tuple(path), _trace_out(block, dims, discard, sets)
 
 
 def measure(

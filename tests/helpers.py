@@ -8,7 +8,8 @@ kernels and builders, but none of the postselection or copy-chain code they
 are compared with.  ``loop_merge_chain_to_ghz`` is the chain merge in its
 branch-by-branch form: it calls ``measure``, ``contract_party`` and
 ``apply_local_unitary`` once per branch and step, where the package merges a
-stack of branches per kernel call.  ``dense_negativity`` is the package's
+stack of branches per kernel call; ``row_merge_chain_to_ghz`` makes the same
+calls one row at a time in the package's own fusion order.  ``dense_negativity`` is the package's
 former negativity: it diagonalizes the whole partial transpose, where the
 package diagonalizes only its support.  ``loop_run_sigma_adaptive``,
 ``loop_sigma_tree`` and ``loop_prop1_tree`` are the sigma runner and the
@@ -793,6 +794,63 @@ def loop_merge_chain_to_ghz(pairs) -> MergeResult:
         raise InvariantError(
             f"merge of {m} pairs: {len(branches)} branch probabilities sum to {total!r}, "
             f"residual {total - 1.0:.3e} exceeds {ATOL:g}"
+        )
+    return MergeResult(tuple(branches), tuple(coeffs), tuple(alignments))
+
+
+def row_merge_chain_to_ghz(pairs) -> MergeResult:
+    """``protocols.merge_chain_to_ghz`` in its fusion order, one row and one call at a time.
+
+    Each live row of a fusion stage is a ``PureState``: pair j is tensored on
+    with ``tensor``, party j's parity and |+>/|-> readout are two ``measure``
+    calls, the read-out qubit goes with ``contract_party``, and once the
+    branches are sorted parity-major each one is corrected by
+    ``apply_local_unitary`` and phase-fixed on its own.
+    """
+    aligned, coeffs, alignments = [], [], []
+    for pair in pairs:
+        st, ab, uv = _schmidt_align_pair(pair)
+        aligned.append(st)
+        coeffs.append(ab)
+        alignments.append(uv)
+    m = len(pairs)
+    readout = (np.outer(_PLUS, _PLUS.conj()), np.outer(_MINUS, _MINUS.conj()))
+    rows = [((), 1.0, aligned[0])]
+    for j in range(1, m):
+        fused = []
+        for pattern, prob, state in rows:
+            state = tensor(state, aligned[j])
+            parity = ProjectiveMeasurement((j, j + 1), (PARITY_CORRELATED, PARITY_ANTI))
+            for out in measure(state, parity):
+                if out.post_state is None:
+                    continue
+                for sign in measure(out.post_state, ProjectiveMeasurement((j,), readout)):
+                    if sign.post_state is None:
+                        continue
+                    ref = _MINUS if sign.outcome_index else _PLUS
+                    fused.append((
+                        pattern + (out.outcome_index, sign.outcome_index),
+                        prob * out.probability * sign.probability,
+                        contract_party(sign.post_state, j, ref),
+                    ))
+        rows = fused
+
+    branches = []
+    for pattern, prob, st in sorted(rows, key=lambda row: (row[0][0::2], row[0][1::2])):
+        parity_pattern, sign_pattern = pattern[0::2], pattern[1::2]
+        flips = [0]
+        for o in parity_pattern:
+            flips.append(flips[-1] ^ o)
+        corrections = []
+        for t in range(1, m + 1):
+            if flips[min(t, m - 1)]:
+                st = apply_local_unitary(st, _X, (t,))
+                corrections.append(f"X@{t}")
+        if sum(sign_pattern) % 2 == 1:
+            st = apply_local_unitary(st, _Z, (0,))
+            corrections.append("Z@0")
+        branches.append(
+            MergeBranch(parity_pattern, sign_pattern, prob, _canonical_phase(st), tuple(corrections))
         )
     return MergeResult(tuple(branches), tuple(coeffs), tuple(alignments))
 

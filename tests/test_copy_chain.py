@@ -42,22 +42,28 @@ SEEDS = range(30)
 SAMPLED_RUNS = {"prop2": 8, "prop3": 2}
 
 
-#: Kernel calls of one prop2 (m = 2) and prop3 (m = 3) merge: per fused pair
-#: one each for the parity, the sign readout and the contraction, then one per
-#: X-corrected party (all m once every branch is live) and one for Z (see
-#: ``merge_chain_to_ghz``).
-MERGE_KERNELS = {"prop2": 3 * 1 + 2 + 1, "prop3": 3 * 2 + 3 + 1}
+#: Kernel calls of one prop2 (m = 2) and prop3 (m = 3) fusion: per fused pair
+#: one each for the parity, the sign readout and the contraction (see
+#: ``merge_chain_to_ghz``).  A sampled run then corrects the drawn branch
+#: only, one call per correction it lists.
+FUSION_KERNELS = {"prop2": 3 * 1, "prop3": 3 * 2}
 
 
 @pytest.mark.parametrize("protocol", ["prop2", "prop3"])
 def test_cli_op_builds_the_terms_once_and_measures_only_the_merge(monkeypatch, capsys, protocol):
     """The copies are postselected on the terms; the tree adds no measurement.
 
-    The merge measures its branches as stacks, so ``measure`` is never called
-    and the axis-local kernel runs a fixed number of times per op.
+    The merge measures its branches as stacks, so ``measure`` is never called;
+    the axis-local kernel runs a fixed number of times per fusion and once per
+    correction of the one branch the run draws.
     """
     calls = {"build": 0, "measure": 0, "kernel": 0}
     build, measure, kernel = protocols._chain_terms, protocols.measure, qcore._local_kernel
+    sample_merge, drawn = protocols._sample_merge, []
+
+    def recording_sample_merge(*args):
+        drawn.append(sample_merge(*args))
+        return drawn[-1]
 
     def counting_build(*args, **kwargs):
         calls["build"] += 1
@@ -73,11 +79,14 @@ def test_cli_op_builds_the_terms_once_and_measures_only_the_merge(monkeypatch, c
 
     monkeypatch.setattr(protocols, "_chain_terms", counting_build)
     monkeypatch.setattr(protocols, "measure", counting_measure)
+    monkeypatch.setattr(protocols, "_sample_merge", recording_sample_merge)
     for module in (qcore, protocols):
         monkeypatch.setattr(module, "_local_kernel", counting_kernel)
     assert cli.main([protocol, "--seed", "3", "--shots", "200"]) == 0
     assert capsys.readouterr().out
-    assert calls == {"build": 1, "measure": 0, "kernel": MERGE_KERNELS[protocol]}
+    ((_, branch),) = drawn
+    kernels = FUSION_KERNELS[protocol] + len(branch.corrections)
+    assert calls == {"build": 1, "measure": 0, "kernel": kernels}
 
 
 def count_density_sizes(monkeypatch) -> list[int]:

@@ -15,6 +15,14 @@ order: patterns, corrections, branch order and the pruned set stay exact,
 amplitudes and probabilities agree within ``FUSION_ATOL``.  Every branch is
 also checked against the closed form of ``helpers.merge_branch_amplitudes``,
 and the memory a 6-pair merge may take is bounded.
+
+Each fusion step runs on the whole stack: the outcome probabilities and
+contraction weights are stacked matmuls whose items are the BLAS dots of
+``np.vdot`` and ``np.linalg.norm`` (``qcore._row_dots``, ``qcore._row_norms``).
+So for every chain length the merge equals, bit for bit,
+``helpers.row_merge_chain_to_ghz``, which sends each row of each stage
+through the public ``measure``, ``contract_party`` and ``apply_local_unitary``
+on its own.
 """
 
 import tracemalloc
@@ -25,9 +33,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmesim.protocols import merge_chain_to_ghz, normalize_schmidt
-from gmesim.qcore import ATOL, PartyDims, PureState, _require_unit_rows, ket
+from gmesim.qcore import ATOL, PartyDims, PureState, _require_unit_rows, _row_dots, _row_norms, ket
 
-from helpers import loop_merge_chain_to_ghz, merge_branch_amplitudes, random_unitary
+from helpers import (
+    loop_merge_chain_to_ghz,
+    merge_branch_amplitudes,
+    random_unitary,
+    row_merge_chain_to_ghz,
+)
 
 #: A 6-pair merge peaks near 11 MiB; all 1,024 of its branches over the
 #: 12-qubit joint space at once would hold about 224 MiB.
@@ -55,9 +68,9 @@ def chains(draw, sizes=st.integers(2, 5)):
     return [rotated_pair(10.0**e, rng) for e in exponents]
 
 
-def assert_same_merge(got, want):
-    """Equal branches, bit for bit for two pairs and within ``FUSION_ATOL`` beyond."""
-    bitwise = len(got.pair_coefficients) == 2
+def assert_same_merge(got, want, bitwise=False):
+    """Equal branches, bit for bit for two pairs (or with ``bitwise``), within ``FUSION_ATOL`` beyond."""
+    bitwise = bitwise or len(got.pair_coefficients) == 2
     assert len(got.branches) == len(want.branches)
     for g, w in zip(got.branches, want.branches):
         assert g.parity_pattern == w.parity_pattern
@@ -99,6 +112,44 @@ def test_every_branch_matches_the_loop_oracle(pairs):
 @given(chains(st.just(2)))
 def test_two_pair_merge_is_the_loop_oracle_bit_for_bit(pairs):
     assert_same_merge(merge_chain_to_ghz(pairs), loop_merge_chain_to_ghz(pairs))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(chains())
+def test_every_branch_is_the_per_row_oracle_bit_for_bit(pairs):
+    assert_same_merge(merge_chain_to_ghz(pairs), row_merge_chain_to_ghz(pairs), bitwise=True)
+
+
+@st.composite
+def stacks(draw):
+    """A complex stack of 1-512 rows of width 4-256, C-ordered or strided."""
+    rows, width = draw(st.integers(1, 512)), draw(st.integers(4, 256))
+    layout = draw(st.sampled_from(["C", "F", "every other row", "every third column", "3-d"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-150.0, 150.0))
+
+    def block(*shape):
+        return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    if layout == "F":
+        return np.asfortranarray(block(rows, width))
+    if layout == "every other row":
+        return block(2 * rows, width)[::2]
+    if layout == "every third column":
+        return block(rows, 3 * width)[:, ::3]
+    if layout == "3-d":  # (rows, outcomes, D), as a merge stage holds them
+        return block(rows, 2, width)
+    return block(rows, width)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(stacks())
+def test_stacked_row_dots_and_norms_are_vdot_and_norm_bit_for_bit(stack):
+    flat = stack.reshape(-1, stack.shape[-1])  # a view: each row keeps its strides
+    dots = np.array([np.vdot(r, r).real for r in flat])
+    norms = np.array([np.linalg.norm(r) for r in flat])
+    assert _row_dots(stack).reshape(-1).tobytes() == dots.tobytes()
+    assert _row_norms(stack).reshape(-1).tobytes() == norms.tobytes()
 
 
 def test_pruned_two_pair_branches_match_the_loop_oracle_bit_for_bit():

@@ -4,14 +4,17 @@ The function postselects a mixture of pure terms without forming the mixture;
 its probabilities and reduced state must equal, bit for bit, those of
 ``measure`` on ``mix(terms)`` followed by ``partial_trace``
 (``helpers.loop_postselect_levels``), and it must refuse bad input with the
-messages of ``mix``, ``level_group_measurement`` and ``measure``.
+messages of ``mix``, ``level_group_measurement`` and ``measure``.  It traces
+the accepted block as it is, so no D x D array is ever formed.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gmesim.protocols import _chain_terms, normalize_schmidt
 from gmesim.qcore import (
     InvariantError,
     PartyDims,
@@ -130,3 +133,24 @@ def test_probability_sum_error_names_party_dims_and_residual():
     with pytest.raises(InvariantError, match=r"measurement on parties \(1,\) of dims \(2, 3\): "
                                              r"probabilities sum to 1\.020.*, residual 2\.010e-02"):
         postselect_levels([(1.0, state)], [(1, [[0], [1, 2]], 1)], [0])
+
+
+def test_five_party_copy_forms_no_full_matrix():
+    """One copy of the n = 5 chain: D = 3125, so a D x D array alone is 149 MiB.
+
+    The accepted block (parties D and E on their top levels {3, 4}) is 500 x
+    500, about 3.8 MiB; the peak stays within a tenth of one D x D array.
+    """
+    terms = _chain_terms(normalize_schmidt([1.0] * 5), [0.25] * 4)
+    total = terms[0][1].dims.total
+    split = [[0], [1], [2], [3, 4]]
+    tracemalloc.start()
+    try:
+        probs, pair = postselect_levels(terms, [(3, split, 3), (4, split, 3)], [0, 1, 2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pair.dims.dims == (5, 5)
+    # two of the four terms hold the pair on party D, 2/5 of it on levels 3, 4
+    assert probs[0][3] == pytest.approx(2 * 0.25 * 2 / 5)
+    assert peak < total * total * 16 / 10
