@@ -448,6 +448,8 @@ def _state_file_text(state: PureState | DensityOperator) -> str:
 def save_state_file(path: str, state: PureState | DensityOperator) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_state_file_text(state))
+
+
 def schema_path() -> Path:
     """Location of the JSON schema every report envelope validates against."""
     return Path(__file__).parent / "schemas" / "report-v1.json"

@@ -9,6 +9,7 @@ probabilities come out of the simulation, not a formula.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from .qcore import (
     DensityOperator,
     PartyDims,
     ProjectiveMeasurement,
+    _frozen_array,
     _hermitian_part,
     _local_branches,
     apply_local_unitary,
@@ -95,14 +97,10 @@ def local_filter(
 # twirl
 # ---------------------------------------------------------------------------
 
-_CLIFFORD_CACHE: list[np.ndarray] | None = None
 
-
-def _single_qubit_cliffords() -> list[np.ndarray]:
-    """The 24 single-qubit Clifford rotations, canonicalized up to phase."""
-    global _CLIFFORD_CACHE
-    if _CLIFFORD_CACHE is not None:
-        return _CLIFFORD_CACHE
+@functools.cache
+def _single_qubit_cliffords() -> tuple[np.ndarray, ...]:
+    """The 24 single-qubit Clifford rotations, canonicalized up to phase, read-only."""
     h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
     s = np.diag([1.0, 1.0j]).astype(complex)
 
@@ -125,27 +123,31 @@ def _single_qubit_cliffords() -> list[np.ndarray]:
                     group[key] = v
                     nxt.append(v)
         frontier = nxt
-    members = list(group.values())
+    members = tuple(map(_frozen_array, group.values()))
     if len(members) != 24:  # pragma: no cover - structural sanity
         raise AssertionError(f"expected 24 Clifford rotations, found {len(members)}")
-    _CLIFFORD_CACHE = members
     return members
+
+
+@functools.cache
+def _twirl_superoperators() -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (24, 4, 4) stack of U (x) conj(U), and its adjoints as a view."""
+    bigs = _frozen_array([np.kron(u, u.conj()) for u in _single_qubit_cliffords()])
+    return bigs, _frozen_array(bigs.conj()).transpose(0, 2, 1)
 
 
 def twirl_to_isotropic(rho: DensityOperator) -> DensityOperator:
     """Project a two-qubit state onto the isotropic family.
 
-    Realized as the exact convex average of U (x) conj(U) conjugations over
-    the 24-element single-qubit Clifford group, which reproduces the full
-    continuous twirl.  The Bell-state fidelity <phi+|rho|phi+> is preserved.
+    Realized as the exact convex average of the 24 U (x) conj(U) conjugations
+    over the single-qubit Clifford group (one stacked product), which reproduces
+    the full continuous twirl.  The Bell-state fidelity <phi+|rho|phi+> is preserved.
     """
     if rho.dims.dims != (2, 2):
         raise ValueError("the twirl is defined for two qubits")
-    acc = np.zeros((4, 4), dtype=complex)
-    for u in _single_qubit_cliffords():
-        big = np.kron(u, u.conj())
-        acc += big @ rho.matrix @ big.conj().T
-    acc /= len(_single_qubit_cliffords())
+    bigs, adjs = _twirl_superoperators()
+    acc = (bigs @ rho.matrix @ adjs).sum(axis=0)  # term by term, in group order
+    acc /= len(bigs)
     return DensityOperator(rho.dims, _hermitian_part(acc, 2.0))
 
 
@@ -165,6 +167,17 @@ def isotropic_state(fidelity: float) -> DensityOperator:
 _CNOT = np.zeros((4, 4), dtype=complex)
 _CNOT[0, 0] = _CNOT[1, 1] = _CNOT[2, 3] = _CNOT[3, 2] = 1.0
 
+# CNOT(A1 -> A2) (x) CNOT(B1 -> B2) on the parties A1 B1 A2 B2 maps basis
+# state perm[i] to i, so it conjugates a matrix by gathering rows and columns.
+_BILATERAL_CNOT = np.einsum("ikac,jlbd->ijklabcd", *[_CNOT.reshape(2, 2, 2, 2)] * 2).reshape(16, 16)
+_BILATERAL_PERM = np.argmax(np.abs(_BILATERAL_CNOT), axis=1)
+if not np.array_equal(_BILATERAL_CNOT, np.eye(16)[_BILATERAL_PERM]):  # pragma: no cover
+    raise AssertionError("the bilateral CNOT is not a permutation matrix")
+_BILATERAL_IX = np.ix_(_BILATERAL_PERM, _BILATERAL_PERM)
+
+# the target pair A2 B2 read out in the computational basis
+_TARGET_READOUT = ProjectiveMeasurement((2, 3), tuple(np.diag(e) for e in np.eye(4, dtype=complex)))
+
 
 def recurrence_round(rho: DensityOperator) -> tuple[float, DensityOperator]:
     """One two-to-one recurrence round, simulated exactly on four qubits.
@@ -177,14 +190,8 @@ def recurrence_round(rho: DensityOperator) -> tuple[float, DensityOperator]:
     if rho.dims.dims != (2, 2):
         raise ValueError("the recurrence round is defined for two-qubit pairs")
     joint = tensor(rho, rho)  # parties: A1 B1 A2 B2
-    joint = apply_local_unitary(joint, _CNOT, (0, 2))
-    joint = apply_local_unitary(joint, _CNOT, (1, 3))
-    projs = []
-    for k in range(4):
-        v = np.zeros(4, dtype=complex)
-        v[k] = 1.0
-        projs.append(np.outer(v, v.conj()))
-    outcomes = measure(joint, ProjectiveMeasurement((2, 3), tuple(projs)), keep=(0, 3))
+    joint = DensityOperator(joint.dims, joint.matrix[_BILATERAL_IX])
+    outcomes = measure(joint, _TARGET_READOUT, keep=(0, 3))
     kept = [outcomes[0], outcomes[3]]  # equal measurement results: 00 and 11
     accept = sum(o.probability for o in kept)
     if accept <= ATOL:

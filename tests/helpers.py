@@ -29,6 +29,11 @@ reads plain-number pair arrays from the file's bytes.  ``loop_sample_leaves``
 and ``loop_sigma_scan`` draw every shot's outcome with NumPy's own
 ``Generator.choice`` and ``Generator.geometric``, where the package counts
 the underlying uniform or exponential draws against cumulative thresholds.
+``loop_twirl_to_isotropic`` forms each Clifford's U (x) conj(U) and conjugates
+by it on its own, where the package conjugates by a cached stack of all 24 in
+one product; ``loop_recurrence_round`` applies each side's CNOT through
+``apply_local_unitary`` and builds its target-pair measurement per call, where
+the package gathers the joint matrix by the bilateral CNOT's permutation.
 """
 
 import argparse
@@ -61,7 +66,7 @@ from gmesim.cli import (
     run_report_payload,
     state_from_payload,
 )
-from gmesim.distill import distill_pipeline
+from gmesim.distill import _single_qubit_cliffords, distill_pipeline
 from gmesim.entanglement import (
     SVETLICHNY_CLASSICAL_BOUND,
     SVETLICHNY_QUANTUM_BOUND,
@@ -420,6 +425,51 @@ def oracle_load_state_file(path):
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     return state_from_payload(data)
+
+
+# ---------------------------------------------------------------------------
+# distillation oracles: one conjugation, one operator, one measurement at a time
+# ---------------------------------------------------------------------------
+
+_LOOP_CNOT = np.zeros((4, 4), dtype=complex)
+_LOOP_CNOT[0, 0] = _LOOP_CNOT[1, 1] = _LOOP_CNOT[2, 3] = _LOOP_CNOT[3, 2] = 1.0
+
+
+def loop_twirl_to_isotropic(rho: DensityOperator) -> DensityOperator:
+    """``distill.twirl_to_isotropic`` with one kron and two 4x4 products per Clifford."""
+    if rho.dims.dims != (2, 2):
+        raise ValueError("the twirl is defined for two qubits")
+    cliffords = _single_qubit_cliffords()
+    acc = np.zeros((4, 4), dtype=complex)
+    for u in cliffords:
+        big = np.kron(u, u.conj())
+        acc += big @ rho.matrix @ big.conj().T
+    acc /= len(cliffords)
+    return DensityOperator(rho.dims, _hermitian_part(acc, 2.0))
+
+
+def loop_recurrence_round(rho: DensityOperator) -> tuple[float, DensityOperator]:
+    """``distill.recurrence_round`` with each side's CNOT applied as a unitary
+    and the target-pair measurement built for the call."""
+    if rho.dims.dims != (2, 2):
+        raise ValueError("the recurrence round is defined for two-qubit pairs")
+    joint = tensor(rho, rho)  # parties: A1 B1 A2 B2
+    joint = apply_local_unitary(joint, _LOOP_CNOT, (0, 2))
+    joint = apply_local_unitary(joint, _LOOP_CNOT, (1, 3))
+    projs = []
+    for k in range(4):
+        v = np.zeros(4, dtype=complex)
+        v[k] = 1.0
+        projs.append(np.outer(v, v.conj()))
+    outcomes = measure(joint, ProjectiveMeasurement((2, 3), tuple(projs)), keep=(0, 3))
+    kept = [outcomes[0], outcomes[3]]  # equal measurement results: 00 and 11
+    accept = sum(o.probability for o in kept)
+    if accept <= ATOL:
+        raise ValueError("recurrence round accepted with negligible probability")
+    post = mix(
+        [(o.probability / accept, o.post_state) for o in kept if o.post_state is not None]
+    )
+    return accept, partial_trace(post, (2, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,21 @@
-"""Purification pipeline: filters, twirling, and the two-copy recurrence."""
+"""Purification pipeline: filters, twirling, and the two-copy recurrence.
+
+The twirl conjugates by a cached stack of all 24 Clifford superoperators in
+one product, and the recurrence round gathers the joint matrix by the
+bilateral CNOT's permutation and reads the target pair out with one
+measurement built at import.  Both are compared bit for bit with
+``helpers.loop_twirl_to_isotropic`` and ``helpers.loop_recurrence_round``,
+which form and apply each operator on its own, as the package did before.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gmesim import distill, qcore
 from gmesim.distill import (
     DISTILLABLE_FIDELITY,
     FilterPair,
@@ -28,7 +39,13 @@ from gmesim.qcore import (
     mix,
 )
 
-from helpers import random_density, recurrence_accept_prob, recurrence_map
+from helpers import (
+    loop_recurrence_round,
+    loop_twirl_to_isotropic,
+    random_density,
+    recurrence_accept_prob,
+    recurrence_map,
+)
 
 CUT = Bipartition(frozenset({0}), 2)
 
@@ -92,6 +109,92 @@ class TestTwirl:
             isotropic_state(1.2)
         with pytest.raises(ValueError):
             isotropic_state(-0.1)
+
+
+@st.composite
+def pair_densities(draw):
+    """Two-qubit densities: random of any rank, isotropic, diagonal, or zero-laden.
+
+    A zero-laden density is a direct sum of random blocks on a random partition
+    of the four basis states, and every zero entry gets a random sign in its
+    real and its imaginary part: a gather keeps a -0.0 that a BLAS product
+    would turn into +0.0.
+    """
+    kind = draw(st.sampled_from(["random", "isotropic", "diagonal", "zero-laden"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "isotropic":
+        return isotropic_state(draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)))
+    if kind == "random":
+        rank = draw(st.integers(1, 4))
+        return DensityOperator(PartyDims((2, 2)), random_density((2, 2), rng, rank))
+    if kind == "diagonal":
+        w = rng.random(4) * (rng.random(4) < 0.7)
+        w[rng.integers(4)] += 0.5
+        return DensityOperator(PartyDims((2, 2)), np.diag(w / w.sum()).astype(complex))
+    labels = rng.integers(0, 3, size=4)
+    mat = np.zeros((4, 4), dtype=complex)
+    for label in np.unique(labels):
+        block = np.flatnonzero(labels == label)
+        sub = random_density((len(block),), rng, int(rng.integers(1, len(block) + 1)))
+        mat[np.ix_(block, block)] = rng.random() * sub
+    mat /= np.trace(mat).real
+    zero = mat == 0
+    signs = np.where(rng.random((2, 4, 4)) < 0.5, -0.0, 0.0)
+    mat.real[zero], mat.imag[zero] = signs[0][zero], signs[1][zero]
+    mat.imag[np.diag_indices(4)] = signs[1].diagonal()
+    return DensityOperator(PartyDims((2, 2)), mat)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pair_densities())
+def test_twirl_and_round_are_their_loop_oracles_bit_for_bit(rho):
+    assert twirl_to_isotropic(rho).matrix.tobytes() == loop_twirl_to_isotropic(rho).matrix.tobytes()
+    accept, post = recurrence_round(rho)
+    want_accept, want_post = loop_recurrence_round(rho)
+    assert accept.hex() == want_accept.hex()
+    assert post.matrix.tobytes() == want_post.matrix.tobytes()
+
+
+def test_rounds_redo_no_constant_work(monkeypatch):
+    """After the first twirl no kron is formed; a round builds no measurement
+    and applies no unitary, only the one kron of its two copies."""
+    rho = DensityOperator(PartyDims((2, 2)), random_density((2, 2), np.random.default_rng(3)))
+    twirl_to_isotropic(rho)
+    calls = {"kron": 0, "measurement": 0, "unitary": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np, "kron", counting("kron", np.kron))
+    monkeypatch.setattr(
+        qcore.ProjectiveMeasurement,
+        "__post_init__",
+        counting("measurement", qcore.ProjectiveMeasurement.__post_init__),
+    )
+    unitary = counting("unitary", qcore.apply_local_unitary)
+    for module in (distill, qcore):
+        monkeypatch.setattr(module, "apply_local_unitary", unitary)
+    twirl_to_isotropic(rho)
+    assert calls == {"kron": 0, "measurement": 0, "unitary": 0}
+    for _ in range(3):
+        recurrence_round(rho)
+    assert calls == {"kron": 3, "measurement": 0, "unitary": 0}
+
+
+def test_cached_cliffords_and_superoperators_are_read_only():
+    members = distill._single_qubit_cliffords()
+    assert isinstance(members, tuple) and len(members) == 24
+    assert distill._single_qubit_cliffords() is members
+    bigs, adjs = distill._twirl_superoperators()
+    assert bigs.shape == adjs.shape == (24, 4, 4)
+    assert adjs.tobytes() == bigs.conj().transpose(0, 2, 1).tobytes()
+    for array in (members[0], bigs, adjs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 2.0
 
 
 class TestRecurrence:

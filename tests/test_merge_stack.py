@@ -32,8 +32,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmesim.protocols import merge_chain_to_ghz, normalize_schmidt
-from gmesim.qcore import ATOL, PartyDims, PureState, _require_unit_rows, _row_dots, _row_norms, ket
+from gmesim.protocols import _PARITY, _READOUT, _measure_rows, merge_chain_to_ghz, normalize_schmidt
+from gmesim.qcore import (
+    ATOL,
+    PartyDims,
+    ProjectiveMeasurement,
+    PureState,
+    _require_unit_rows,
+    _row_dots,
+    _row_norms,
+    ket,
+    measure,
+)
 
 from helpers import (
     loop_merge_chain_to_ghz,
@@ -150,6 +160,34 @@ def test_stacked_row_dots_and_norms_are_vdot_and_norm_bit_for_bit(stack):
     norms = np.array([np.linalg.norm(r) for r in flat])
     assert _row_dots(stack).reshape(-1).tobytes() == dots.tobytes()
     assert _row_norms(stack).reshape(-1).tobytes() == norms.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 48),
+    st.sampled_from(["parity", "readout"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_measure_rows_is_measure_per_row_bit_for_bit(j, n_rows, stage, seed):
+    """A merge stage on dense rows, which the chain's Schmidt-form rows are not,
+    gives each row's ``measure`` outcomes: probabilities and states bit for bit."""
+    dims = PartyDims((2,) * (j + 3))
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n_rows, dims.total)) + 1j * rng.normal(size=(n_rows, dims.total))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    records = [((b,), float(w)) for b, w in enumerate(rng.random(n_rows))]
+    targets, meas = ((j, j + 1), _PARITY) if stage == "parity" else ((j,), _READOUT)
+    children, out = _measure_rows(dims, records, rows, targets, meas.projectors)
+    per_row, want_children, want_rows = ProjectiveMeasurement(targets, meas.projectors), [], []
+    for (pattern, weight), row in zip(records, rows):
+        for k, outcome in enumerate(measure(PureState(dims, row), per_row)):
+            if outcome.post_state is not None:
+                want_children.append((pattern + (k,), weight * outcome.probability))
+                want_rows.append(outcome.post_state.amplitudes)
+    assert [pattern for pattern, _ in children] == [pattern for pattern, _ in want_children]
+    assert [p.hex() for _, p in children] == [p.hex() for _, p in want_children]
+    assert out.tobytes() == np.array(want_rows).tobytes()
 
 
 def test_pruned_two_pair_branches_match_the_loop_oracle_bit_for_bit():
