@@ -613,7 +613,7 @@ _BUILTIN_NAMES = (
 )
 
 
-def _builtin_state(name: str, p: float, schmidt_text, weights_text):
+def _builtin_state(name: str, p: float = 0.5, schmidt_text=None, weights_text=None):
     """The named builtin state and the resolved parameters that rebuild it."""
     name = name.lower()
     if name == "ghz3":
@@ -652,7 +652,9 @@ def _load_input_state(args, default_builtin: str | None = None):
     builtin = default_builtin if args.builtin is None else args.builtin
     if builtin is None:
         raise ValueError("one of --state-file or --builtin is required")
-    state, params = _builtin_state(builtin, args.p, args.schmidt, args.weights)
+    # svetlichny has no parameter flags: its builtins take the defaults
+    flags = [getattr(args, name) for name in ("p", "schmidt", "weights") if hasattr(args, name)]
+    state, params = _builtin_state(builtin, *flags)
     return state, {"kind": "builtin", "name": builtin.lower(), **params}
 
 
@@ -828,8 +830,6 @@ _OUTPUT_ROWS = (
 _P_ROW = ("--p", float, 0.5, "mixture weight (default 0.5)")
 _MC_ROWS = (("--shots", int, DEFAULT_SHOTS, f"Monte Carlo shots (default {DEFAULT_SHOTS})"),
             ("--no-mc", bool, False, "skip the Monte Carlo block"))
-_BUILTIN_ROWS = (("--schmidt", str, None, "Schmidt coefficients for parametrized builtins"),
-                 ("--weights", str, None, "weights for the prop3 builtin"))
 
 #: Each subcommand's help line and flag rows, in ``--help`` order.
 _SUBCOMMANDS = {
@@ -866,13 +866,13 @@ _SUBCOMMANDS = {
         ("--state-file", str, None, "JSON state file to certify"),
         ("--builtin", str, None, f"builtin state name ({', '.join(_BUILTIN_NAMES)})"),
         ("--p", float, 0.5, "mixture weight for parametrized builtins (default 0.5)"),
-        *_BUILTIN_ROWS, *_OUTPUT_ROWS,
+        ("--schmidt", str, None, "Schmidt coefficients for parametrized builtins"),
+        ("--weights", str, None, "weights for the prop3 builtin"),
+        *_OUTPUT_ROWS,
     )),
     "svetlichny": ("tripartite nonlocality functional", (
         ("--state-file", str, None, "JSON state file (pure, three qubits)"),
         ("--builtin", str, None, "builtin state name (default ghz3)"),
-        ("--p", float, 0.5, "mixture weight for parametrized builtins"),
-        *_BUILTIN_ROWS,
         ("--angles", str, None, "six equatorial angles A,A',B,B',C,C' (default: optimal)"),
         *_OUTPUT_ROWS,
     )),

@@ -29,7 +29,6 @@ from .qcore import (
     measure,
     mix,
     partial_trace,
-    tensor,
 )
 
 _PHI_PLUS = bell_pair("phi+")
@@ -189,8 +188,8 @@ def recurrence_round(rho: DensityOperator) -> tuple[float, DensityOperator]:
     """
     if rho.dims.dims != (2, 2):
         raise ValueError("the recurrence round is defined for two-qubit pairs")
-    joint = tensor(rho, rho)  # parties: A1 B1 A2 B2
-    joint = DensityOperator(joint.dims, joint.matrix[_BILATERAL_IX])
+    # parties A1 B1 A2 B2; rho (x) rho is validated once, after the permutation
+    joint = DensityOperator(PartyDims((2,) * 4), np.kron(rho.matrix, rho.matrix)[_BILATERAL_IX])
     outcomes = measure(joint, _TARGET_READOUT, keep=(0, 3))
     kept = [outcomes[0], outcomes[3]]  # equal measurement results: 00 and 11
     accept = sum(o.probability for o in kept)

@@ -58,13 +58,12 @@ from .qcore import (
     PartyDims,
     ProjectiveMeasurement,
     PureState,
+    _contract_rows,
     _local_kernel,
+    _measure_rows,
     _phase_canonical,
-    _require_probability_sum,
     _require_unit_rows,
     _require_unitary,
-    _row_dots,
-    _row_norms,
     apply_local_unitary,
     basis_ket,
     bell_basis,
@@ -474,30 +473,6 @@ def _schmidt_align_pair(pair: PureState) -> tuple[PureState, tuple[float, float]
     return aligned, (a, b), (u.conj().T, vh.conj())
 
 
-def _measure_rows(dims: PartyDims, records, rows: np.ndarray, targets, projectors):
-    """``measure`` on each row of a merge stage, beside its (pattern, probability).
-
-    Returns the live children, parent-major and outcome-minor, and their
-    renormalized rows, with ``measure``'s arithmetic, clipping, pruning and
-    probability-sum check per row, each one call on the whole stack.
-    """
-    apply = _local_kernel(dims, targets, rows)[1]
-    subs = [apply(p) for p in projectors]
-    del apply  # frees the kernel's transposed copy of the rows
-    subs = np.stack(subs, axis=1)  # (rows, outcomes, D)
-    raw = _row_dots(subs)
-    clipped = np.minimum(np.maximum(raw, 0.0), 1.0)
-    for b in (np.abs(np.add.reduce(clipped, axis=1) - 1.0) > ATOL).nonzero()[0]:
-        _require_probability_sum(clipped[b].tolist(), targets, dims)
-    live = raw > PRUNE_ATOL
-    children = [(records[b][0] + (k,), records[b][1] * c) for b, k, c in
-                zip(*(index.tolist() for index in live.nonzero()), clipped[live].tolist())]
-    out = subs[live]
-    out /= np.sqrt(raw[live])[:, None]
-    _require_unit_rows(out, dims)
-    return children, out
-
-
 def _fuse_chain(pairs):
     """``merge_chain_to_ghz`` short of the corrections, its branches sorted parity-major."""
     pairs = list(pairs)
@@ -517,15 +492,12 @@ def _fuse_chain(pairs):
         dims = PartyDims((2,) * (j + 3))
         rows = (rows[:, :, None] * aligned[j].amplitudes).reshape(len(rows), dims.total)
         _require_unit_rows(rows, dims)
-        records, rows = _measure_rows(dims, records, rows, (j, j + 1), _PARITY.projectors)
-        records, rows = _measure_rows(dims, records, rows, (j,), _READOUT.projectors)
-        front = _local_kernel(dims, (j,), rows)[0]
-        rows = np.matmul(_REFERENCES[[pattern[-1] for pattern, _ in records], None], front)[:, 0]
-        del front
-        weights = _row_norms(rows)
-        if (weights <= PRUNE_ATOL).any():
-            raise ValueError("state has (almost) no overlap with the reference vector")
-        rows /= weights[:, None]
+        for targets, stage in (((j, j + 1), _PARITY), ((j,), _READOUT)):
+            probs, live, rows = _measure_rows(dims, rows, targets, stage.projectors)
+            records = [(records[b][0] + (k,), records[b][1] * prob) for b, k, prob in
+                       zip(*(index.tolist() for index in live.nonzero()), probs[live].tolist())]
+            _require_unit_rows(rows, dims)
+        rows = _contract_rows(dims, rows, (j,), _REFERENCES[[p[-1] for p, _ in records]])
         dims = PartyDims((2,) * (j + 2))
         _require_unit_rows(rows, dims)
 
@@ -573,15 +545,16 @@ def merge_chain_to_ghz(pairs) -> MergeResult:
     branches so far: pair j is tensored onto every row, party j measures the
     parity of its qubits j and j+1 and reads qubit j out, and that qubit is
     contracted away, so the 4**m joint vector is never formed; X and Z
-    corrections follow.  Each step is one call on the whole stack, one BLAS dot
-    per row for a probability or weight, so each row gets the arithmetic of
-    separate ``measure``, ``contract_party`` and ``apply_local_unitary``
-    calls; each branch is validated once, by ``PureState``.  The branches are
-    sorted from fusion order (parity 1, sign 1, parity 2, ...) to parity-major
-    order, so branch indices, and the branch a sampled run draws, are those of
-    a merge over the joint vector.  For m = 2 each row sees the same calls on
-    the same rows as there, so the result is bit for bit the same; from m = 3
-    on sums run in another order.
+    corrections follow.  Each step is one call on the whole stack of the row
+    kernels (``qcore._measure_rows``, ``qcore._contract_rows``) that
+    ``measure`` and ``contract_party`` run on one row, so each row gets the
+    arithmetic of separate ``measure``, ``contract_party`` and
+    ``apply_local_unitary`` calls; each branch is validated once, by
+    ``PureState``.  The branches are sorted from fusion order (parity 1,
+    sign 1, parity 2, ...) to parity-major order, so branch indices, and the
+    branch a sampled run draws, are those of a merge over the joint vector.
+    For m = 2 each row sees the same calls on the same rows as there, so the
+    result is bit for bit the same; from m = 3 on sums run in another order.
     """
     coeffs, alignments, dims, records, rows = _fuse_chain(pairs)
     return MergeResult(tuple(_finish_branches(dims, records, rows)), coeffs, alignments)
@@ -1198,7 +1171,7 @@ def sigma_scan(p_list, n_max: int, shots: int, seed: int) -> list[ScanRow]:
     rows = []
     for p, child in zip(p_list, children):
         rho = build_sigma(p)
-        rate = measure(rho, level_group_measurement(2, 3, _SIGMA_SPLIT))[0].probability
+        rate = measure(rho, level_group_measurement(2, 3, _SIGMA_SPLIT), keep=())[0].probability
         if not 0.0 < rate <= 1.0:
             raise ValueError(f"p={p!r} gives a per-copy rate {rate!r} outside (0, 1]")
         arrivals = _repeat_arrivals(np.random.default_rng(child), rate, n_max, shots)

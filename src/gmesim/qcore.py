@@ -476,6 +476,49 @@ def _require_unitary(u: np.ndarray) -> None:
         raise ValueError("operator is not unitary within tolerance")
 
 
+def _require_probability_sum(probabilities, targets, dims: PartyDims) -> None:
+    """Refuse outcome probabilities, or a row of a ``(B, K)`` stack of them, not summing to one."""
+    for row in np.atleast_2d(probabilities).tolist():
+        total = sum(row)
+        if abs(total - 1.0) > ATOL:
+            raise InvariantError(
+                f"measurement on parties {targets} of dims {dims.dims}: probabilities "
+                f"sum to {total!r}, residual {total - 1.0:.3e} exceeds {ATOL:g}"
+            )
+
+
+def _measure_rows(dims: PartyDims, rows: np.ndarray, targets, operators):
+    """Each operator of a local instrument on every row of a ``(B, D)`` stack: the
+    images' squared norms (``np.vdot``'s BLAS dot) clipped to [0, 1], each row
+    summing to one; the mask of those above the prune threshold; and those
+    images renormalized, unvalidated."""
+    apply = _local_kernel(dims, targets, rows)[1]
+    subs = [apply(op) for op in operators]
+    del apply  # frees the kernel's transposed copy of the rows
+    subs = np.stack(subs, axis=1)  # (rows, operators, D)
+    raw = _row_dots(subs)
+    probs = np.minimum(np.maximum(raw, 0.0), 1.0)
+    _require_probability_sum(probs, tuple(targets), dims)
+    live = raw > PRUNE_ATOL
+    out = subs[live]
+    out /= np.sqrt(raw[live])[:, None]
+    return probs, live, out
+
+
+def _contract_rows(dims: PartyDims, rows: np.ndarray, targets, bras: np.ndarray) -> np.ndarray:
+    """``<bras[b]|_targets |rows[b]>`` for each row b of a ``(B, D)`` stack, unvalidated,
+    renormalized by ``np.linalg.norm``'s BLAS dots; a negligible weight is refused."""
+    front = _local_kernel(dims, targets, rows)[0]
+    if bras.shape[-1] != front.shape[1]:
+        raise ValueError("reference vector does not match the party dimension")
+    out = np.matmul(bras[:, None], front)[:, 0]
+    weights = _row_norms(out)
+    if (weights <= PRUNE_ATOL).any():
+        raise ValueError("state has (almost) no overlap with the reference vector")
+    out /= weights[:, None]
+    return out
+
+
 def _local_branches(
     state: State, operators, targets, keep=None
 ) -> list[tuple[float, State | None]]:
@@ -484,25 +527,23 @@ def _local_branches(
     The post-state is renormalized (and, for a density operator, symmetrized)
     and is None when the probability is at or below the prune threshold, or
     when ``keep`` (a collection of operator indices; None keeps all) omits
-    the operator.  Probabilities are clipped to [0, 1].
+    the operator.  Probabilities are clipped to [0, 1].  A pure state is one
+    row of ``_measure_rows``, which also checks that they sum to one.
     """
-    pure = isinstance(state, PureState)
-    data = state.amplitudes[None] if pure else state.matrix
-    _, apply = _local_kernel(state.dims, targets, data, density=not pure)
+    formed = range(len(operators)) if keep is None else keep
+    if isinstance(state, PureState):
+        probs, live, rows = _measure_rows(state.dims, state.amplitudes[None], targets, operators)
+        posts = dict(zip(live[0].nonzero()[0].tolist(), rows))
+        return [(prob, PureState(state.dims, posts[i]) if i in posts and i in formed else None)
+                for i, prob in enumerate(probs[0].tolist())]
+    _, apply = _local_kernel(state.dims, targets, state.matrix, density=True)
     branches: list[tuple[float, State | None]] = []
     for i, op in enumerate(operators):
         sub = apply(op)
-        post: State | None = None
-        formed = keep is None or i in keep
-        if pure:
-            sub = sub[0]
-            prob = float(np.real(np.vdot(sub, sub)))
-            if formed and prob > PRUNE_ATOL:
-                post = PureState(state.dims, sub / math.sqrt(prob))
-        else:
-            prob = float(np.real(np.trace(sub)))
-            if formed and prob > PRUNE_ATOL:
-                post = DensityOperator(state.dims, _hermitian_part(sub, 2.0 * prob))
+        prob = float(np.real(np.trace(sub)))
+        post = None
+        if i in formed and prob > PRUNE_ATOL:
+            post = DensityOperator(state.dims, _hermitian_part(sub, 2.0 * prob))
         branches.append((min(max(prob, 0.0), 1.0), post))
     return branches
 
@@ -599,15 +640,6 @@ def partial_trace(rho: DensityOperator, discard) -> DensityOperator:
     return _trace_out(rho.matrix, rho.dims, _traced_parties(rho.dims.n, discard))
 
 
-def _require_probability_sum(probabilities, targets, dims: PartyDims) -> None:
-    total = sum(probabilities)
-    if abs(total - 1.0) > ATOL:
-        raise InvariantError(
-            f"measurement on parties {targets} of dims {dims.dims}: probabilities "
-            f"sum to {total!r}, residual {total - 1.0:.3e} exceeds {ATOL:g}"
-        )
-
-
 def postselect_levels(
     terms, steps, discard
 ) -> tuple[tuple[tuple[float, ...], ...], DensityOperator | None]:
@@ -701,7 +733,8 @@ def measure(
     targets = measurement.target_parties
     branches = _local_branches(state, measurement.projectors, targets, keep)
     outcomes = [MeasurementOutcome(i, prob, post) for i, (prob, post) in enumerate(branches)]
-    _require_probability_sum([prob for prob, _ in branches], targets, state.dims)
+    if isinstance(state, DensityOperator):  # a pure state's row kernel checked its sum
+        _require_probability_sum([prob for prob, _ in branches], targets, state.dims)
     return outcomes
 
 
@@ -801,16 +834,9 @@ def contract_party(state: PureState, party, reference) -> PureState:
     parties = (party,) if np.ndim(party) == 0 else tuple(party)
     if state.dims.n <= len(parties):
         raise ValueError("cannot contract every party")
-    vec = np.asarray(reference, dtype=complex).reshape(-1)
-    front, _ = _local_kernel(state.dims, parties, state.amplitudes[None])
-    if vec.size != front.shape[1]:
-        raise ValueError("reference vector does not match the party dimension")
-    t = (vec.conj() @ front)[0]
-    weight = float(np.linalg.norm(t))
-    if weight <= PRUNE_ATOL:
-        raise ValueError("state has (almost) no overlap with the reference vector")
+    bra = np.asarray(reference, dtype=complex).reshape(1, -1).conj()
     new_dims = PartyDims(tuple(d for i, d in enumerate(state.dims.dims) if i not in parties))
-    return PureState(new_dims, t / weight)
+    return PureState(new_dims, _contract_rows(state.dims, state.amplitudes[None], parties, bra)[0])
 
 
 def fidelity_pure(rho: State, target: PureState) -> float:

@@ -1363,11 +1363,6 @@ def loop_build_parser() -> argparse.ArgumentParser:
     svet.add_argument("--state-file", default=None, help="JSON state file (pure, three qubits)")
     svet.add_argument("--builtin", default=None,
                       help="builtin state name (default ghz3)")
-    svet.add_argument("--p", type=float, default=0.5,
-                      help="mixture weight for parametrized builtins")
-    svet.add_argument("--schmidt", default=None,
-                      help="Schmidt coefficients for parametrized builtins")
-    svet.add_argument("--weights", default=None, help="weights for the prop3 builtin")
     svet.add_argument("--angles", default=None,
                       help="six equatorial angles A,A',B,B',C,C' (default: optimal)")
     _add_common(svet)

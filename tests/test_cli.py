@@ -62,6 +62,10 @@ class TestExitCodes:
             ("certify", "--state-file", "/nonexistent/state.json"),
             ("svetlichny", "--builtin", "ghz4"),
             ("svetlichny", "--angles", "0,1,2,3,4"),
+            # certify's builtin parameters are no svetlichny flags
+            ("svetlichny", "--p", "0.3"),
+            ("svetlichny", "--schmidt", "1,1,1"),
+            ("svetlichny", "--weights", "1,1,1"),
             ("certify", "--builtin", "no-such-state"),
             ("prop3", "--weights", "1,2"),
         ],
@@ -128,9 +132,11 @@ class TestExitCodes:
         assert "matrix entry (0, 1) is (nan+0j); entries must be finite" in proc.stderr
 
     def test_density_state_rejected_by_svetlichny(self):
-        proc = run_cli("svetlichny", "--builtin", "prop1")
-        assert proc.returncode == 2
-        assert "pure" in proc.stderr
+        # the mixed builtins are built with their default parameters, then refused
+        for builtin in ("prop1", "prop2", "prop3", "sigma"):
+            proc = run_cli("svetlichny", "--builtin", builtin)
+            assert proc.returncode == 2
+            assert "the nonlocality functional needs a pure three-qubit state" in proc.stderr
 
 
 class TestReproducibility:
@@ -345,7 +351,7 @@ def test_main_builds_one_parser_and_looks_up_handlers_per_call(monkeypatch, caps
     assert builds == [1]
 
 
-@pytest.mark.parametrize("command", ["certify", "svetlichny"])
+@pytest.mark.parametrize("command", ["certify"])
 @pytest.mark.parametrize("value", ["0", "0.0"])
 def test_zero_p_is_refused_not_replaced_by_the_default(capsys, command, value):
     """``--p 0`` reaches the state's constructor, which refuses it; it is not read as 0.5."""

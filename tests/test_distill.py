@@ -157,10 +157,13 @@ def test_twirl_and_round_are_their_loop_oracles_bit_for_bit(rho):
 
 def test_rounds_redo_no_constant_work(monkeypatch):
     """After the first twirl no kron is formed; a round builds no measurement
-    and applies no unitary, only the one kron of its two copies."""
+    and applies no unitary, only the one kron of its two copies.  It validates
+    five density operators: the permuted joint (once, not also before the
+    permutation, as six per round did), the two kept post-states, their
+    mixture and the surviving pair."""
     rho = DensityOperator(PartyDims((2, 2)), random_density((2, 2), np.random.default_rng(3)))
     twirl_to_isotropic(rho)
-    calls = {"kron": 0, "measurement": 0, "unitary": 0}
+    calls = {"kron": 0, "measurement": 0, "unitary": 0, "density": 0}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -178,11 +181,16 @@ def test_rounds_redo_no_constant_work(monkeypatch):
     unitary = counting("unitary", qcore.apply_local_unitary)
     for module in (distill, qcore):
         monkeypatch.setattr(module, "apply_local_unitary", unitary)
+    monkeypatch.setattr(
+        qcore.DensityOperator,
+        "__post_init__",
+        counting("density", qcore.DensityOperator.__post_init__),
+    )
     twirl_to_isotropic(rho)
-    assert calls == {"kron": 0, "measurement": 0, "unitary": 0}
+    assert calls == {"kron": 0, "measurement": 0, "unitary": 0, "density": 1}
     for _ in range(3):
         recurrence_round(rho)
-    assert calls == {"kron": 3, "measurement": 0, "unitary": 0}
+    assert calls == {"kron": 3, "measurement": 0, "unitary": 0, "density": 1 + 5 * 3}
 
 
 def test_cached_cliffords_and_superoperators_are_read_only():

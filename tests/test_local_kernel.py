@@ -8,8 +8,15 @@ operator, and compares the fast kernel with ``helpers.loop_embed``, which
 lifts the operator to the full space one matrix element at a time.  A stack
 of pure-state rows must get, bit for bit, the arithmetic of one state at a
 time, and ``contract_party`` that of ``np.tensordot``.
+
+On a pure state, ``measure`` and ``contract_party`` are one-row calls of the
+stacked row kernels ``qcore._measure_rows`` and ``qcore._contract_rows``,
+which the chain merge runs on its whole stack.  So these dense random states
+pin the merge's probabilities and contraction weights bit for bit, and its
+probability-sum check, which the merge's own Schmidt-form rows cannot.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -172,6 +179,25 @@ def test_stacked_rows_match_one_state_at_a_time(layout, rows):
 
 
 @PROPERTY
+@given(layouts())
+def test_pure_measure_is_one_vdot_per_outcome_bit_for_bit(layout):
+    """Each outcome of a pure state: ``np.vdot`` of the one-state kernel's
+    image for the probability, the image over its root for the post-state."""
+    dims, targets, seed = layout
+    rng = np.random.default_rng(seed)
+    state = random_state(dims, rng, pure=True)
+    projectors = random_projectors(target_dim(dims, targets), rng)
+    for out, proj in zip(measure(state, ProjectiveMeasurement(targets, projectors)), projectors):
+        sub = one_state_kernel(state.amplitudes, dims, targets, proj)
+        prob = float(np.real(np.vdot(sub, sub)))
+        assert out.probability.hex() == min(max(prob, 0.0), 1.0).hex()
+        if prob > PRUNE_ATOL:
+            assert out.post_state.amplitudes.tobytes() == (sub / math.sqrt(prob)).tobytes()
+        else:
+            assert out.post_state is None
+
+
+@PROPERTY
 @given(layouts(max_targets=2), st.integers(1, 8))
 def test_contract_party_matches_tensordot(layout, rows):
     dims, targets, seed = layout
@@ -266,10 +292,10 @@ def test_probability_sum_error_names_dims_targets_and_residual(monkeypatch):
     monkeypatch.undo()
     state = PureState(PartyDims((2, 4, 3)), random_pure((2, 4, 3), np.random.default_rng(4)))
     expected_total = sum(abs(state.tensor_view()[0, :, 0]) ** 2)
-    # the sum covers every outcome, kept or not
-    for keep in (None, (0,), ()):
+    # the sum covers every outcome, kept or not, of a pure or a density state
+    for target, keep in itertools.product((state, state.density()), (None, (0,), ())):
         with pytest.raises(InvariantError) as info:
-            measure(state, incomplete, keep=keep)
+            measure(target, incomplete, keep=keep)
         message = str(info.value)
         assert "parties (2, 0)" in message
         assert "dims (2, 4, 3)" in message

@@ -16,9 +16,11 @@ amplitudes and probabilities agree within ``FUSION_ATOL``.  Every branch is
 also checked against the closed form of ``helpers.merge_branch_amplitudes``,
 and the memory a 6-pair merge may take is bounded.
 
-Each fusion step runs on the whole stack: the outcome probabilities and
-contraction weights are stacked matmuls whose items are the BLAS dots of
-``np.vdot`` and ``np.linalg.norm`` (``qcore._row_dots``, ``qcore._row_norms``).
+Each fusion step runs on the whole stack through ``qcore._measure_rows`` and
+``qcore._contract_rows``, which ``measure`` and ``contract_party`` run on one
+row: the outcome probabilities and contraction weights are stacked matmuls
+whose items are the BLAS dots of ``np.vdot`` and ``np.linalg.norm``
+(``qcore._row_dots``, ``qcore._row_norms``).
 So for every chain length the merge equals, bit for bit,
 ``helpers.row_merge_chain_to_ghz``, which sends each row of each stage
 through the public ``measure``, ``contract_party`` and ``apply_local_unitary``
@@ -32,12 +34,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmesim.protocols import _PARITY, _READOUT, _measure_rows, merge_chain_to_ghz, normalize_schmidt
+from gmesim.protocols import _PARITY, _READOUT, merge_chain_to_ghz, normalize_schmidt
 from gmesim.qcore import (
     ATOL,
     PartyDims,
     ProjectiveMeasurement,
     PureState,
+    _measure_rows,
     _require_unit_rows,
     _row_dots,
     _row_norms,
@@ -170,23 +173,24 @@ def test_stacked_row_dots_and_norms_are_vdot_and_norm_bit_for_bit(stack):
     st.integers(0, 2**32 - 1),
 )
 def test_measure_rows_is_measure_per_row_bit_for_bit(j, n_rows, stage, seed):
-    """A merge stage on dense rows, which the chain's Schmidt-form rows are not,
-    gives each row's ``measure`` outcomes: probabilities and states bit for bit."""
+    """The shared row kernel on a merge stage's dense rows, which the chain's
+    Schmidt-form rows are not, gives each row's one-row ``measure`` outcomes:
+    probabilities and states bit for bit, and the same pruned set."""
     dims = PartyDims((2,) * (j + 3))
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(n_rows, dims.total)) + 1j * rng.normal(size=(n_rows, dims.total))
     rows /= np.linalg.norm(rows, axis=1)[:, None]
-    records = [((b,), float(w)) for b, w in enumerate(rng.random(n_rows))]
     targets, meas = ((j, j + 1), _PARITY) if stage == "parity" else ((j,), _READOUT)
-    children, out = _measure_rows(dims, records, rows, targets, meas.projectors)
-    per_row, want_children, want_rows = ProjectiveMeasurement(targets, meas.projectors), [], []
-    for (pattern, weight), row in zip(records, rows):
-        for k, outcome in enumerate(measure(PureState(dims, row), per_row)):
-            if outcome.post_state is not None:
-                want_children.append((pattern + (k,), weight * outcome.probability))
-                want_rows.append(outcome.post_state.amplitudes)
-    assert [pattern for pattern, _ in children] == [pattern for pattern, _ in want_children]
-    assert [p.hex() for _, p in children] == [p.hex() for _, p in want_children]
+    probs, live, out = _measure_rows(dims, rows, targets, meas.projectors)
+    per_row = ProjectiveMeasurement(targets, meas.projectors)
+    want_probs, want_live, want_rows = [], [], []
+    for row in rows:
+        outcomes = measure(PureState(dims, row), per_row)
+        want_probs.append([outcome.probability for outcome in outcomes])
+        want_live.append([outcome.post_state is not None for outcome in outcomes])
+        want_rows += [o.post_state.amplitudes for o in outcomes if o.post_state is not None]
+    assert probs.tobytes() == np.array(want_probs).tobytes()
+    assert live.tolist() == want_live
     assert out.tobytes() == np.array(want_rows).tobytes()
 
 

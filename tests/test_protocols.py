@@ -595,6 +595,26 @@ class TestScan:
             sigma_scan([0.5], 3, 0, seed=0)
 
 
+def test_sigma_scan_builds_only_the_sigma_states(monkeypatch):
+    """The rate is read from C's outcome probabilities: no post-state is formed."""
+    constructed, built = [], []
+    post_init, build = qcore.DensityOperator.__post_init__, protocols.build_sigma
+
+    def recording(self):
+        post_init(self)
+        constructed.append(self)
+
+    def recorded_build(p):
+        built.append(build(p))
+        return built[-1]
+
+    monkeypatch.setattr(qcore.DensityOperator, "__post_init__", recording)
+    monkeypatch.setattr(protocols, "build_sigma", recorded_build)
+    sigma_scan([0.3, 0.7], n_max=2, shots=10, seed=0)
+    assert len(constructed) == len(built) == 2
+    assert all(a is b for a, b in zip(constructed, built))
+
+
 def test_sampled_sigma_run_reaches_ghz_without_conditioning():
     """End-to-end sampled run; the seed fixes the whole trajectory."""
     report = run_sigma_adaptive(ProtocolConfig(p=0.5, seed=123))
@@ -617,11 +637,11 @@ def test_protocol_invariant_errors_name_the_operation_sizes_and_residual(monkeyp
         return [qcore.MeasurementOutcome(o.outcome_index, o.probability / 2, o.post_state)
                 for o in measure(*args, **kwargs)]
 
-    measure_rows = protocols._measure_rows
+    measure_rows = protocols._measure_rows  # the qcore row kernel, as the merge calls it
 
     def halved_rows(*args):
-        children, rows = measure_rows(*args)
-        return [(pattern, prob / 2) for pattern, prob in children], rows
+        probs, live, rows = measure_rows(*args)
+        return probs / 2, live, rows
 
     monkeypatch.setattr(protocols, "measure", halved)
     monkeypatch.setattr(protocols, "_measure_rows", halved_rows)

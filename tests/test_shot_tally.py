@@ -306,7 +306,7 @@ def test_sample_leaves_refuses_a_nan_or_negative_leaf_by_index(value):
 def test_sigma_scan_refuses_a_rate_outside_the_unit_interval_before_drawing(monkeypatch, rate):
     # a stand-in outcome: MeasurementOutcome itself refuses such probabilities
     monkeypatch.setattr(protocols, "measure",
-                        lambda *args: [types.SimpleNamespace(probability=float(rate))])
+                        lambda *args, **kwargs: [types.SimpleNamespace(probability=float(rate))])
     with recorded_generators() as made, pytest.raises(
         ValueError, match=rf"^p=0\.5 gives a per-copy rate {float(rate)!r} outside \(0, 1\]$"
     ):
