@@ -54,9 +54,15 @@ class FilterPair:
         object.__setattr__(self, "k1", k1)
         if k0.shape != k1.shape or k0.shape[0] != k0.shape[1]:
             raise ValueError("filter operators must be square and equally sized")
-        total = k0.conj().T @ k0 + k1.conj().T @ k1
-        if np.max(np.abs(total - np.eye(k0.shape[0]))) > ATOL:
-            raise ValueError("filter operators must satisfy the completeness relation")
+        # every state's two outcome probabilities then sum to one within the
+        # residual's operator norm; the other half of ATOL covers their rounding
+        residual = k0.conj().T @ k0 + k1.conj().T @ k1 - np.eye(k0.shape[0])
+        norm = float(np.max(np.abs(np.linalg.eigvalsh(residual))))
+        if not norm <= ATOL / 2:
+            raise ValueError(
+                "filter operators must satisfy the completeness relation: K0'K0 + K1'K1 - 1 "
+                f"has operator norm {norm:.3e}, above {ATOL / 2:g}"
+            )
 
 
 def identity_filter(dim: int = 2) -> FilterPair:
@@ -235,15 +241,12 @@ def _schmidt_align(rho: DensityOperator) -> DensityOperator:
     return apply_local_unitary(rho, vh.conj(), (1,))
 
 
-def distill_pipeline(
-    rho: DensityOperator, rounds: int, filter_pair: FilterPair | None = None
-) -> PipelineResult:
+def distill_pipeline(rho: DensityOperator, rounds: int) -> PipelineResult:
     """Filter, twirl, then iterate recurrence rounds on a two-qubit state.
 
-    The filter stage aligns the dominant eigenvector to Schmidt form and, by
-    default, applies the Procrustean balancing filter whenever that raises
-    the Bell fidelity (a caller-supplied ``filter_pair`` overrides this
-    choice; its first branch is taken as success).  If the post-filter
+    The filter stage aligns the dominant eigenvector to Schmidt form and
+    applies the Procrustean balancing filter whenever that raises the Bell
+    fidelity; its first branch is taken as success.  If the post-filter
     fidelity does not exceed 1/2 the state is reported as not distillable by
     this pipeline.  Each round twirls to the isotropic family first, so the
     fidelity trajectory is monotone nondecreasing above the threshold.
@@ -257,21 +260,13 @@ def distill_pipeline(
     state = _schmidt_align(rho)
     filtered = False
     filter_prob = 1.0
-    if filter_pair is not None:
-        prob, post = local_filter(state, 0, filter_pair)[0]
-        if post is None:
-            raise ValueError("the supplied filter succeeds with negligible probability")
-        state, filtered, filter_prob = post, True, prob
-    else:
-        vals, vecs = np.linalg.eigh(state.matrix)
-        dom = np.abs(np.diag(vecs[:, -1].reshape(2, 2)))
-        a, b = float(max(dom)), float(min(dom))
-        if b > 1e-6 and a - b > 1e-9:
-            prob, post = local_filter(state, 0, procrustean_filter(a, b))[0]
-            if post is not None and fidelity_pure(post, _PHI_PLUS) > fidelity_pure(
-                state, _PHI_PLUS
-            ):
-                state, filtered, filter_prob = post, True, prob
+    vals, vecs = np.linalg.eigh(state.matrix)
+    dom = np.abs(np.diag(vecs[:, -1].reshape(2, 2)))
+    a, b = float(max(dom)), float(min(dom))
+    if b > 1e-6 and a - b > 1e-9:
+        prob, post = local_filter(state, 0, procrustean_filter(a, b))[0]
+        if post is not None and fidelity_pure(post, _PHI_PLUS) > fidelity_pure(state, _PHI_PLUS):
+            state, filtered, filter_prob = post, True, prob
 
     fidelity = fidelity_pure(state, _PHI_PLUS)
     trajectory = [(fidelity, filter_prob)]

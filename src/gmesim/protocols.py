@@ -139,9 +139,9 @@ class ProtocolConfig:
     """Shared knobs for the protocol runners and the Monte Carlo driver.
 
     ``schmidt_coeffs`` defaults to the uniform choice appropriate for each
-    protocol when left as None.  ``first_outcome`` conditions the first copy
-    of the adaptive runner on a fixed branch (0 keeps the A-B pair first,
-    1 keeps B-C first); the repeat-phase success law is stated for branch 0.
+    protocol when left as None.  ``shots`` and ``seed`` are the Monte Carlo
+    draw count and seed; ``seed`` also seeds a runner called without a
+    generator.
     """
 
     p: float = 0.5
@@ -150,7 +150,6 @@ class ProtocolConfig:
     shots: int = 100_000
     seed: int = 42
     max_copies: int = 21
-    first_outcome: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
@@ -175,8 +174,6 @@ class ProtocolConfig:
             raise ValueError("max_copies must be a positive integer")
         object.__setattr__(self, "max_copies", int(self.max_copies))
         object.__setattr__(self, "seed", _seed(self.seed))
-        if self.first_outcome is not None and self.first_outcome not in (0, 1):
-            raise ValueError("first_outcome must be 0, 1 or None")
 
     def coeffs_or_uniform(self, n: int) -> tuple[float, ...]:
         if self.schmidt_coeffs is None:
@@ -395,22 +392,16 @@ class Prop1Branch:
     entangled: bool | None
 
 
-def run_prop1_step(
-    rho: DensityOperator, reference: PureState, party: int = 2
-) -> list[Prop1Branch]:
-    """Measure {|r><r|, 1-|r><r|} on one party and keep the other two.
+def run_prop1_step(rho: DensityOperator, reference: PureState) -> list[Prop1Branch]:
+    """Party C measures {|r><r|, 1-|r><r|} against its reference state; A-B is kept.
 
-    By default party C measures against its reference state; passing
-    ``party=0`` runs the symmetric step where A measures and the B-C pair is
-    kept.  Each branch reports the reduced two-party state together with its
-    negativity certificate.
+    Each branch reports the reduced A-B state together with its negativity
+    certificate.
     """
     if rho.dims.n != 3:
         raise ValueError("this step runs on three-party states")
-    if party not in (0, 2):
-        raise ValueError("the measuring party must be an end of the chain (0 or 2)")
-    outcomes = measure(rho, state_projector_measurement(party, reference))
-    remaining = tuple(i for i in range(3) if i != party)
+    outcomes = measure(rho, state_projector_measurement(2, reference))
+    remaining = (0, 1)
     cut = Bipartition(frozenset({0}), 2)
     branches = []
     for out in outcomes:
@@ -419,7 +410,7 @@ def run_prop1_step(
                 Prop1Branch(out.outcome_index, out.probability, None, remaining, None, None)
             )
             continue
-        pair = partial_trace(out.post_state, {party})
+        pair = partial_trace(out.post_state, {2})
         neg = negativity(pair, cut)
         branches.append(
             Prop1Branch(
@@ -911,11 +902,7 @@ def run_sigma_adaptive(
     rng = np.random.default_rng(config.seed) if rng is None else rng
     steps: list[StepRecord] = []
 
-    f = config.first_outcome
-    if f is None:
-        f = _sample_index(rng, [out.probability for out in outs_a])
-    elif outs_a[f].probability <= 0.0:
-        raise ValueError("the conditioned first outcome has zero probability")
+    f = _sample_index(rng, [out.probability for out in outs_a])
     steps.append(
         StepRecord(1, "A", "split {levels 0,1} vs {flag level 2} on A", f,
                    outs_a[f].probability, True)
@@ -999,11 +986,10 @@ def _prop1_tree(config: ProtocolConfig):
 
 def _sigma_tree(config: ProtocolConfig):
     _, outs_a, outs_c = _sigma_splits(config)
-    firsts = (0, 1) if config.first_outcome is None else (config.first_outcome,)
-    total_first = sum(outs_a[f].probability for f in firsts)
+    total_first = sum(out.probability for out in outs_a)
     repeats = config.max_copies - 1
     leaves = []
-    for f in firsts:
+    for f in (0, 1):
         pf = outs_a[f].probability / total_first
         q = outs_c[f].probability
         name = "AB-first" if f == 0 else "BC-first"
@@ -1078,28 +1064,21 @@ def sample_leaves(protocol: str, leaves, shots: int, seed: int) -> MonteCarloSum
     return MonteCarloSummary(protocol, shots, seed, stats, success_rate, exact, mean_copies)
 
 
-def monte_carlo(
-    protocol: str,
-    config: ProtocolConfig,
-    shots: int | None = None,
-    seed: int | None = None,
-) -> MonteCarloSummary:
+def monte_carlo(protocol: str, config: ProtocolConfig) -> MonteCarloSummary:
     """Sample a protocol's exact branch distribution and summarize frequencies.
 
     The per-branch probabilities are computed once from the density-operator
     arithmetic (for prop2 and prop3 they are read off the same copy chain
     that ``run_prop2`` and ``run_prop3`` replay); ``sample_leaves`` then
-    draws the shots from that distribution with a single seeded generator,
-    so results are deterministic given (config, shots, seed) and independent
-    of evaluation order.
+    draws ``config.shots`` shots from that distribution with one generator
+    seeded by ``config.seed``, so results are deterministic given the config
+    and independent of evaluation order.
     """
     if protocol not in _TREES:
         raise ValueError(
             f"unknown protocol {protocol!r}; expected one of {sorted(_TREES)}"
         )
-    shots = config.shots if shots is None else int(shots)
-    seed = config.seed if seed is None else int(seed)
-    return sample_leaves(protocol, _TREES[protocol](config), shots, seed)
+    return sample_leaves(protocol, _TREES[protocol](config), config.shots, config.seed)
 
 
 @dataclass(frozen=True)

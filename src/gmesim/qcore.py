@@ -42,10 +42,8 @@ class InvariantError(RuntimeError):
     """
 
 
-def _frozen_array(data, shape=None) -> np.ndarray:
+def _frozen_array(data) -> np.ndarray:
     out = np.array(data, dtype=complex)
-    if shape is not None:
-        out = out.reshape(shape)
     out.setflags(write=False)
     return out
 
@@ -250,6 +248,7 @@ class ProjectiveMeasurement:
         for i, p in enumerate(projs):
             if p.shape != (d, d):
                 raise ValueError("projectors must be square and equally sized")
+            _require_finite(p, f"projector {i}")
             if np.max(np.abs(p - p.conj().T)) > ATOL:
                 raise ValueError(f"projector {i} is not Hermitian")
             if np.max(np.abs(p @ p - p)) > ATOL:
@@ -527,8 +526,8 @@ def _local_branches(
     The post-state is renormalized (and, for a density operator, symmetrized)
     and is None when the probability is at or below the prune threshold, or
     when ``keep`` (a collection of operator indices; None keeps all) omits
-    the operator.  Probabilities are clipped to [0, 1].  A pure state is one
-    row of ``_measure_rows``, which also checks that they sum to one.
+    the operator.  Probabilities are clipped to [0, 1] and must sum to one
+    (a pure state is one row of ``_measure_rows``, which checks that itself).
     """
     formed = range(len(operators)) if keep is None else keep
     if isinstance(state, PureState):
@@ -545,6 +544,7 @@ def _local_branches(
         if i in formed and prob > PRUNE_ATOL:
             post = DensityOperator(state.dims, _hermitian_part(sub, 2.0 * prob))
         branches.append((min(max(prob, 0.0), 1.0), post))
+    _require_probability_sum([prob for prob, _ in branches], tuple(targets), state.dims)
     return branches
 
 
@@ -730,12 +730,8 @@ def measure(
                 raise ValueError(f"keep index {k} out of range for {n} outcomes")
         if len(set(keep)) != len(keep):
             raise ValueError(f"keep indices {keep} must be distinct")
-    targets = measurement.target_parties
-    branches = _local_branches(state, measurement.projectors, targets, keep)
-    outcomes = [MeasurementOutcome(i, prob, post) for i, (prob, post) in enumerate(branches)]
-    if isinstance(state, DensityOperator):  # a pure state's row kernel checked its sum
-        _require_probability_sum([prob for prob, _ in branches], targets, state.dims)
-    return outcomes
+    branches = _local_branches(state, measurement.projectors, measurement.target_parties, keep)
+    return [MeasurementOutcome(i, prob, post) for i, (prob, post) in enumerate(branches)]
 
 
 def apply_local_unitary(state: State, unitary, target_parties) -> State:
@@ -750,15 +746,16 @@ def apply_local_unitary(state: State, unitary, target_parties) -> State:
     return DensityOperator(state.dims, apply(u))
 
 
-def relabel_subspace(state: State, party: int, basis_map: dict, new_dim: int) -> State:
-    """Rename basis levels of one party and shrink (or grow) its dimension.
+def relabel_subspace(state: PureState, party: int, basis_map: dict, new_dim: int) -> PureState:
+    """Rename basis levels of one party of a pure state and shrink (or grow) its dimension.
 
     ``basis_map`` maps old levels to new levels and must be injective; any
     population outside its domain must be negligible (below the prune
     threshold), otherwise the relabeling would lose weight.
     """
-    n = state.dims.n
-    if not 0 <= party < n:
+    if not isinstance(state, PureState):
+        raise ValueError("relabel_subspace operates on pure states")
+    if not 0 <= party < state.dims.n:
         raise ValueError("party index out of range")
     old_dim = state.dims.dims[party]
     new_dim = int(new_dim)
@@ -782,29 +779,15 @@ def relabel_subspace(state: State, party: int, basis_map: dict, new_dim: int) ->
     new_dims = PartyDims(
         tuple(new_dim if i == party else d for i, d in enumerate(state.dims.dims))
     )
-    if isinstance(state, PureState):
-        t = state.tensor_view()
-        if unmapped:
-            lost = float(np.sum(np.abs(np.take(t, unmapped, axis=party)) ** 2))
-            if lost > PRUNE_ATOL:
-                raise ValueError(
-                    f"population {lost!r} outside the relabeled subspace on party {party}"
-                )
-        out = np.moveaxis(np.tensordot(isometry, t, axes=([1], [party])), 0, party)
-        return PureState(new_dims, out.reshape(-1))
-
     t = state.tensor_view()
     if unmapped:
-        reduced = partial_trace(state, [i for i in range(n) if i != party])
-        pops = np.real(np.diag(reduced.matrix))
-        lost = float(np.sum(pops[unmapped]))
+        lost = float(np.sum(np.abs(np.take(t, unmapped, axis=party)) ** 2))
         if lost > PRUNE_ATOL:
             raise ValueError(
                 f"population {lost!r} outside the relabeled subspace on party {party}"
             )
     out = np.moveaxis(np.tensordot(isometry, t, axes=([1], [party])), 0, party)
-    out = np.moveaxis(np.tensordot(isometry.conj(), out, axes=([1], [n + party])), 0, n + party)
-    return DensityOperator(new_dims, out.reshape(new_dims.total, new_dims.total))
+    return PureState(new_dims, out.reshape(-1))
 
 
 def permute_parties(state: State, order) -> State:
@@ -854,15 +837,16 @@ def purity(rho: DensityOperator) -> float:
     return float(np.real(np.trace(rho.matrix @ rho.matrix)))
 
 
-def to_pure(rho: DensityOperator, atol: float = 1e-8) -> PureState:
+def to_pure(rho: DensityOperator) -> PureState:
     """Extract the state vector from a (numerically) rank-one density operator.
 
-    The dominant eigenvector is phase-canonicalized so that its largest
-    amplitude is real and positive, which keeps downstream reports stable.
+    Its top eigenvalue must be at least 1 - 1e-8.  The dominant eigenvector
+    is phase-canonicalized so that its largest amplitude is real and
+    positive, which keeps downstream reports stable.
     """
     vals, vecs = np.linalg.eigh(rho.matrix)
     top = float(vals[-1])
-    if top < 1.0 - atol:
+    if top < 1.0 - 1e-8:
         raise ValueError(f"density operator is not pure (top eigenvalue {top!r})")
     vec = _phase_canonical(vecs[:, -1])
     return PureState(rho.dims, vec / np.linalg.norm(vec))

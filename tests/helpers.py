@@ -942,11 +942,7 @@ def loop_run_sigma_adaptive(
     steps: list[StepRecord] = []
 
     outs_a = measure(rho, level_group_measurement(0, 3, _SIGMA_SPLIT))
-    first = config.first_outcome
-    if first is None:
-        first = _sample_probabilities(rng, [out.probability for out in outs_a])
-    elif outs_a[first].probability <= 0.0:
-        raise ValueError("the conditioned first outcome has zero probability")
+    first = _sample_probabilities(rng, [out.probability for out in outs_a])
     steps.append(
         StepRecord(1, "A", "split {levels 0,1} vs {flag level 2} on A", first,
                    outs_a[first].probability, True)
@@ -1020,11 +1016,10 @@ def loop_sigma_tree(config: ProtocolConfig):
     rho, _ = _oracle_sigma_state(config)
     outs_a = measure(rho, level_group_measurement(0, 3, _SIGMA_SPLIT))
     outs_c = measure(rho, level_group_measurement(2, 3, _SIGMA_SPLIT))
-    firsts = (0, 1) if config.first_outcome is None else (config.first_outcome,)
-    total_first = sum(outs_a[f].probability for f in firsts)
+    total_first = outs_a[0].probability + outs_a[1].probability
     repeats = config.max_copies - 1
     leaves = []
-    for f in firsts:
+    for f in (0, 1):
         pf = outs_a[f].probability / total_first
         q = outs_c[0].probability if f == 0 else outs_c[1].probability
         name = "AB-first" if f == 0 else "BC-first"

@@ -30,8 +30,10 @@ from gmesim.distill import (
 from gmesim.entanglement import Bipartition, negativity
 from gmesim.protocols import build_prop1_example, run_prop1_step
 from gmesim.qcore import (
+    ATOL,
     DensityOperator,
     PartyDims,
+    PureState,
     basis_ket,
     bell_pair,
     fidelity_pure,
@@ -43,6 +45,8 @@ from helpers import (
     loop_recurrence_round,
     loop_twirl_to_isotropic,
     random_density,
+    random_pure,
+    random_unitary,
     recurrence_accept_prob,
     recurrence_map,
 )
@@ -61,6 +65,33 @@ class TestFilters:
         k = np.diag([1.0, 0.5]).astype(complex)
         with pytest.raises(ValueError):
             FilterPair(k, k)  # k0^2 + k1^2 != 1
+        # each entry of K0'K0 - 1 is 0.99e-9, inside ATOL, but its operator norm
+        # is 1.98e-9, so on |-> the two probabilities would sum to 1 - 1.98e-9
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        k0 = h @ np.diag([1.0, math.sqrt(1.0 - 1.98e-9)]) @ h
+        assert np.max(np.abs(k0.conj().T @ k0 - np.eye(2))) < ATOL
+        with pytest.raises(ValueError, match=r"completeness relation.*operator norm 1\.980e-09"):
+            FilterPair(k0, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="operator norm nan"):
+            FilterPair(np.full((2, 2), math.nan), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_accepted_filters_pass_the_probability_sum_check(self, seed):
+        # residual -W' diag(eps) W has operator norm max(eps), just inside ATOL/2
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(0.0, 0.9, 2)
+        eps = np.array([0.499e-9, rng.uniform(0.0, 0.499e-9)])
+        w = random_unitary(2, rng)
+        k0 = random_unitary(2, rng) @ np.diag(s) @ w
+        k1 = random_unitary(2, rng) @ np.diag(np.sqrt(1.0 - s * s - eps)) @ w
+        pair = FilterPair(k0, k1)
+        dims = (2, 3)
+        states = [PureState(PartyDims(dims), random_pure(dims, rng))]
+        states += [DensityOperator(PartyDims(dims), random_density(dims, rng, rank))
+                   for rank in (1, 6)]
+        for state in states:
+            probs = [prob for prob, _ in local_filter(state, 0, pair)]
+            assert abs(sum(probs) - 1.0) <= ATOL / 2 + 1e-15
 
     def test_identity_filter_is_trivial(self):
         f = identity_filter(2)

@@ -300,3 +300,21 @@ def test_probability_sum_error_names_dims_targets_and_residual(monkeypatch):
         assert "parties (2, 0)" in message
         assert "dims (2, 4, 3)" in message
         assert f"residual {expected_total - 1.0:.3e}" in message
+
+
+def test_local_filter_sum_error_names_dims_party_and_residual(monkeypatch):
+    # a filter without its K1 cannot pass FilterPair's own completeness check,
+    # so switch that check off for this one construction
+    monkeypatch.setattr(FilterPair, "__post_init__", lambda self: None)
+    half = FilterPair(np.diag([1.0, 0.0]).astype(complex), np.zeros((2, 2), dtype=complex))
+    monkeypatch.undo()
+    state = PureState(PartyDims((3, 2)), random_pure((3, 2), np.random.default_rng(6)))
+    expected_total = sum(abs(state.tensor_view()[:, 0]) ** 2)
+    # a density is checked by the shared branch kernel, as a pure state's row is
+    for target in (state, state.density()):
+        with pytest.raises(InvariantError) as info:
+            local_filter(target, 1, half)
+        message = str(info.value)
+        assert "parties (1,)" in message
+        assert "dims (3, 2)" in message
+        assert f"residual {expected_total - 1.0:.3e}" in message

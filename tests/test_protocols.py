@@ -94,8 +94,6 @@ class TestConfig:
             ProtocolConfig(shots=0)
         with pytest.raises(ValueError):
             ProtocolConfig(max_copies=0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(first_outcome=2)
 
     def test_negative_seed_refused(self):
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
@@ -248,20 +246,8 @@ class TestSingleStep:
         assert lost.negativity == pytest.approx(0.0, abs=1e-12)
         assert fidelity_pure(lost.pair_state, ket([0, 0, 0, 1], (2, 2))) == pytest.approx(1.0)
 
-    def test_symmetric_step_from_the_other_end(self):
-        branches = run_prop1_step(
-            build_prop1_example(0.5), basis_ket((2,), (1,)), party=0
-        )
-        assert branches[0].probability == pytest.approx(0.75, abs=1e-12)
-        assert branches[0].remaining_parties == (1, 2)
-        assert branches[0].entangled
-        assert branches[0].negativity == pytest.approx((math.sqrt(5) - 1) / 6, abs=1e-12)
-
-    def test_rejects_bad_party(self):
-        rho = build_prop1_example(0.5)
-        with pytest.raises(ValueError):
-            run_prop1_step(rho, basis_ket((2,), (0,)), party=1)
-        with pytest.raises(ValueError):
+    def test_rejects_a_state_that_is_not_three_party(self):
+        with pytest.raises(ValueError, match="three-party"):
             run_prop1_step(bell_pair("phi+").density(), basis_ket((2,), (0,)))
 
 
@@ -454,47 +440,59 @@ class TestActivationRunners:
         pytest.fail("every seed in range produced a success; distribution is suspect")
 
 
+def sigma_runs_over_both_first_branches(**fields):
+    """Seeded sigma runs, from seed 0 up, until A's split has drawn both outcomes."""
+    runs, firsts = [], set()
+    for seed in range(40):
+        report = run_sigma_adaptive(ProtocolConfig(seed=seed, **fields))
+        runs.append(report)
+        firsts.add(report.steps[0].outcome_index)
+        if firsts == {0, 1}:
+            return runs
+    pytest.fail("forty seeds drew only one first outcome; the split is suspect")
+
+
 class TestAdaptiveRunner:
     def test_first_copy_always_yields_a_pair(self):
-        for first, prob in ((0, 0.7), (1, 0.3)):
-            cfg = ProtocolConfig(p=0.3, first_outcome=first, seed=5)
-            report = run_sigma_adaptive(cfg)
-            assert report.steps[0].outcome_index == first
-            assert report.steps[0].probability == pytest.approx(prob, abs=1e-12)
-            assert report.steps[0].accepted
+        for report in sigma_runs_over_both_first_branches(p=0.3):
+            first = report.steps[0]
+            assert first.probability == pytest.approx((0.7, 0.3)[first.outcome_index], abs=1e-12)
+            assert first.accepted
 
     def test_success_builds_uniform_ghz_via_teleportation(self):
-        report = run_sigma_adaptive(ProtocolConfig(p=0.5, first_outcome=0, seed=3))
+        report = run_sigma_adaptive(ProtocolConfig(p=0.5, seed=3))
         assert report.success
         assert fidelity_pure(report.final_state, ghz_state(3)) == pytest.approx(1.0, abs=1e-9)
         assert report.steps[-1].measurement.startswith("teleport")
         assert certify_gme_pure(report.final_state)[0]
 
     def test_analytic_matches_repeat_law(self):
-        cfg = ProtocolConfig(p=0.3, first_outcome=0, max_copies=8, seed=2)
-        report = run_sigma_adaptive(cfg)
-        assert report.analytic_success_prob == pytest.approx(analytic_Pn(0.3, 7), abs=1e-12)
-        cfg1 = ProtocolConfig(p=0.3, first_outcome=1, max_copies=8, seed=2)
-        report1 = run_sigma_adaptive(cfg1)
-        assert report1.analytic_success_prob == pytest.approx(analytic_Pn(0.7, 7), abs=1e-12)
+        # the repeat copies hunt for B-C (rate p) after A-B, and for A-B (1 - p) after B-C
+        for report in sigma_runs_over_both_first_branches(p=0.3, max_copies=8):
+            rate = (0.3, 0.7)[report.steps[0].outcome_index]
+            assert report.analytic_success_prob == pytest.approx(analytic_Pn(rate, 7), abs=1e-12)
 
     def test_single_copy_budget_cannot_finish(self):
-        report = run_sigma_adaptive(ProtocolConfig(max_copies=1, first_outcome=0))
+        report = run_sigma_adaptive(ProtocolConfig(max_copies=1))
         assert not report.success
         assert report.copies_consumed == 1
         assert report.final_state is None
         assert report.analytic_success_prob == pytest.approx(0.0, abs=1e-12)
 
     def test_partially_entangled_family_goes_through_the_merge(self):
-        cfg = ProtocolConfig(
-            p=0.5, schmidt_coeffs=(0.8, 0.6), first_outcome=0, max_copies=21, seed=7
-        )
-        report = run_sigma_adaptive(cfg)
-        assert report.success
-        assert report.steps[-1].measurement.startswith("pair merge")
-        assert certify_gme_pure(report.final_state)[0]
-        # both merged pairs share the same (0.8, 0.6) profile: no uniform branch
-        assert fidelity_pure(report.final_state, ghz_state(3)) < 1.0 - 1e-6
+        # both merged pairs share the (0.8, 0.6) profile: a correlated parity
+        # (merge outcome 0 or 1) leaves 0.64|000> + 0.36|111>, renormalized,
+        # and an anticorrelated one the uniform GHZ state; seeds 1 and 0 draw one each
+        for seed, correlated in ((1, True), (0, False)):
+            cfg = ProtocolConfig(p=0.5, schmidt_coeffs=(0.8, 0.6), max_copies=21, seed=seed)
+            report = run_sigma_adaptive(cfg)
+            assert report.success
+            merge = report.steps[-1]
+            assert merge.measurement.startswith("pair merge")
+            assert (merge.outcome_index < 2) == correlated
+            assert certify_gme_pure(report.final_state)[0]
+            want = 0.5 / (0.64**2 + 0.36**2) if correlated else 1.0
+            assert fidelity_pure(report.final_state, ghz_state(3)) == pytest.approx(want, abs=1e-12)
 
 
 def test_analytic_pn_values_and_validation():
@@ -515,27 +513,29 @@ class TestMonteCarlo:
         assert abs(summary.success_rate - 0.65) < 0.01
 
     def test_prop2_exact_probability(self):
-        summary = monte_carlo("prop2", ProtocolConfig(), shots=30_000)
+        summary = monte_carlo("prop2", ProtocolConfig(shots=30_000))
         assert summary.exact_success_prob == pytest.approx(1 / 9, abs=1e-12)
         assert len(summary.branches) == 3
         assert sum(b.probability for b in summary.branches) == pytest.approx(1.0)
         assert abs(summary.success_rate - 1 / 9) < 0.01
 
     def test_prop3_exact_probability(self):
-        summary = monte_carlo("prop3", ProtocolConfig(), shots=30_000)
+        summary = monte_carlo("prop3", ProtocolConfig(shots=30_000))
         assert summary.exact_success_prob == pytest.approx(1 / 216, abs=1e-12)
         assert len(summary.branches) == 7  # six rejection leaves plus full success
         assert abs(summary.success_rate - 1 / 216) < 0.01
 
-    def test_sigma_conditioned_tree_matches_repeat_law(self):
-        cfg = ProtocolConfig(p=0.4, first_outcome=0, max_copies=6)
-        summary = monte_carlo("sigma", cfg, shots=10_000)
-        assert summary.exact_success_prob == pytest.approx(analytic_Pn(0.4, 5), abs=1e-12)
-        assert len(summary.branches) == 6  # five success depths plus exhaustion
+    def test_sigma_tree_follows_the_repeat_law_on_each_first_branch(self):
+        summary = monte_carlo("sigma", ProtocolConfig(p=0.4, max_copies=6, shots=10_000))
+        for name, first, rate in (("AB-first", 0.6, 0.4), ("BC-first", 0.4, 0.6)):
+            leaves = [b for b in summary.branches if b.label.split(",")[0] == name]
+            assert len(leaves) == 6  # five success depths plus exhaustion
+            assert sum(b.probability for b in leaves) == pytest.approx(first, abs=1e-12)
+            won = sum(b.probability for b in leaves if b.success) / first
+            assert won == pytest.approx(analytic_Pn(rate, 5), abs=1e-12)
 
-    def test_sigma_unconditioned_mixes_both_first_branches(self):
-        cfg = ProtocolConfig(p=0.4, max_copies=4)
-        summary = monte_carlo("sigma", cfg, shots=10_000)
+    def test_sigma_tree_mixes_both_first_branches(self):
+        summary = monte_carlo("sigma", ProtocolConfig(p=0.4, max_copies=4, shots=10_000))
         labels = {b.label.split(",")[0] for b in summary.branches}
         assert labels == {"AB-first", "BC-first"}
         exact = 0.6 * analytic_Pn(0.4, 3) + 0.4 * analytic_Pn(0.6, 3)
@@ -550,8 +550,6 @@ class TestMonteCarlo:
     def test_unknown_protocol(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             monte_carlo("prop9", ProtocolConfig())
-        with pytest.raises(ValueError):
-            monte_carlo("prop1", ProtocolConfig(), shots=0)
 
 
 class TestScan:

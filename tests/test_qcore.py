@@ -160,6 +160,13 @@ class TestStates:
         mat[0, 1] = mat[1, 0] = bad
         with pytest.raises(ValueError, match=r"dims \(2,\): matrix entry \(0, 1\) is .*must be finite"):
             DensityOperator(PartyDims((2,)), mat)
+        # a projector's tolerance checks all compare with ``>``, which NaN fails
+        with pytest.raises(ValueError, match=r"projector 0 entry \(0, 0\) is .*must be finite"):
+            ProjectiveMeasurement((0,), (np.full((2, 2), bad),))
+        proj = np.diag([0.0, 1.0]).astype(complex)
+        proj[1, 0] = bad
+        with pytest.raises(ValueError, match=r"projector 1 entry \(1, 0\) is .*must be finite"):
+            ProjectiveMeasurement((0,), (np.diag([1.0, 0.0]), proj))
 
 
 def test_tensor_matches_kron():

@@ -8,11 +8,12 @@ certificates and generator state, or stdout, stderr and exit code.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gmesim import cli
+from gmesim import cli, protocols
 from gmesim.protocols import (
     ProtocolConfig,
     build_sigma,
@@ -35,12 +36,9 @@ SIGMA_PAIRS = {
 
 def sigma_configs():
     for name, coeffs in SIGMA_PAIRS.items():
-        for first in (None, 0, 1):
-            for max_copies in (1, 2, 21):
-                config = ProtocolConfig(
-                    p=0.35, schmidt_coeffs=coeffs, first_outcome=first, max_copies=max_copies
-                )
-                yield pytest.param(config, id=f"{name}-first{first}-max{max_copies}")
+        for max_copies in (1, 2, 21):
+            config = ProtocolConfig(p=0.35, schmidt_coeffs=coeffs, max_copies=max_copies)
+            yield pytest.param(config, id=f"{name}-max{max_copies}")
 
 
 def assert_same_report(got, want):
@@ -58,11 +56,14 @@ def assert_same_report(got, want):
 class TestSigmaRunner:
     @pytest.mark.parametrize("config", list(sigma_configs()))
     def test_matches_the_oracle_bit_for_bit_with_the_same_generator_state(self, config):
+        firsts = set()
         for seed in SEEDS:
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = run_sigma_adaptive(config, rng)
             assert_same_report(got, loop_run_sigma_adaptive(config, oracle_rng))
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            firsts.add(got.steps[0].outcome_index)
+        assert firsts == {0, 1}  # the seeds reach both first branches
 
     def test_config_seeded_runs_match_the_oracle(self):
         for seed in SEEDS:
@@ -83,19 +84,20 @@ class TestTrees:
     def test_sigma_monte_carlo_matches_the_oracle_tree(self, config):
         for seed in SEEDS[:5]:
             want = sample_leaves("sigma", loop_sigma_tree(config), 3000, seed)
-            assert monte_carlo("sigma", config, shots=3000, seed=seed) == want
+            assert monte_carlo("sigma", replace(config, shots=3000, seed=seed)) == want
 
     @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.77])
     def test_prop1_monte_carlo_matches_the_oracle_tree(self, p):
-        config = ProtocolConfig(p=p)
         for seed in SEEDS:
+            config = ProtocolConfig(p=p, shots=500, seed=seed)
             want = sample_leaves("prop1", loop_prop1_tree(config), 500, seed)
-            assert monte_carlo("prop1", config, shots=500, seed=seed) == want
+            assert monte_carlo("prop1", config) == want
 
     @pytest.mark.parametrize("protocol", ["prop1", "sigma", "prop2"])
     def test_shots_are_checked_once_by_the_sampler(self, protocol):
+        leaves = protocols._TREES[protocol](ProtocolConfig())
         with pytest.raises(ValueError, match="shots must be a positive integer"):
-            monte_carlo(protocol, ProtocolConfig(), shots=0)
+            sample_leaves(protocol, leaves, 0, 42)
 
 
 # every subcommand, --out, CSV and JSON, environment seeds and exit-2 errors
