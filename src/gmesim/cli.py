@@ -220,9 +220,11 @@ def state_from_payload(data: dict) -> PureState | DensityOperator:
 
 # A state file whose pair array is a member of its top-level object, in any
 # place, and holds only JSON numbers is read from its bytes: the array is
-# checked and converted by a few vectorized passes, and ``json`` decodes the
-# rest of the file with the array cut out.  Anything else goes to
-# ``json.load`` and ``state_from_payload``.
+# checked by a few vectorized passes, only its tokens that are not literal
+# zeros are gathered and parsed (so a sparse density's conversion costs what
+# its nonzero entries hold), and ``json`` decodes the rest of the file with
+# the array cut out.  Anything else goes to ``json.load`` and
+# ``state_from_payload``.
 
 #: Byte classes inside a pair array; 0 marks a byte that has no place there.
 _SPACE, _OPEN, _COMMA, _CLOSE, _ZERO, _DIGIT, _MINUS, _PLUS, _DOT, _EXP = range(1, 11)
@@ -282,8 +284,7 @@ _EVENT_PAIR_OK = bytes(int(code & 15 in _EVENT_FOLLOWS.get(code >> 4, ())) for c
 _EVENT_PUNCT = bytes.maketrans(
     bytes([_OPEN_ONLY, _COMMA_ONLY, _END_COMMA, _CLOSE_ONLY, _END_CLOSE]), b"[,,]]")
 _NO_PUNCT = bytes([_START, _END, _FRACTION, _EXPONENT])
-_IS_START = bytes(int(event == _START) for event in range(256))
-_IS_END = bytes(int(event in _ENDS) for event in range(256))
+_IS_BOUND = bytes(int(event in (_START,) + _ENDS) for event in range(256))
 
 #: No double needs more; JSON would also refuse integers of thousands of digits.
 _MAX_TOKEN = 64
@@ -351,8 +352,9 @@ def _scan_pair_array(region: bytearray):
     n = len(punct) // 4
     if n < 1 or punct != b"[,],"* (n - 1) + b"[,]]":
         return None
-    starts, ends = (_positions(events.translate(table)) for table in (_IS_START, _IS_END))
+    bounds = _positions(events.translate(_IS_BOUND))  # start, end, start, end, ...
     del events, kinds, punct
+    starts, ends = bounds[0::2], bounds[1::2]
     chars = np.frombuffer(region, np.uint8)
     minus = chars[starts] == ord("-")
     digits = starts + minus
@@ -370,18 +372,24 @@ def _scan_pair_array(region: bytearray):
 def _token_values(region: bytearray, starts, ends, zero, negative) -> np.ndarray | None:
     """The tokens as ``float()`` reads them, by one C-level parse of the non-zero ones.
 
-    Overwrites the literal zeros in ``region`` with spaces.
+    The non-zero tokens, each with the byte that ends it, are gathered into
+    one small buffer, so the parse costs what they hold; ``region`` is left
+    as it is.
     """
     values = np.zeros(len(starts))
     values[negative] = -0.0
     keep = ~zero
     if keep.any():
-        chars = np.frombuffer(region, np.uint8)
-        zero_starts, zero_sizes = starts[zero], (ends - starts)[zero]
-        for offset in range(4):  # a literal zero has at most four bytes ("-0.0")
-            chars[zero_starts[zero_sizes > offset] + offset] = ord(" ")
-        parsed = np.fromstring(bytes(region.translate(_NUMBERS_ONLY)), sep=" ")
-        if len(parsed) != np.count_nonzero(keep):
+        first, last = starts[keep], ends[keep]
+        # byte indices first[0]..last[0], first[1]..last[1], ...: ones, with
+        # a jump where each token starts, summed up
+        lengths = last - first + 1
+        steps = np.ones(int(lengths.sum()), np.intp)
+        steps[0] = first[0]
+        steps[np.cumsum(lengths[:-1])] = first[1:] - last[:-1]
+        gathered = np.frombuffer(region, np.uint8)[np.cumsum(steps)]
+        parsed = np.fromstring(gathered.tobytes().translate(_NUMBERS_ONLY), sep=" ")
+        if len(parsed) != len(first):
             return None
         values[keep] = parsed
     return values

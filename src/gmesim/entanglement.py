@@ -180,6 +180,39 @@ def partial_transpose(rho: DensityOperator, cut: Bipartition) -> np.ndarray:
     return out.reshape(rho.dims.total, rho.dims.total)
 
 
+def _nonzero_pairs(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (row, column) indices of ``rho``'s nonzero entries; None when none is zero."""
+    flat = np.flatnonzero(rho.matrix != 0)
+    return None if len(flat) == rho.matrix.size else np.divmod(flat, rho.dims.total)
+
+
+def _left_parts(dims: PartyDims, cut: Bipartition) -> np.ndarray:
+    """For each flat index, what the digits of the parties left of the cut add to it."""
+    digits = np.unravel_index(np.arange(dims.total), dims.dims)
+    return np.ravel_multi_index(
+        tuple(digit if i in cut.left else 0 for i, digit in enumerate(digits)), dims.dims
+    )
+
+
+def _live_block(rho: DensityOperator, cut: Bipartition, rows, cols) -> np.ndarray:
+    """The partial transpose on its rows and columns that hold a nonzero entry.
+
+    Row a and column b of the partial transpose hold ``rho``'s entry at row
+    ``a - left[a] + left[b]`` and column ``b - left[b] + left[a]``, where
+    ``left[x]`` is the part of index x the transposed digits make up; the
+    same map sends ``rho``'s nonzero (row, column) pairs to the partial
+    transpose's.  The live rows come out ascending.
+    """
+    left = _left_parts(rho.dims, cut)
+    shift = left[cols] - left[rows]
+    live = np.zeros(rho.dims.total, dtype=bool)
+    live[rows + shift] = True
+    live[cols - shift] = True
+    idx = np.flatnonzero(live)
+    on, off = left[idx], idx - left[idx]
+    return rho.matrix[off[:, None] + on, on[:, None] + off]
+
+
 def negativity(rho: DensityOperator, cut: Bipartition) -> float:
     """Sum of |negative eigenvalues| of the partial transpose across a cut.
 
@@ -190,15 +223,19 @@ def negativity(rho: DensityOperator, cut: Bipartition) -> float:
     Only the support of the partial transpose (the rows and columns holding a
     nonzero entry) is diagonalized, so the cost scales with the support, not
     with the full dimension.  This is exact: a zero row and column adds only
-    the eigenvalue 0, which never enters the sum.  Raises ``InvariantError``
-    when the kept block's eigenvalues miss ``Re tr rho`` by more than ``ATOL``.
+    the eigenvalue 0, which never enters the sum.  The support is gathered
+    from ``rho``'s nonzero entries, so no D x D partial transpose is formed
+    unless every entry of ``rho`` is nonzero.  Raises ``InvariantError`` when
+    the kept block's eigenvalues miss ``Re tr rho`` by more than ``ATOL``.
     """
-    pt = partial_transpose(rho, cut)
-    nonzero = pt != 0
-    live = nonzero.any(0) | nonzero.any(1)
-    if not live.all():
-        idx = np.flatnonzero(live)
-        pt = pt[np.ix_(idx, idx)]
+    return _negativity(rho, cut, _nonzero_pairs(rho))
+
+
+def _negativity(rho: DensityOperator, cut: Bipartition, pairs) -> float:
+    """``negativity`` given ``_nonzero_pairs(rho)``."""
+    if cut.n_parties != rho.dims.n:
+        raise ValueError("cut does not match the number of parties")
+    pt = partial_transpose(rho, cut) if pairs is None else _live_block(rho, cut, *pairs)
     vals = np.linalg.eigvalsh(_hermitian_part(pt, 2.0))
     residual = float(np.sum(vals)) - float(np.trace(rho.matrix).real)
     if abs(residual) > ATOL:
@@ -217,8 +254,9 @@ def _negativity_from_schmidt(coeffs) -> float:
 
 def certify_entangled_all_cuts(rho: DensityOperator) -> BipartitionReport:
     """Negativity certificate for every bipartition of a density operator."""
+    pairs = _nonzero_pairs(rho)  # once for all cuts
     records = tuple(
-        CutRecord(cut, negativity(rho, cut)) for cut in enumerate_bipartitions(rho.dims.n)
+        CutRecord(cut, _negativity(rho, cut, pairs)) for cut in enumerate_bipartitions(rho.dims.n)
     )
     return BipartitionReport(rho.dims.n, records)
 

@@ -387,7 +387,6 @@ class Prop1Branch:
     outcome_index: int
     probability: float
     pair_state: DensityOperator | None
-    remaining_parties: tuple[int, int]
     negativity: float | None
     entangled: bool | None
 
@@ -401,26 +400,18 @@ def run_prop1_step(rho: DensityOperator, reference: PureState) -> list[Prop1Bran
     if rho.dims.n != 3:
         raise ValueError("this step runs on three-party states")
     outcomes = measure(rho, state_projector_measurement(2, reference))
-    remaining = (0, 1)
     cut = Bipartition(frozenset({0}), 2)
     branches = []
     for out in outcomes:
         if out.post_state is None:
             branches.append(
-                Prop1Branch(out.outcome_index, out.probability, None, remaining, None, None)
+                Prop1Branch(out.outcome_index, out.probability, None, None, None)
             )
             continue
         pair = partial_trace(out.post_state, {2})
         neg = negativity(pair, cut)
         branches.append(
-            Prop1Branch(
-                out.outcome_index,
-                out.probability,
-                pair,
-                remaining,
-                neg,
-                neg > ENTANGLED_NEG_ATOL,
-            )
+            Prop1Branch(out.outcome_index, out.probability, pair, neg, neg > ENTANGLED_NEG_ATOL)
         )
     return branches
 

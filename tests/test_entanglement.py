@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gmesim import entanglement
 from gmesim.cli import main
 from gmesim.entanglement import (
     ENTANGLED_NEG_ATOL,
@@ -45,6 +46,7 @@ from helpers import (
     dense_negativity,
     loop_negativity,
     loop_partial_transpose,
+    masked_negativity,
     random_density,
     random_pure,
 )
@@ -170,6 +172,17 @@ def _sparse_density(dims, rng, size: int) -> np.ndarray:
     return mat
 
 
+def _builder_state(name: str) -> DensityOperator:
+    return {
+        "prop1": lambda: build_prop1_example(0.7),
+        "prop2": lambda: build_prop2_state(normalize_schmidt([1.0, 1.3, 0.8]), 0.3),
+        "prop3": lambda: build_prop3_state(
+            normalize_schmidt([0.7, 1.1, 0.9, 1.3]), (0.3, 0.3, 0.4)
+        ),
+        "sigma": lambda: build_sigma(0.5),
+    }[name]()
+
+
 def _record_eigvalsh(monkeypatch) -> list:
     """Record the shape of each matrix ``gmesim.entanglement`` diagonalizes."""
     shapes = []
@@ -205,16 +218,54 @@ class TestSupportNegativity:
                 want = loop_negativity(mat, dims, sorted(cut.left))
                 assert abs(negativity(rho, cut) - want) < 1e-12
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 3, 4)])
+    def test_sparse_support_is_bit_identical_to_masked_oracle(self, dims):
+        rng = np.random.default_rng(53)
+        d = math.prod(dims)
+        for _ in range(6):
+            mat = _sparse_density(dims, rng, int(rng.integers(1, d // 3 + 1)))
+            rho = DensityOperator(PartyDims(dims), mat)
+            report = certify_entangled_all_cuts(rho)
+            for rec in report.records:
+                want = masked_negativity(rho, rec.cut)
+                assert rec.negativity == want
+                assert negativity(rho, rec.cut) == want
+
+    def test_an_entry_without_its_mirror_keeps_its_column_live(self, monkeypatch):
+        """Hermitian within ATOL only: rho[i, j] = 1e-12 while rho[j, i] = 0."""
+        dims = (2, 3, 4)
+        rng = np.random.default_rng(61)
+        mat = _sparse_density(dims, rng, 5)
+        i = int(np.flatnonzero(mat.any(0))[0])
+        j = int(np.flatnonzero(~mat.any(0))[0])
+        mat[i, j] = 1e-12
+        rho = DensityOperator(PartyDims(dims), mat)
+        shapes = _record_eigvalsh(monkeypatch)
+        for cut in enumerate_bipartitions(3):
+            assert negativity(rho, cut) == masked_negativity(rho, cut)
+        assert shapes[0::2] == shapes[1::2]
+
+    @pytest.mark.parametrize("name", ["prop1", "prop2", "prop3", "sigma"])
+    def test_builder_states_are_bit_identical_to_masked_oracle(self, name):
+        rho = _builder_state(name)
+        for rec in certify_entangled_all_cuts(rho).records:
+            assert rec.negativity == masked_negativity(rho, rec.cut)
+
+    def test_sparse_256_dim_certificate_forms_no_partial_transpose(self, monkeypatch):
+        dims = (4, 4, 4, 4)
+        mat = _sparse_density(dims, np.random.default_rng(59), 11)
+        rho = DensityOperator(PartyDims(dims), mat)
+        want = [masked_negativity(rho, cut) for cut in enumerate_bipartitions(4)]
+
+        def refuse(*args):
+            raise AssertionError("partial_transpose called")
+
+        monkeypatch.setattr(entanglement, "partial_transpose", refuse)
+        assert [r.negativity for r in certify_entangled_all_cuts(rho).records] == want
+
     @pytest.mark.parametrize("name", ["prop1", "prop2", "prop3", "sigma"])
     def test_builder_states_match_dense_oracle(self, name):
-        rho = {
-            "prop1": lambda: build_prop1_example(0.7),
-            "prop2": lambda: build_prop2_state(normalize_schmidt([1.0, 1.3, 0.8]), 0.3),
-            "prop3": lambda: build_prop3_state(
-                normalize_schmidt([0.7, 1.1, 0.9, 1.3]), (0.3, 0.3, 0.4)
-            ),
-            "sigma": lambda: build_sigma(0.5),
-        }[name]()
+        rho = _builder_state(name)
         report = certify_entangled_all_cuts(rho)
         dense = {r.cut.label: dense_negativity(rho, r.cut) for r in report.records}
         assert report.all_cuts_entangled == all(

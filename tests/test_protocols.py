@@ -230,7 +230,6 @@ class TestSingleStep:
     def test_kept_branch_is_entangled_and_matches_loop_negativity(self):
         branches = run_prop1_step(build_prop1_example(0.5), basis_ket((2,), (0,)))
         kept = branches[0]
-        assert kept.remaining_parties == (0, 1)
         assert kept.entangled
         assert kept.negativity == pytest.approx((math.sqrt(5) - 1) / 6, abs=1e-12)
         assert kept.negativity == pytest.approx(

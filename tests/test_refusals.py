@@ -19,6 +19,7 @@ from gmesim.entanglement import (
     Bipartition,
     enumerate_bipartitions,
     ghz_optimal_settings,
+    negativity,
     partial_transpose,
     schmidt,
     svetlichny_value,
@@ -120,6 +121,8 @@ REFUSALS = [
     ("schmidt cut", schmidt, (PHI, CUT3),
      ValueError, r"cut does not match the number of parties"),
     ("partial_transpose cut", partial_transpose, (PHI.density(), CUT3),
+     ValueError, r"cut does not match the number of parties"),
+    ("negativity cut", negativity, (PHI.density(), CUT3),
      ValueError, r"cut does not match the number of parties"),
     ("svetlichny not 2x2", svetlichny_value, (GHZ3, settings_with(2, np.eye(3))),
      ValueError, r"setting B must be a 2x2 matrix"),

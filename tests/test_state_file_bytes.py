@@ -211,6 +211,27 @@ def test_prop3_in_both_layouts_never_reaches_json(tmp_path):
         assert read == outcome(oracle_load_state_file, path)
 
 
+def test_the_value_stage_parses_only_the_nonzero_tokens(tmp_path):
+    """47 nonzero tokens among 131,072: under two kilobytes parsed, not the whole array."""
+    for path in write_layouts(_prop3_density(), tmp_path):
+        _, _, region = cli._split_pair_array(path.read_bytes())
+        before = bytes(region)
+        tokens = cli._scan_pair_array(region)
+        parsed = []
+        fromstring = np.fromstring
+
+        def recording(text, *args, **kwargs):
+            parsed.append(text)
+            return fromstring(text, *args, **kwargs)
+
+        with mock.patch.object(cli.np, "fromstring", recording):
+            values = cli._token_values(region, *tokens[1:])
+        assert region == before
+        assert len(region) > 500_000
+        assert len(parsed) == 1 and len(parsed[0]) < 2_000
+        assert len(parsed[0].split()) == np.count_nonzero(values) == 47
+
+
 def test_certify_artifacts_match_the_json_reader_in_both_layouts(tmp_path, capsys):
     for path in write_layouts(_prop3_density(), tmp_path):
         assert cli.main(["certify", "--state-file", str(path)]) == cli.EXIT_OK
