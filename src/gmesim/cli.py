@@ -18,6 +18,7 @@ pass ``--timestamp`` to stamp a real time.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -65,6 +66,7 @@ from .qcore import (
     InvariantError,
     PartyDims,
     PureState,
+    _integer,
     basis_ket,
     bell_pair,
     fidelity_pure,
@@ -472,13 +474,10 @@ def resolve_seed(value) -> int:
     source = "--seed"
     if value is None:
         source, value = "GME_SEED", os.environ.get("GME_SEED", DEFAULT_SEED)
-    try:
-        seed = int(value)
-    except ValueError:
-        raise ValueError(f"{source} must be an integer, got {value!r}") from None
-    if seed < 0:
-        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
-    return seed
+    if isinstance(value, str):  # text that is no integer stays text, for the rule to refuse
+        with contextlib.suppress(ValueError):
+            value = int(value)
+    return _integer(value, source, 0)
 
 
 def resolve_timestamp(value) -> str:

@@ -22,6 +22,7 @@ from .qcore import (
     ProjectiveMeasurement,
     _frozen_array,
     _hermitian_part,
+    _integer,
     _local_branches,
     apply_local_unitary,
     bell_pair,
@@ -253,9 +254,7 @@ def distill_pipeline(rho: DensityOperator, rounds: int) -> PipelineResult:
     """
     if rho.dims.dims != (2, 2):
         raise ValueError("the pipeline is defined for two-qubit pairs")
-    rounds = int(rounds)
-    if rounds < 1:
-        raise ValueError("at least one round is required")
+    rounds = _integer(rounds, "rounds", 1)
 
     state = _schmidt_align(rho)
     filtered = False

@@ -26,6 +26,7 @@ from .qcore import (
     PartyDims,
     PureState,
     _hermitian_part,
+    _integer,
 )
 
 #: Negativity above this threshold counts as a certified entangled cut.
@@ -54,13 +55,11 @@ class Bipartition:
     n_parties: int
 
     def __post_init__(self):
-        left = frozenset(int(i) for i in self.left)
-        n = int(self.n_parties)
+        n = _integer(self.n_parties, "n_parties")
         object.__setattr__(self, "n_parties", n)
         if n < 2:
             raise ValueError("a bipartition needs at least two parties")
-        if any(i < 0 or i >= n for i in left):
-            raise ValueError("party index out of range")
+        left = frozenset(_integer(i, "party index", stop=n) for i in self.left)
         if n - 1 in left:
             left = frozenset(range(n)) - left
         object.__setattr__(self, "left", left)
@@ -80,7 +79,7 @@ class Bipartition:
 
 def enumerate_bipartitions(n_parties: int) -> list[Bipartition]:
     """All 2**(n-1) - 1 distinct cuts, in deterministic (size, lexicographic) order."""
-    n = int(n_parties)
+    n = _integer(n_parties, "n_parties")
     if n < 2:
         raise ValueError("need at least two parties")
     cuts = []
@@ -180,10 +179,9 @@ def partial_transpose(rho: DensityOperator, cut: Bipartition) -> np.ndarray:
     return out.reshape(rho.dims.total, rho.dims.total)
 
 
-def _nonzero_pairs(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (row, column) indices of ``rho``'s nonzero entries; None when none is zero."""
-    flat = np.flatnonzero(rho.matrix != 0)
-    return None if len(flat) == rho.matrix.size else np.divmod(flat, rho.dims.total)
+def _nonzero_pairs(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, column) indices of ``rho``'s nonzero entries."""
+    return np.divmod(np.flatnonzero(rho.matrix != 0), rho.dims.total)
 
 
 def _left_parts(dims: PartyDims, cut: Bipartition) -> np.ndarray:
@@ -224,9 +222,9 @@ def negativity(rho: DensityOperator, cut: Bipartition) -> float:
     nonzero entry) is diagonalized, so the cost scales with the support, not
     with the full dimension.  This is exact: a zero row and column adds only
     the eigenvalue 0, which never enters the sum.  The support is gathered
-    from ``rho``'s nonzero entries, so no D x D partial transpose is formed
-    unless every entry of ``rho`` is nonzero.  Raises ``InvariantError`` when
-    the kept block's eigenvalues miss ``Re tr rho`` by more than ``ATOL``.
+    from ``rho``'s nonzero entries, so no D x D partial transpose is formed.
+    Raises ``InvariantError`` when the kept block's eigenvalues miss
+    ``Re tr rho`` by more than ``ATOL``.
     """
     return _negativity(rho, cut, _nonzero_pairs(rho))
 
@@ -235,8 +233,7 @@ def _negativity(rho: DensityOperator, cut: Bipartition, pairs) -> float:
     """``negativity`` given ``_nonzero_pairs(rho)``."""
     if cut.n_parties != rho.dims.n:
         raise ValueError("cut does not match the number of parties")
-    pt = partial_transpose(rho, cut) if pairs is None else _live_block(rho, cut, *pairs)
-    vals = np.linalg.eigvalsh(_hermitian_part(pt, 2.0))
+    vals = np.linalg.eigvalsh(_hermitian_part(_live_block(rho, cut, *pairs), 2.0))
     residual = float(np.sum(vals)) - float(np.trace(rho.matrix).real)
     if abs(residual) > ATOL:
         raise InvariantError(

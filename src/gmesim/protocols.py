@@ -59,6 +59,7 @@ from .qcore import (
     ProjectiveMeasurement,
     PureState,
     _contract_rows,
+    _integer,
     _local_kernel,
     _measure_rows,
     _phase_canonical,
@@ -110,14 +111,6 @@ def _finite(values, what: str) -> tuple[float, ...]:
     return vals
 
 
-def _seed(value) -> int:
-    """``value`` as a seed for NumPy's generators; a negative one is a ValueError."""
-    seed = int(value)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return seed
-
-
 def normalize_schmidt(coeffs) -> tuple[float, ...]:
     """Rescale positive coefficients so their squares sum to one."""
     vals = _finite(coeffs, "Schmidt coefficients")
@@ -167,13 +160,8 @@ class ProtocolConfig:
                 raise ValueError("Schmidt coefficients must be positive")
             if abs(sum(c * c for c in coeffs) - 1.0) > ATOL:
                 raise ValueError("squared Schmidt coefficients must sum to 1")
-        if int(self.shots) < 1:
-            raise ValueError("shots must be a positive integer")
-        object.__setattr__(self, "shots", int(self.shots))
-        if int(self.max_copies) < 1:
-            raise ValueError("max_copies must be a positive integer")
-        object.__setattr__(self, "max_copies", int(self.max_copies))
-        object.__setattr__(self, "seed", _seed(self.seed))
+        for name, low in (("shots", 1), ("max_copies", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
 
     def coeffs_or_uniform(self, n: int) -> tuple[float, ...]:
         if self.schmidt_coeffs is None:
@@ -495,8 +483,11 @@ def _fuse_chain(pairs):
 
 
 def _finish_branches(dims: PartyDims, records, rows: np.ndarray) -> list[MergeBranch]:
-    """Correct fused rows (parity prefix: X flips, sign count: Z@0), phase-fix
-    them as ``_phase_canonical`` does, and validate each once, in ``PureState``."""
+    """Correct fused rows (parity prefix: X flips, sign count: Z@0), divide each
+    by the phase of its largest-magnitude entry, and validate each once, in
+    ``PureState``.  The stacked phase ``pv / np.abs(pv)`` is the scalar one of
+    ``_phase_canonical`` bit for bit only for a real pivot, as every fused row
+    of Schmidt-aligned pairs has; for a complex pivot the two may differ."""
     m = dims.n - 1
     flips = np.cumsum([pattern[0::2] for pattern, _ in records], axis=1) % 2 == 1
     odd = np.array([sum(pattern[1::2]) % 2 == 1 for pattern, _ in records])
@@ -563,8 +554,7 @@ def teleport(
     explicit ``outcome`` selects a single branch.
     """
     n = state.dims.n
-    if not 0 <= input_party < n:
-        raise ValueError("input party out of range")
+    input_party = _integer(input_party, "input party", stop=n, of="parties")
     if state.dims.dims[input_party] != 2:
         raise ValueError("only qubit parties can be teleported")
     if not isinstance(resource, PureState) or resource.dims.dims != (2, 2):
@@ -581,7 +571,9 @@ def teleport(
         (input_party, n), tuple(np.outer(v, v.conj()) for v in basis)
     )
     outs = measure(joint, meas)
-    chosen = range(4) if outcome is None else [int(outcome)]
+    chosen = range(4)
+    if outcome is not None:
+        chosen = [_integer(outcome, "outcome", stop=4, of="Bell outcomes")]
     where = f"teleportation of party {input_party} of dims {state.dims.dims}"
     results = []
     for k in chosen:
@@ -858,10 +850,7 @@ def analytic_Pn(p: float, n: int) -> float:
     """Probability that n repeat copies yield at least one success at rate p."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
-    n = int(n)
-    if n < 0:
-        raise ValueError("the number of copies cannot be negative")
-    return 1.0 - (1.0 - p) ** n
+    return 1.0 - (1.0 - p) ** _integer(n, "n", 0)
 
 
 _SIGMA_SPLIT = [[0, 1], [2]]  # entangled block versus the flag level
@@ -1026,8 +1015,7 @@ def sample_leaves(protocol: str, leaves, shots: int, seed: int) -> MonteCarloSum
     uniform per shot, so a shot lands at leaf k or before exactly when its
     uniform lies below ``cdf[k]``.
     """
-    if shots < 1:
-        raise ValueError("shots must be a positive integer")
+    shots, seed = _integer(shots, "shots", 1), _integer(seed, "seed", 0)
     probs = np.array([p for _, p, _, _ in leaves], dtype=float)
     total = probs.sum()
     if abs(total - 1.0) > ATOL:
@@ -1041,7 +1029,7 @@ def sample_leaves(protocol: str, leaves, shots: int, seed: int) -> MonteCarloSum
             f"sampling the {protocol} tree: leaf {bad[0]} has probability "
             f"{float(probs[bad[0]])!r}"
         )
-    rng = np.random.default_rng(_seed(seed))
+    rng = np.random.default_rng(seed)
     cdf = (probs / total).cumsum()
     cdf /= cdf[-1]
     counts = np.diff(_count_below(rng.random(shots), cdf), prepend=0)
@@ -1131,13 +1119,8 @@ def sigma_scan(p_list, n_max: int, shots: int, seed: int) -> list[ScanRow]:
     p_list = [float(p) for p in p_list]
     if not p_list:
         raise ValueError("at least one value of p is required")
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError("n_max cannot be negative")
-    shots = int(shots)
-    if shots < 1:
-        raise ValueError("shots must be a positive integer")
-    children = np.random.SeedSequence(_seed(seed)).spawn(len(p_list))
+    n_max, shots = _integer(n_max, "n_max", 0), _integer(shots, "shots", 1)
+    children = np.random.SeedSequence(_integer(seed, "seed", 0)).spawn(len(p_list))
     rows = []
     for p, child in zip(p_list, children):
         rho = build_sigma(p)

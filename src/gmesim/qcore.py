@@ -103,6 +103,29 @@ def _min_eigenvalue(mat: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _integer(
+    value, name: str, low: int | None = None, stop: int | None = None, of: str = ""
+) -> int:
+    """``value`` as an int: the one rule for every count, seed and index argument.
+
+    Python and NumPy integers pass; bools, floats, strings and anything else
+    are refused, where ``int()`` would read True as 1, truncate 2.7 to 2 and
+    parse "3".  A count is at least ``low`` (0 or 1).  An index lies in
+    ``range(stop)``; its refusal names ``stop`` and what it counts, ``of``,
+    when that is given.  Every refusal is a ValueError naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if low is not None and value < low:
+        sign = ("non-negative", "positive")[low]
+        raise ValueError(f"{name} must be a {sign} integer, got {value}")
+    if stop is not None and not 0 <= value < stop:
+        detail = f" {value} out of range for {stop} {of}" if of else " out of range"
+        raise ValueError(name + detail)
+    return value
+
+
 @dataclass(frozen=True)
 class PartyDims:
     """Ordered local dimensions of the parties.
@@ -114,10 +137,10 @@ class PartyDims:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        # int() would truncate 2.7 to 2 and read "3" as 3
-        if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in self.dims):
-            raise ValueError(f"local dimensions must be integers, got {self.dims!r}")
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(_integer(d, "local dimension") for d in self.dims)
+        except ValueError:
+            raise ValueError(f"local dimensions must be integers, got {self.dims!r}") from None
         object.__setattr__(self, "dims", dims)
         if len(dims) == 0:
             raise ValueError("at least one party is required")
@@ -251,7 +274,7 @@ class ProjectiveMeasurement:
     projectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        targets = tuple(int(t) for t in self.target_parties)
+        targets = tuple(_integer(t, "target party", low=0) for t in self.target_parties)
         object.__setattr__(self, "target_parties", targets)
         if len(set(targets)) != len(targets):
             raise ValueError("target parties must be distinct")
@@ -319,12 +342,10 @@ def ket(amplitudes, dims) -> PureState:
 def basis_ket(dims, levels) -> PureState:
     """Computational basis state |levels[0], levels[1], ...>."""
     pd = _as_party_dims(dims)
-    levels = tuple(int(x) for x in levels)
+    levels = tuple(levels)
     if len(levels) != pd.n:
         raise ValueError("one level per party is required")
-    for lv, d in zip(levels, pd.dims):
-        if not 0 <= lv < d:
-            raise ValueError(f"level {lv} outside local dimension {d}")
+    levels = tuple(_integer(lv, "level", stop=d, of="levels") for lv, d in zip(levels, pd.dims))
     amps = np.zeros(pd.total, dtype=complex)
     amps[int(np.ravel_multi_index(levels, pd.dims))] = 1.0
     return PureState(pd, amps)
@@ -368,11 +389,9 @@ def _level_groups(dim: int, groups) -> list[list[int]]:
     for group in groups:
         levels = []
         for lv in group:
-            lv = int(lv)
+            lv = _integer(lv, "level", stop=dim, of="levels")
             if lv in seen:
                 raise ValueError(f"level {lv} appears in more than one group")
-            if not 0 <= lv < dim:
-                raise ValueError(f"level {lv} outside dimension {dim}")
             seen.add(lv)
             levels.append(lv)
         out.append(levels)
@@ -409,11 +428,6 @@ def state_projector_measurement(target_party: int, reference: PureState) -> Proj
 # ---------------------------------------------------------------------------
 
 
-def _require_party(party: int, n: int) -> None:
-    if not 0 <= party < n:
-        raise ValueError(f"party index {party} out of range for {n} parties")
-
-
 def _local_kernel(
     dims: PartyDims, targets, data: np.ndarray, density: bool = False
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
@@ -434,9 +448,7 @@ def _local_kernel(
     the full space is ever formed.
     """
     n = dims.n
-    targets = tuple(targets)
-    for t in targets:
-        _require_party(t, n)
+    targets = tuple(_integer(t, "party index", stop=n, of="parties") for t in targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"target parties {targets} must be distinct")
     tdim = math.prod(dims.dims[t] for t in targets)
@@ -625,9 +637,7 @@ def mix(terms) -> DensityOperator:
 
 def _traced_parties(n: int, discard) -> list[int]:
     """Sorted distinct parties to trace out of ``n``; some must remain."""
-    discard = sorted({int(i) for i in discard})
-    if any(i < 0 or i >= n for i in discard):
-        raise ValueError("discard index out of range")
+    discard = sorted({_integer(i, "discard index", stop=n, of="parties") for i in discard})
     if not discard:
         raise ValueError("nothing to trace out")
     if len(discard) == n:
@@ -684,12 +694,9 @@ def postselect_levels(
     levels = np.indices(dims.dims).reshape(dims.n, dims.total)  # party level at each index
     plan = []
     for party, groups, accept in steps:
-        party = int(party)
-        _require_party(party, dims.n)
+        party = _integer(party, "party index", stop=dims.n, of="parties")
         groups = _level_groups(dims.dims[party], groups)
-        accept = int(accept)
-        if not 0 <= accept < len(groups):
-            raise ValueError(f"accept index {accept} out of range for {len(groups)} outcomes")
+        accept = _integer(accept, "accept index", stop=len(groups), of="outcomes")
         table = np.empty(dims.dims[party], dtype=np.intp)  # the group of each level
         for g, group in enumerate(groups):
             table[group] = g
@@ -739,11 +746,8 @@ def measure(
     is raised.
     """
     if keep is not None:
-        keep = tuple(int(k) for k in keep)
         n = measurement.n_outcomes
-        for k in keep:
-            if not 0 <= k < n:
-                raise ValueError(f"keep index {k} out of range for {n} outcomes")
+        keep = tuple(_integer(k, "keep index", stop=n, of="outcomes") for k in keep)
         if len(set(keep)) != len(keep):
             raise ValueError(f"keep indices {keep} must be distinct")
     branches = _local_branches(state, measurement.projectors, measurement.target_parties, keep)
@@ -754,11 +758,10 @@ def apply_local_unitary(state: State, unitary, target_parties) -> State:
     """Apply a unitary supported on the listed parties."""
     u = np.asarray(unitary, dtype=complex)
     _require_unitary(u)
-    targets = (int(t) for t in target_parties)
     if isinstance(state, PureState):
-        _, apply = _local_kernel(state.dims, targets, state.amplitudes[None])
+        _, apply = _local_kernel(state.dims, target_parties, state.amplitudes[None])
         return PureState(state.dims, apply(u)[0])
-    _, apply = _local_kernel(state.dims, targets, state.matrix, density=True)
+    _, apply = _local_kernel(state.dims, target_parties, state.matrix, density=True)
     return DensityOperator(state.dims, apply(u))
 
 
@@ -771,20 +774,15 @@ def relabel_subspace(state: PureState, party: int, basis_map: dict, new_dim: int
     """
     if not isinstance(state, PureState):
         raise ValueError("relabel_subspace operates on pure states")
-    if not 0 <= party < state.dims.n:
-        raise ValueError("party index out of range")
+    party = _integer(party, "party index", stop=state.dims.n)
     old_dim = state.dims.dims[party]
-    new_dim = int(new_dim)
+    new_dim = _integer(new_dim, "new dimension")
     if new_dim < 2:
         raise ValueError("new dimension must be >= 2")
-    items = [(int(a), int(b)) for a, b in basis_map.items()]
+    items = [(_integer(a, "source level", stop=old_dim, of="levels"),
+              _integer(b, "target level", stop=new_dim, of="levels")) for a, b in basis_map.items()]
     if len({b for _, b in items}) != len(items):
         raise ValueError("basis map must be injective")
-    for a, b in items:
-        if not 0 <= a < old_dim:
-            raise ValueError(f"source level {a} outside dimension {old_dim}")
-        if not 0 <= b < new_dim:
-            raise ValueError(f"target level {b} outside dimension {new_dim}")
     mapped = {a for a, _ in items}
     unmapped = [lv for lv in range(old_dim) if lv not in mapped]
 
@@ -808,7 +806,7 @@ def relabel_subspace(state: PureState, party: int, basis_map: dict, new_dim: int
 
 def permute_parties(state: State, order) -> State:
     """Reorder parties so that output party ``i`` is input party ``order[i]``."""
-    order = [int(i) for i in order]
+    order = [_integer(i, "order entry") for i in order]
     n = state.dims.n
     if sorted(order) != list(range(n)):
         raise ValueError(f"order must be a permutation of 0..{n - 1}")

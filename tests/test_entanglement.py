@@ -263,6 +263,19 @@ class TestSupportNegativity:
         monkeypatch.setattr(entanglement, "partial_transpose", refuse)
         assert [r.negativity for r in certify_entangled_all_cuts(rho).records] == want
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2), (2, 2, 2, 2)])
+    def test_full_support_certificate_forms_no_partial_transpose(self, monkeypatch, dims):
+        """With no zero entry the gathered block is the whole partial transpose, bit for bit."""
+        rho = DensityOperator(PartyDims(dims), random_density(dims, np.random.default_rng(71)))
+        assert (rho.matrix != 0).all()
+        want = [dense_negativity(rho, cut) for cut in enumerate_bipartitions(len(dims))]
+
+        def refuse(*args):
+            raise AssertionError("partial_transpose called")
+
+        monkeypatch.setattr(entanglement, "partial_transpose", refuse)
+        assert [r.negativity for r in certify_entangled_all_cuts(rho).records] == want
+
     @pytest.mark.parametrize("name", ["prop1", "prop2", "prop3", "sigma"])
     def test_builder_states_match_dense_oracle(self, name):
         rho = _builder_state(name)

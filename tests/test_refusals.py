@@ -2,11 +2,17 @@
 
 Each row is (callable, arguments, exception, message pattern): the call must
 raise that exception with a message matching the pattern.  Most of these
-refusals are reached by no other test.
+refusals are reached by no other test.  Every count, seed and index argument
+goes through one integer rule, ``qcore._integer``: a float, a bool or a
+numeric string is refused by name, and a NumPy integer is taken as an int.
 """
+
+import re
 
 import numpy as np
 import pytest
+
+from gmesim.cli import resolve_seed
 
 from gmesim.distill import (
     FilterPair,
@@ -25,9 +31,13 @@ from gmesim.entanglement import (
     svetlichny_value,
 )
 from gmesim.protocols import (
+    ProtocolConfig,
+    analytic_Pn,
     build_prop1_general,
     build_sigma_prime,
     merge_chain_to_ghz,
+    sample_leaves,
+    sigma_scan,
     teleport,
 )
 from gmesim.qcore import (
@@ -35,13 +45,18 @@ from gmesim.qcore import (
     PartyDims,
     ProjectiveMeasurement,
     PureState,
+    apply_local_unitary,
     basis_ket,
     bell_pair,
     contract_party,
     fidelity_pure,
     ghz_state,
     ket,
+    level_group_measurement,
+    measure,
+    partial_trace,
     permute_parties,
+    postselect_levels,
     relabel_subspace,
     state_projector_measurement,
     tensor,
@@ -53,6 +68,10 @@ QUBIT0 = basis_ket((2,), (0,))
 QUTRIT = ket([0.6, 0.8, 0.0], (3,))
 EYE2 = np.eye(2, dtype=complex)
 CUT3 = Bipartition(frozenset({0}), 3)
+Z_BASIS = ProjectiveMeasurement((0,), tuple(np.diag(row) for row in EYE2))
+LEAVES = [("a", 0.5, True, 1), ("b", 0.5, False, 1)]
+TERMS = [(1.0, tensor(QUTRIT, QUBIT0))]  # dims (3, 2)
+SPLIT = [[0], [1, 2]]
 
 
 def settings_with(index, setting):
@@ -82,7 +101,7 @@ REFUSALS = [
     ("basis_ket level count", basis_ket, ((2, 2), (0,)),
      ValueError, r"one level per party is required"),
     ("basis_ket level range", basis_ket, ((2, 3), (1, 3)),
-     ValueError, r"level 3 outside local dimension 3"),
+     ValueError, r"level 3 out of range for 3 levels"),
     ("bell_pair unknown kind", bell_pair, ("chi+",), ValueError, r"unknown Bell state 'chi\+'"),
     ("ghz_state one party", ghz_state, (1,),
      ValueError, r"a GHZ-type state needs at least two parties"),
@@ -107,9 +126,9 @@ REFUSALS = [
     ("relabel not injective", relabel_subspace, (QUTRIT, 0, {0: 0, 1: 0}, 2),
      ValueError, r"basis map must be injective"),
     ("relabel source level", relabel_subspace, (QUTRIT, 0, {3: 0, 1: 1}, 2),
-     ValueError, r"source level 3 outside dimension 3"),
+     ValueError, r"source level 3 out of range for 3 levels"),
     ("relabel target level", relabel_subspace, (QUTRIT, 0, {0: 0, 1: 2}, 2),
-     ValueError, r"target level 2 outside dimension 2"),
+     ValueError, r"target level 2 out of range for 2 levels"),
     ("permute non-permutation", permute_parties, (GHZ3, (0, 0, 2)),
      ValueError, r"order must be a permutation of 0\.\.2"),
     # entanglement
@@ -153,6 +172,70 @@ REFUSALS = [
      ValueError, r"pair 1 is not a two-qubit pure state"),
     ("teleport resource dims", teleport, (GHZ3, 0, GHZ3),
      ValueError, r"the resource must be a two-qubit pure state"),
+    # counts and indices out of their range
+    ("config max_copies", ProtocolConfig, (0.5,) + ((1 / 3,) * 3, None, 10, 42, 0),
+     ValueError, r"^max_copies must be a positive integer, got 0$"),
+    ("sigma_scan n_max", sigma_scan, ([0.5], -1, 10, 0),
+     ValueError, r"^n_max must be a non-negative integer, got -1$"),
+    ("analytic_Pn n", analytic_Pn, (0.5, -1),
+     ValueError, r"^n must be a non-negative integer, got -1$"),
+    ("pipeline rounds", distill_pipeline, (PHI.density(), 0),
+     ValueError, r"^rounds must be a positive integer, got 0$"),
+    ("teleport outcome -1", teleport, (GHZ3, 0, PHI, -1),
+     ValueError, r"^outcome -1 out of range for 4 Bell outcomes$"),
+    ("teleport outcome 4", teleport, (GHZ3, 0, PHI, 4),
+     ValueError, r"^outcome 4 out of range for 4 Bell outcomes$"),
+    ("teleport input party", teleport, (GHZ3, 3, PHI),
+     ValueError, r"^input party 3 out of range for 3 parties$"),
+    ("measurement negative target", ProjectiveMeasurement, ((-1,), (EYE2,)),
+     ValueError, r"^target party must be a non-negative integer, got -1$"),
+    ("partial_trace discard range", partial_trace, (PHI.density(), [2]),
+     ValueError, r"^discard index 2 out of range for 2 parties$"),
+    ("level group range", level_group_measurement, (0, 3, [[0], [1, 3]]),
+     ValueError, r"^level 3 out of range for 3 levels$"),
+]
+
+#: (label, name in the message, call with the argument set to x), for every
+#: integer argument the rule checks.
+INTEGER_ARGUMENTS = [
+    ("config shots", "shots", lambda x: ProtocolConfig(shots=x)),
+    ("config max_copies", "max_copies", lambda x: ProtocolConfig(max_copies=x)),
+    ("config seed", "seed", lambda x: ProtocolConfig(seed=x)),
+    ("sample_leaves shots", "shots", lambda x: sample_leaves("prop2", LEAVES, x, 0)),
+    ("sample_leaves seed", "seed", lambda x: sample_leaves("prop2", LEAVES, 10, x)),
+    ("sigma_scan n_max", "n_max", lambda x: sigma_scan([0.5], x, 10, 0)),
+    ("sigma_scan shots", "shots", lambda x: sigma_scan([0.5], 2, x, 0)),
+    ("sigma_scan seed", "seed", lambda x: sigma_scan([0.5], 2, 10, x)),
+    ("analytic_Pn n", "n", lambda x: analytic_Pn(0.5, x)),
+    ("teleport input party", "input party", lambda x: teleport(GHZ3, x, PHI)),
+    ("teleport outcome", "outcome", lambda x: teleport(GHZ3, 0, PHI, outcome=x)),
+    ("pipeline rounds", "rounds", lambda x: distill_pipeline(PHI.density(), x)),
+    ("measure keep", "keep index", lambda x: measure(PHI, Z_BASIS, keep=(x,))),
+    ("postselect party", "party index", lambda x: postselect_levels(TERMS, [(x, SPLIT, 0)], [1])),
+    ("postselect accept", "accept index",
+     lambda x: postselect_levels(TERMS, [(0, SPLIT, x)], [1])),
+    ("postselect level", "level", lambda x: postselect_levels(TERMS, [(0, [[0], [1, x]], 0)], [1])),
+    ("projector target", "target party", lambda x: ProjectiveMeasurement((x,), (EYE2,))),
+    ("basis_ket level", "level", lambda x: basis_ket((2, 3), (0, x))),
+    ("level group", "level", lambda x: level_group_measurement(0, 3, [[0], [1, x]])),
+    ("partial_trace discard", "discard index", lambda x: partial_trace(PHI.density(), [x])),
+    ("unitary target", "party index", lambda x: apply_local_unitary(PHI, EYE2, (x,))),
+    ("relabel party", "party index", lambda x: relabel_subspace(QUTRIT, x, {1: 0, 2: 1}, 2)),
+    ("relabel new dimension", "new dimension",
+     lambda x: relabel_subspace(QUTRIT, 0, {1: 0, 2: 1}, x)),
+    ("relabel source level", "source level", lambda x: relabel_subspace(QUTRIT, 0, {x: 0}, 2)),
+    ("relabel target level", "target level", lambda x: relabel_subspace(QUTRIT, 0, {1: x}, 2)),
+    ("permute order", "order entry", lambda x: permute_parties(PHI, (x, 0))),
+    ("Bipartition party", "party index", lambda x: Bipartition(frozenset({x}), 3)),
+    ("Bipartition n_parties", "n_parties", lambda x: Bipartition(frozenset({0}), x)),
+    ("enumerate n_parties", "n_parties", enumerate_bipartitions),
+    ("resolve_seed", "--seed", resolve_seed),
+]
+NOT_INTEGERS = [2.7, True, "3"]
+INTEGER_ROWS = [
+    pytest.param(name, call, bad, id=f"{label} {bad!r}")
+    for label, name, call in INTEGER_ARGUMENTS for bad in NOT_INTEGERS
+    if not (call is resolve_seed and isinstance(bad, str))  # the seed's text is parsed first
 ]
 
 
@@ -162,3 +245,45 @@ REFUSALS = [
 def test_refused_with_a_named_error(call, args, error, pattern):
     with pytest.raises(error, match=pattern):
         call(*args)
+
+
+@pytest.mark.parametrize("name,call,bad", INTEGER_ROWS)
+def test_an_integer_argument_refuses_what_int_would_coerce(name, call, bad):
+    pattern = f"^{re.escape(name)} must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=pattern):
+        call(bad)
+
+
+#: (label, call with an integer argument of the given kind): a NumPy integer
+#: gives what the same Python int gives.
+NUMPY_INTEGER_CALLS = [
+    ("config", lambda k: ProtocolConfig(shots=k(3), max_copies=k(2), seed=k(5))),
+    ("sample_leaves", lambda k: sample_leaves("prop2", LEAVES, k(10), k(5))),
+    ("sigma_scan", lambda k: sigma_scan([0.5], k(2), k(10), k(5))),
+    ("teleport", lambda k: teleport(GHZ3, k(1), PHI, outcome=k(2)).amplitudes.tolist()),
+    ("pipeline", lambda k: distill_pipeline(PHI.density(), k(2))),
+    ("measure keep",
+     lambda k: [o.post_state is None for o in measure(PHI, Z_BASIS, keep=(k(1),))]),
+    ("postselect",
+     lambda k: postselect_levels(TERMS, [(k(0), SPLIT, k(0))], [k(1)])[1].matrix.tolist()),
+    ("basis_ket", lambda k: basis_ket((2, 3), (k(1), k(2))).amplitudes.tolist()),
+    ("relabel", lambda k: relabel_subspace(QUTRIT, k(0), {k(1): k(0), k(0): k(1)}, k(2)).dims),
+    ("permute", lambda k: permute_parties(GHZ3, (k(2), k(0), k(1))).dims),
+    ("Bipartition", lambda k: Bipartition(frozenset({k(2)}), k(3))),
+    ("enumerate", lambda k: enumerate_bipartitions(k(3))),
+    ("resolve_seed", lambda k: resolve_seed(k(7))),
+]
+
+
+def _types(value) -> list:
+    """The types of an integer result and of the fields of a dataclass result."""
+    fields = getattr(value, "__dataclass_fields__", None)
+    return [type(getattr(value, f)) for f in fields] if fields else [type(value)]
+
+
+@pytest.mark.parametrize("call", [row[1] for row in NUMPY_INTEGER_CALLS],
+                         ids=[row[0] for row in NUMPY_INTEGER_CALLS])
+def test_numpy_integers_are_taken_as_ints(call):
+    want, got = call(int), call(np.int64)
+    assert got == want
+    assert _types(got) == _types(want)
