@@ -50,7 +50,6 @@ from .protocols import (
     build_prop1_general,
     build_prop2_state,
     build_prop3_state,
-    _finite,
     _sigma_state,
     chain_leaves,
     copy_chain,
@@ -67,6 +66,8 @@ from .qcore import (
     PartyDims,
     PureState,
     _integer,
+    _real,
+    _reals,
     basis_ket,
     bell_pair,
     fidelity_pure,
@@ -165,7 +166,7 @@ def state_to_payload(state: PureState | DensityOperator) -> dict:
 
 
 def _pairs_loop(pairs, expected: int, what: str) -> np.ndarray:
-    """``expected`` [re, im] pairs as ``float()`` reads each part; an error names the pair."""
+    """``expected`` [re, im] pairs of JSON numbers; an error names the pair."""
     if not isinstance(pairs, list) or len(pairs) != expected:
         raise ValueError(f"{what} must be a list of {expected} [re, im] pairs")
     out = np.empty(expected, dtype=complex)
@@ -173,8 +174,8 @@ def _pairs_loop(pairs, expected: int, what: str) -> np.ndarray:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"{what}[{i}] is not an [re, im] pair")
         try:
-            out[i] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, OverflowError) as exc:
+            out[i] = complex(_real(pair[0], what), _real(pair[1], what))
+        except ValueError as exc:
             raise ValueError(f"{what}[{i}] is not an [re, im] pair of numbers") from exc
     return out
 
@@ -581,7 +582,7 @@ def _parse_floats(text: str, name: str) -> list[float]:
         vals = [float(p) for p in parts]
     except ValueError:
         raise ValueError(f"{name} contains a non-numeric entry: {text!r}") from None
-    return list(_finite(vals, name))
+    return list(_reals(vals, name))
 
 
 def _parse_schmidt(text, n_expected: int, name: str = "--schmidt"):

@@ -24,6 +24,8 @@ from .qcore import (
     _hermitian_part,
     _integer,
     _local_branches,
+    _real,
+    _reals,
     apply_local_unitary,
     bell_pair,
     fidelity_pure,
@@ -77,9 +79,7 @@ def procrustean_filter(a: float, b: float) -> FilterPair:
     equalizes the two Schmidt coefficients; the known success probability on
     the pure input is 2*min(a^2, b^2).
     """
-    a, b = float(a), float(b)
-    if a <= 0 or b <= 0:
-        raise ValueError("Schmidt coefficients must be positive")
+    a, b = _reals((a, b), "Schmidt coefficients", positive=True)
     m = max(a, b)
     k0 = np.diag([b / m, a / m]).astype(complex)
     k1 = np.diag(
@@ -159,7 +159,7 @@ def twirl_to_isotropic(rho: DensityOperator) -> DensityOperator:
 
 def isotropic_state(fidelity: float) -> DensityOperator:
     """F|phi+><phi+| + (1-F) (1 - |phi+><phi+|)/3."""
-    f = float(fidelity)
+    f = _real(fidelity, "fidelity")
     if not 0.0 <= f <= 1.0:
         raise ValueError("fidelity must lie in [0, 1]")
     mat = f * _PHI_PROJ + (1.0 - f) * (np.eye(4) - _PHI_PROJ) / 3.0

@@ -63,8 +63,11 @@ from .qcore import (
     _local_kernel,
     _measure_rows,
     _phase_canonical,
+    _probability,
+    _reals,
     _require_unit_rows,
     _require_unitary,
+    _unit_sum,
     apply_local_unitary,
     basis_ket,
     bell_basis,
@@ -103,19 +106,9 @@ _require_unitary(_Z)
 _REFERENCES = np.array([_PLUS.conj(), _MINUS.conj()])  # <+| and <-|, by readout outcome
 
 
-def _finite(values, what: str) -> tuple[float, ...]:
-    """``values`` as floats; a NaN or infinite entry is a ValueError naming ``what``."""
-    vals = tuple(float(v) for v in values)
-    if not all(math.isfinite(v) for v in vals):
-        raise ValueError(f"{what} must be finite, got {vals!r}")
-    return vals
-
-
 def normalize_schmidt(coeffs) -> tuple[float, ...]:
     """Rescale positive coefficients so their squares sum to one."""
-    vals = _finite(coeffs, "Schmidt coefficients")
-    if any(v <= 0 for v in vals):
-        raise ValueError("Schmidt coefficients must be positive")
+    vals = _reals(coeffs, "Schmidt coefficients", positive=True)
     norm = math.sqrt(sum(v * v for v in vals))
     if not 0.0 < norm < math.inf:  # the squares underflow to 0 or overflow
         raise ValueError(f"Schmidt coefficients {vals!r} are too small or too large to normalize")
@@ -145,21 +138,11 @@ class ProtocolConfig:
     max_copies: int = 21
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p={self.p!r} must lie strictly inside (0, 1)")
-        weights = _finite(self.weights, "weights")
-        object.__setattr__(self, "weights", weights)
-        if len(weights) != 3 or any(w <= 0 for w in weights):
-            raise ValueError("weights must be three positive numbers")
-        if abs(sum(weights) - 1.0) > ATOL:
-            raise ValueError(f"weights sum to {sum(weights)!r}, expected 1")
+        object.__setattr__(self, "p", _probability(self.p))
+        object.__setattr__(self, "weights", _unit_sum(self.weights, "weights", 3))
         if self.schmidt_coeffs is not None:
-            coeffs = _finite(self.schmidt_coeffs, "Schmidt coefficients")
+            coeffs = _unit_sum(self.schmidt_coeffs, "Schmidt coefficients", squared=True)
             object.__setattr__(self, "schmidt_coeffs", coeffs)
-            if any(c <= 0 for c in coeffs):
-                raise ValueError("Schmidt coefficients must be positive")
-            if abs(sum(c * c for c in coeffs) - 1.0) > ATOL:
-                raise ValueError("squared Schmidt coefficients must sum to 1")
         for name, low in (("shots", 1), ("max_copies", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low))
 
@@ -215,10 +198,11 @@ class ProtocolReport:
 # ---------------------------------------------------------------------------
 
 
-def _require_entangled_pair(state: PureState, name: str) -> None:
+def _require_entangled_pair(state: PureState, name: str) -> tuple[float, ...]:
     data = schmidt(state, Bipartition(frozenset({0}), 2))
     if data.rank < 2:
         raise ValueError(f"{name} must be entangled (Schmidt rank 2), got a product state")
+    return data.coefficients
 
 
 def build_prop1_general(
@@ -231,8 +215,7 @@ def build_prop1_general(
     Each term is separable in one cut, yet for p strictly inside (0, 1) the
     mixture is entangled in every bipartition.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
+    p = _probability(p)
     if pair_ab.dims.dims != (2, 2) or pair_bc.dims.dims != (2, 2):
         raise ValueError("the entangled inputs must be two-qubit states")
     if ref_c.dims.dims != (2,) or ref_a.dims.dims != (2,):
@@ -279,13 +262,8 @@ def build_prop2_state(schmidt_coeffs, p: float) -> DensityOperator:
     ``schmidt_coeffs`` are the three positive coefficients of the shared
     two-qutrit state sum_i a_i |ii>.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
-    coeffs = _finite(schmidt_coeffs, "Schmidt coefficients")
-    if len(coeffs) != 3 or any(c <= 0 for c in coeffs):
-        raise ValueError("three positive Schmidt coefficients are required")
-    if abs(sum(c * c for c in coeffs) - 1.0) > ATOL:
-        raise ValueError("squared Schmidt coefficients must sum to 1")
+    p = _probability(p)
+    coeffs = _unit_sum(schmidt_coeffs, "Schmidt coefficients", 3, squared=True)
     return mix(_chain_terms(coeffs, (p, 1.0 - p)))
 
 
@@ -296,9 +274,7 @@ def build_sigma(p: float) -> DensityOperator:
     pair (embedded in levels 0, 1 of C); with probability 1-p, A-B share the
     Bell pair while C sits at its flag level.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
-    return _sigma_mixture(bell_pair("phi+"), p)
+    return _sigma_mixture(bell_pair("phi+"), _probability(p))
 
 
 def build_sigma_prime(shared_pair: PureState, p: float) -> DensityOperator:
@@ -308,17 +284,12 @@ def build_sigma_prime(shared_pair: PureState, p: float) -> DensityOperator:
     maximally entangled case use ``build_sigma``, whose output feeds the
     teleportation route directly.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
+    p = _probability(p)
     if shared_pair.dims.dims != (2, 2):
         raise ValueError("the shared pair must be a two-qubit state")
-    data = schmidt(shared_pair, Bipartition(frozenset({0}), 2))
-    if data.rank < 2:
-        raise ValueError("the shared pair must be entangled")
-    if abs(data.coefficients[0] - data.coefficients[1]) <= ATOL:
-        raise ValueError(
-            "the shared pair is maximally entangled; use build_sigma for that case"
-        )
+    coeffs = _require_entangled_pair(shared_pair, "the shared pair")
+    if abs(coeffs[0] - coeffs[1]) <= ATOL:
+        raise ValueError("the shared pair is maximally entangled; use build_sigma for that case")
     return _sigma_mixture(shared_pair, p)
 
 
@@ -350,17 +321,8 @@ def build_prop3_state(schmidt_coeffs, weights) -> DensityOperator:
     ``schmidt_coeffs`` are the four coefficients of sum_i a_i |ii>;
     ``weights`` are the three positive mixture weights.
     """
-    coeffs = _finite(schmidt_coeffs, "Schmidt coefficients")
-    if len(coeffs) != 4 or any(c <= 0 for c in coeffs):
-        raise ValueError("four positive Schmidt coefficients are required")
-    if abs(sum(c * c for c in coeffs) - 1.0) > ATOL:
-        raise ValueError("squared Schmidt coefficients must sum to 1")
-    w = _finite(weights, "weights")
-    if len(w) != 3 or any(x <= 0 for x in w):
-        raise ValueError("three positive weights are required")
-    if abs(sum(w) - 1.0) > ATOL:
-        raise ValueError("weights must sum to 1")
-    return mix(_chain_terms(coeffs, w))
+    coeffs = _unit_sum(schmidt_coeffs, "Schmidt coefficients", 4, squared=True)
+    return mix(_chain_terms(coeffs, _unit_sum(weights, "weights", 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -848,9 +810,7 @@ def run_prop3(
 
 def analytic_Pn(p: float, n: int) -> float:
     """Probability that n repeat copies yield at least one success at rate p."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
-    return 1.0 - (1.0 - p) ** _integer(n, "n", 0)
+    return 1.0 - (1.0 - _probability(p)) ** _integer(n, "n", 0)
 
 
 _SIGMA_SPLIT = [[0, 1], [2]]  # entangled block versus the flag level
@@ -1116,7 +1076,7 @@ def sigma_scan(p_list, n_max: int, shots: int, seed: int) -> list[ScanRow]:
     measurement arithmetic, not from the formula it is being tested against.
     Row n=0 has no repeat copies, hence probability zero.
     """
-    p_list = [float(p) for p in p_list]
+    p_list = _reals(p_list, "p_list")
     if not p_list:
         raise ValueError("at least one value of p is required")
     n_max, shots = _integer(n_max, "n_max", 0), _integer(shots, "shots", 1)

@@ -16,7 +16,7 @@ terms on the accepted levels, so the mixture is never formed or validated
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +124,50 @@ def _integer(
         detail = f" {value} out of range for {stop} {of}" if of else " out of range"
         raise ValueError(name + detail)
     return value
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float: the one rule for every real argument.
+
+    Python and NumPy integers and floats pass, NaN and infinities included; a
+    bool, string, None, complex value or too large an integer is refused by name.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
+
+
+def _reals(values, name: str, count: int | None = None, positive: bool = False) -> tuple:
+    """Finite floats, entry i named ``name[i]``; with ``positive``, ``count`` positive ones."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ValueError(f"{name} must be a sequence of real numbers, got {values!r}")
+    vals = tuple(_real(v, f"{name}[{i}]") for i, v in enumerate(values))
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"{name} must be finite, got {vals!r}")
+    if positive and (count not in (None, len(vals)) or any(v <= 0 for v in vals)):
+        many = {3: "three", 4: "four"}.get(count, count)
+        message = f"{many} positive {name} are required" if count else f"{name} must be positive"
+        raise ValueError(message)
+    return vals
+
+
+def _probability(p) -> float:
+    """``p`` strictly inside (0, 1)."""
+    p = _real(p, "p")
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie strictly inside (0, 1)")
+    return p
+
+
+def _unit_sum(values, name: str, count: int | None = None, squared: bool = False) -> tuple:
+    """Positive values whose sum, or sum of squares, is 1 within ``ATOL``."""
+    vals = _reals(values, name, count, positive=True)
+    if abs(sum(v * v if squared else v for v in vals) - 1.0) > ATOL:
+        raise ValueError(f"{'squared ' if squared else ''}{name} must sum to 1")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -374,7 +418,7 @@ def bell_basis() -> list[np.ndarray]:
 
 def ghz_state(n_parties: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2) on ``n_parties`` qubits."""
-    if n_parties < 2:
+    if _integer(n_parties, "n_parties") < 2:
         raise ValueError("a GHZ-type state needs at least two parties")
     pd = PartyDims((2,) * n_parties)
     amps = np.zeros(pd.total, dtype=complex)
@@ -407,7 +451,7 @@ def level_group_measurement(target_party: int, dim: int, groups) -> ProjectiveMe
     of a qutrit with projectors |0><0| and |1><1| + |2><2|.
     """
     projectors = []
-    for levels in _level_groups(dim, groups):
+    for levels in _level_groups(_integer(dim, "dim", 1), groups):
         p = np.zeros((dim, dim), dtype=complex)
         p[levels, levels] = 1.0
         projectors.append(p)
@@ -600,14 +644,8 @@ def _mixture_terms(terms) -> tuple[PartyDims, list]:
     is a DensityOperator or a PureState on the same parties.  No check reads
     an amplitude or a matrix entry: each term was validated when it was built.
     """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("mix of zero terms")
-    weights = [float(w) for w, _ in terms]
-    if any(w <= 0 for w in weights):
-        raise ValueError("mixture weights must be positive")
-    if abs(sum(weights) - 1.0) > ATOL:
-        raise ValueError(f"mixture weights sum to {sum(weights)!r}, expected 1")
+    terms = list(terms)  # zero terms have no weights to sum to 1
+    _unit_sum([w for w, _ in terms], "mixture weights")
     if not all(isinstance(term, (DensityOperator, PureState)) for _, term in terms):
         raise ValueError("mix expects DensityOperator or PureState terms")
     dims = terms[0][1].dims

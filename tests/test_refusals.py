@@ -5,18 +5,24 @@ raise that exception with a message matching the pattern.  Most of these
 refusals are reached by no other test.  Every count, seed and index argument
 goes through one integer rule, ``qcore._integer``: a float, a bool or a
 numeric string is refused by name, and a NumPy integer is taken as an int.
+Every real argument goes through one real rule, ``qcore._real``: a bool, a
+numeric string or None is refused by name, and a NumPy float or integer is
+taken as a float.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from gmesim import qcore
 from gmesim.cli import resolve_seed
 
 from gmesim.distill import (
     FilterPair,
     distill_pipeline,
+    isotropic_state,
     procrustean_filter,
     recurrence_round,
     twirl_to_isotropic,
@@ -34,8 +40,12 @@ from gmesim.protocols import (
     ProtocolConfig,
     analytic_Pn,
     build_prop1_general,
+    build_prop2_state,
+    build_prop3_state,
+    build_sigma,
     build_sigma_prime,
     merge_chain_to_ghz,
+    normalize_schmidt,
     sample_leaves,
     sigma_scan,
     teleport,
@@ -54,6 +64,7 @@ from gmesim.qcore import (
     ket,
     level_group_measurement,
     measure,
+    mix,
     partial_trace,
     permute_parties,
     postselect_levels,
@@ -72,6 +83,9 @@ Z_BASIS = ProjectiveMeasurement((0,), tuple(np.diag(row) for row in EYE2))
 LEAVES = [("a", 0.5, True, 1), ("b", 0.5, False, 1)]
 TERMS = [(1.0, tensor(QUTRIT, QUBIT0))]  # dims (3, 2)
 SPLIT = [[0], [1, 2]]
+PARTIAL = ket([0.6, 0.0, 0.0, 0.8], (2, 2))  # entangled, not maximally
+UNIFORM3 = (1.0 / np.sqrt(3.0),) * 3
+THIRDS = (1.0 / 3.0,) * 3
 
 
 def settings_with(index, setting):
@@ -193,6 +207,26 @@ REFUSALS = [
      ValueError, r"^discard index 2 out of range for 2 parties$"),
     ("level group range", level_group_measurement, (0, 3, [[0], [1, 3]]),
      ValueError, r"^level 3 out of range for 3 levels$"),
+    # real arguments: the forms of the real rule
+    ("config p range", ProtocolConfig, (0.0,),
+     ValueError, r"^p must lie strictly inside \(0, 1\)$"),
+    ("config complex p", ProtocolConfig, (0.5 + 0j,),
+     ValueError, r"^p must be a real number, got \(0\.5\+0j\)$"),
+    ("analytic_Pn huge p", analytic_Pn, (10**400, 2),
+     ValueError, r"^p is an integer too large for a float$"),
+    ("config weights count", ProtocolConfig, (0.5, (0.5, 0.5)),
+     ValueError, r"^three positive weights are required$"),
+    ("config weights sum", ProtocolConfig, (0.5, (0.5, 0.5, 0.5)),
+     ValueError, r"^weights must sum to 1$"),
+    ("sigma' product pair", build_sigma_prime, (ket([1.0, 0.0, 0.0, 0.0], (2, 2)), 0.5),
+     ValueError, r"^the shared pair must be entangled \(Schmidt rank 2\), got a product state$"),
+    ("sigma_scan non-finite p", sigma_scan, ([float("nan")], 2, 10, 0),
+     ValueError, r"^p_list must be finite, got \(nan,\)$"),
+    ("mix weights sum", mix, ([(0.7, PHI), (0.5, PHI)],),
+     ValueError, r"^mixture weights must sum to 1$"),
+    ("mix zero terms", mix, ([],), ValueError, r"^mixture weights must sum to 1$"),
+    ("mix huge weight", mix, ([(10**400, PHI)],),
+     ValueError, r"^mixture weights\[0\] is an integer too large for a float$"),
 ]
 
 #: (label, name in the message, call with the argument set to x), for every
@@ -217,6 +251,8 @@ INTEGER_ARGUMENTS = [
     ("postselect level", "level", lambda x: postselect_levels(TERMS, [(0, [[0], [1, x]], 0)], [1])),
     ("projector target", "target party", lambda x: ProjectiveMeasurement((x,), (EYE2,))),
     ("basis_ket level", "level", lambda x: basis_ket((2, 3), (0, x))),
+    ("ghz_state n_parties", "n_parties", ghz_state),
+    ("level group dim", "dim", lambda x: level_group_measurement(0, x, [[0], [1]])),
     ("level group", "level", lambda x: level_group_measurement(0, 3, [[0], [1, x]])),
     ("partial_trace discard", "discard index", lambda x: partial_trace(PHI.density(), [x])),
     ("unitary target", "party index", lambda x: apply_local_unitary(PHI, EYE2, (x,))),
@@ -287,3 +323,91 @@ def test_numpy_integers_are_taken_as_ints(call):
     want, got = call(int), call(np.int64)
     assert got == want
     assert _types(got) == _types(want)
+
+
+#: (label, name in the message, call with the argument set to x), for every
+#: real argument the rule checks; a sequence is checked entry by entry, and
+#: its entry i is named ``name[i]``.
+REAL_ARGUMENTS = [
+    ("config p", "p", lambda x: ProtocolConfig(p=x)),
+    ("config weight", "weights[0]", lambda x: ProtocolConfig(weights=(x, 0.5, 0.5))),
+    ("config Schmidt", "Schmidt coefficients[0]",
+     lambda x: ProtocolConfig(schmidt_coeffs=(x, 0.6))),
+    ("normalize_schmidt", "Schmidt coefficients[0]", lambda x: normalize_schmidt([x, 1.0])),
+    ("prop1 p", "p", lambda x: build_prop1_general(PHI, QUBIT0, QUBIT0, PHI, x)),
+    ("prop2 p", "p", lambda x: build_prop2_state(UNIFORM3, x)),
+    ("prop2 Schmidt", "Schmidt coefficients[1]",
+     lambda x: build_prop2_state((0.6, x, 0.8), 0.5)),
+    ("prop3 Schmidt", "Schmidt coefficients[3]",
+     lambda x: build_prop3_state((0.5, 0.5, 0.5, x), THIRDS)),
+    ("prop3 weight", "weights[2]", lambda x: build_prop3_state((0.5,) * 4, (0.5, 0.5, x))),
+    ("sigma p", "p", build_sigma),
+    ("sigma' p", "p", lambda x: build_sigma_prime(PARTIAL, x)),
+    ("analytic_Pn p", "p", lambda x: analytic_Pn(x, 2)),
+    ("sigma_scan p", "p_list[0]", lambda x: sigma_scan([x], 2, 10, 0)),
+    ("mix weight", "mixture weights[0]", lambda x: mix([(x, PHI)])),
+    ("postselect weight", "mixture weights[0]",
+     lambda x: postselect_levels([(x, TERMS[0][1])], [(0, SPLIT, 0)], [1])),
+    ("procrustean a", "Schmidt coefficients[0]", lambda x: procrustean_filter(x, 0.5)),
+    ("procrustean b", "Schmidt coefficients[1]", lambda x: procrustean_filter(0.5, x)),
+    ("isotropic fidelity", "fidelity", isotropic_state),
+]
+#: (label, name in the message, call with the sequence set to x)
+SEQUENCE_ARGUMENTS = [
+    ("config weights", "weights", lambda x: ProtocolConfig(weights=x)),
+    ("config Schmidt", "Schmidt coefficients", lambda x: ProtocolConfig(schmidt_coeffs=x)),
+    ("normalize_schmidt", "Schmidt coefficients", normalize_schmidt),
+    ("prop2 Schmidt", "Schmidt coefficients", lambda x: build_prop2_state(x, 0.5)),
+    ("prop3 Schmidt", "Schmidt coefficients", lambda x: build_prop3_state(x, THIRDS)),
+    ("prop3 weights", "weights", lambda x: build_prop3_state((0.5,) * 4, x)),
+    ("sigma_scan p_list", "p_list", lambda x: sigma_scan(x, 2, 10, 0)),
+]
+NOT_REALS = [True, "0.5", None]
+REAL_ROWS = [
+    pytest.param(f"{name} must be a real number", call, bad, id=f"{label} {bad!r}")
+    for label, name, call in REAL_ARGUMENTS for bad in NOT_REALS
+] + [
+    pytest.param(f"{name} must be a sequence of real numbers", call, bad,
+                 id=f"{label} sequence {bad!r}")
+    for label, name, call in SEQUENCE_ARGUMENTS for bad in NOT_REALS
+    if not (label == "config Schmidt" and bad is None)  # None asks for uniform coefficients
+]
+
+
+@pytest.mark.parametrize("message,call,bad", REAL_ROWS)
+def test_a_real_argument_refuses_what_float_would_coerce(message, call, bad):
+    pattern = f"^{re.escape(message)}, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=pattern):
+        call(bad)
+
+
+#: (label, kind of the Python value, call with real arguments of that kind):
+#: a NumPy float or integer gives what the same Python number gives, a float.
+NUMPY_REAL_CALLS = [
+    ("config", float, lambda k: ProtocolConfig(
+        p=k(0.25), weights=(k(0.5), k(0.25), k(0.25)), schmidt_coeffs=(k(0.6), k(0.8)))),
+    ("analytic_Pn", float, lambda k: analytic_Pn(k(0.5), 3)),
+    ("rule float", float, lambda k: qcore._real(k(0.5), "x")),
+    ("rule integer", int, lambda k: qcore._real(k(3), "x")),
+    ("rule sequence", int, lambda k: qcore._reals([k(3), k(4)], "x")[1]),
+]
+NUMPY_KINDS = {float: np.float64, int: np.int64}
+
+
+@pytest.mark.parametrize("kind,call", [row[1:] for row in NUMPY_REAL_CALLS],
+                         ids=[row[0] for row in NUMPY_REAL_CALLS])
+def test_numpy_reals_are_taken_as_floats(kind, call):
+    want, got = call(kind), call(NUMPY_KINDS[kind])
+    assert got == want
+    assert _types(got) == _types(want)
+
+
+@pytest.mark.parametrize("run", [
+    lambda terms: mix(terms),
+    lambda terms: postselect_levels(terms, [(0, [[0], [1]], 0)], [1]),
+], ids=["mix", "postselect_levels"])
+def test_nan_mixture_weights_are_refused_before_any_array(run):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^mixture weights must be finite, got \(nan, 0\.5\)$"):
+            run([(float("nan"), PHI), (0.5, PHI)])

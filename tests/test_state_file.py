@@ -1,9 +1,9 @@
 """The state-file boundary of ``gmesim.cli``: parsing, refusals, round trips.
 
 A file the byte reader refuses is decoded by ``json`` and its pairs are
-converted by ``_pairs_loop``, one pair at a time, as ``float()`` reads each
-part: numbers of any size and sign, numeric strings and booleans.  Values
-are compared with the per-item oracles in ``tests/helpers.py`` by their
+converted by ``_pairs_loop``, one pair at a time: each part must be a JSON
+number, of any size and sign that fits a float, and a numeric string or a
+boolean exits 2 naming its pair.  Values are compared with the per-item oracles in ``tests/helpers.py`` by their
 bytes; every refusal names the failing pair, value or field.
 """
 
@@ -20,7 +20,7 @@ from gmesim import cli
 from gmesim.protocols import build_prop3_state, normalize_schmidt
 from gmesim.qcore import bell_pair
 
-from helpers import loop_complex_pairs, loop_pairs_to_array
+from helpers import loop_complex_pairs
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -77,18 +77,6 @@ def test_parse_allocates_little_beyond_its_result():
     assert peak < 1.25 * 2**20  # the 1 MiB result and small change
 
 
-@pytest.mark.parametrize("pairs", [
-    [[" 0.6 ", False], ["0", "-0"], [0, "0_0"], [False, "8e-1"]],
-    [[True, "0"], [False, " -0.0\n"]],
-])
-def test_numeric_strings_and_booleans_read_as_float_reads_them(tmp_path, pairs):
-    path = tmp_path / "state.json"
-    path.write_text(json.dumps({"dims": [len(pairs)], "kind": "pure", "amplitudes": pairs}),
-                    encoding="utf-8")
-    got = cli.load_state_file(str(path)).amplitudes
-    assert got.tobytes() == loop_pairs_to_array(pairs, len(pairs), "amplitudes").tobytes()
-
-
 # ---------------------------------------------------------------------------
 # refusals: every one exits 2 with a message naming what is wrong
 
@@ -125,7 +113,9 @@ def _with_pair(index, pair):
         (_with_pair(3, [0.0, {}]), "amplitudes[3] is not an [re, im] pair of numbers"),
         (_with_pair(1, [[0.0], 0.0]), "amplitudes[1] is not an [re, im] pair of numbers"),
         (_with_pair(1, [10**400, 0.0]), "amplitudes[1] is not an [re, im] pair of numbers"),
-        (_with_pair(1, ["abc", 0.0]), "could not convert string to float: 'abc'"),
+        (_with_pair(1, ["abc", 0.0]), "amplitudes[1] is not an [re, im] pair of numbers"),
+        (_with_pair(2, ["0.5", 0.0]), "amplitudes[2] is not an [re, im] pair of numbers"),
+        (_with_pair(3, [0.0, True]), "amplitudes[3] is not an [re, im] pair of numbers"),
         (_with_pair(1, [math.inf, 0.0]),
          "pure state on dims (2, 2): amplitude entry 1 is (inf+0j); entries must be finite"),
         (_with_pair(2, [0.0, -math.inf]),
@@ -134,12 +124,24 @@ def _with_pair(index, pair):
          "pure state on dims (2, 2): amplitude entry 3 is (nan+0j); entries must be finite"),
     ],
     ids=["count", "not-a-list", "short", "long", "number", "string", "null", "object",
-         "nested", "huge-int", "non-numeric", "inf", "-inf-imag", "nan"],
+         "nested", "huge-int", "non-numeric", "numeric-string", "boolean", "inf", "-inf-imag",
+         "nan"],
 )
 def test_malformed_pairs_exit_2_with_their_message(tmp_path, capsys, doc, message):
     code, err = certify(tmp_path, capsys, doc)
     assert code == cli.EXIT_USAGE
     assert err == f"gmesim: error: {message}\n"
+
+
+@pytest.mark.parametrize("pairs", [
+    [[" 0.6 ", False], ["0", "-0"], [0, "0_0"], [False, "8e-1"]],
+    [[True, "0"], [False, " -0.0\n"]],
+])
+def test_numeric_strings_and_booleans_exit_2_naming_the_entry(tmp_path, capsys, pairs):
+    code, err = certify(tmp_path, capsys, {"dims": [len(pairs)], "kind": "pure",
+                                           "amplitudes": pairs})
+    assert code == cli.EXIT_USAGE
+    assert err == "gmesim: error: amplitudes[0] is not an [re, im] pair of numbers\n"
 
 
 @pytest.mark.parametrize(
