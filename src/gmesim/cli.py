@@ -99,38 +99,42 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-def _is_scalar(obj) -> bool:
-    return obj is None or isinstance(obj, (bool, str, int, float, np.integer))
+#: ``json.dumps`` of a str, and the serializable types in the order an instance of a
+#: subclass is matched against them (a NumPy integer renders as an int)
+_encode = json.encoder.encode_basestring_ascii
+_JSON_TYPES = (type(None), bool, int, np.integer, float, str, list, tuple, dict)
 
 
 def _render(obj, indent: int) -> str:
-    pad = " " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, float):
+    kind = type(obj)
+    if kind not in _JSON_TYPES:
+        kind = next((t for t in _JSON_TYPES if isinstance(obj, t)), kind)
+    if kind is float:
         return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            return "[]"
-        if all(_is_scalar(i) for i in items):
-            return "[" + ", ".join(_render(i, 0) for i in items) + "]"
-        inner = ",\n".join(pad + "  " + _render(i, indent + 2) for i in items)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
+    if kind is int or kind is np.integer:
+        return str(int(obj))
+    if kind is str:
+        return _encode(obj)
+    pad = " " * indent
+    if kind is dict:
         if not obj:
             return "{}"
         inner = ",\n".join(
-            pad + "  " + json.dumps(str(k)) + ": " + _render(v, indent + 2)
-            for k, v in obj.items()
+            pad + "  " + _encode(str(k)) + ": " + _render(v, indent + 2) for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
+    if kind is list or kind is tuple:
+        items = list(obj)
+        if not items:
+            return "[]"
+        if not any(isinstance(i, (list, tuple, dict)) for i in items):  # scalars: one line
+            return "[" + ", ".join(_render(i, 0) for i in items) + "]"
+        inner = ",\n".join(pad + "  " + _render(i, indent + 2) for i in items)
+        return "[\n" + inner + "\n" + pad + "]"
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__} values")
 
 
@@ -141,7 +145,7 @@ def render_json(obj) -> str:
 def _render_compact(obj) -> str:
     if isinstance(obj, dict):
         return "{" + ",".join(
-            json.dumps(str(k)) + ":" + _render_compact(v) for k, v in obj.items()
+            _encode(str(k)) + ":" + _render_compact(v) for k, v in obj.items()
         ) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_render_compact(i) for i in obj) + "]"
@@ -692,6 +696,7 @@ def cmd_prop1(args, seed: int) -> tuple[dict, dict]:
         rho = build_prop1_example(args.p)
         family = "standard"
         reference = basis_ket((2,), (0,))
+    rounds = _integer(args.rounds, "--rounds", 1)
 
     branches = run_prop1_step(rho, reference)
     selected = 0 if args.charlie_outcome is None else args.charlie_outcome
@@ -714,7 +719,7 @@ def cmd_prop1(args, seed: int) -> tuple[dict, dict]:
     if chosen.pair_state is None:
         distill_block: dict = {"status": "no_support"}
     else:
-        pipe = distill_pipeline(chosen.pair_state, args.rounds)
+        pipe = distill_pipeline(chosen.pair_state, rounds)
         distill_block = {
             "status": pipe.status,
             "filtered": pipe.filtered,
@@ -722,7 +727,7 @@ def cmd_prop1(args, seed: int) -> tuple[dict, dict]:
             "trajectory": [[float(f), float(q)] for f, q in pipe.trajectory],
         }
 
-    config = {"p": args.p, "rounds": args.rounds, "charlie_outcome": selected, "family": family}
+    config = {"p": args.p, "rounds": rounds, "charlie_outcome": selected, "family": family}
     payload = {
         "branches": branch_payload,
         "selected_outcome": selected,
@@ -736,9 +741,10 @@ def cmd_prop2(args, seed: int) -> tuple[dict, dict]:
     """The prop2 (n = 3) or prop3 (n = 4) subcommand, whichever ``args.subcommand`` names."""
     protocol = args.subcommand
     n = 3 if protocol == "prop2" else 4
-    shots, want_mc = args.shots, not args.no_mc
+    want_mc = not args.no_mc
     coeffs = _parse_schmidt(args.schmidt, n)
     mixture = {"p": args.p} if n == 3 else {"weights": list(_parse_weights(args.weights))}
+    shots = _integer(args.shots, "--shots", 1)
     config_obj = ProtocolConfig(**mixture, schmidt_coeffs=coeffs, shots=shots, seed=seed)
     config = {
         **mixture,
@@ -761,8 +767,9 @@ cmd_prop3 = cmd_prop2
 
 def cmd_sigma_scan(args, seed: int) -> tuple[dict, dict]:
     p_list = _parse_floats(args.p_list, "--p-list")
-    rows = sigma_scan(p_list, args.n_max, args.shots, seed)
-    config = {"p_list": p_list, "n_max": args.n_max, "shots": args.shots, "format": args.format}
+    n_max, shots = _integer(args.n_max, "--n-max", 0), _integer(args.shots, "--shots", 1)
+    rows = sigma_scan(p_list, n_max, shots, seed)
+    config = {"p_list": p_list, "n_max": n_max, "shots": shots, "format": args.format}
     payload = {
         "rows": [
             {

@@ -27,6 +27,7 @@ from .qcore import (
     PureState,
     _hermitian_part,
     _integer,
+    _reals,
 )
 
 #: Negativity above this threshold counts as a certified entangled cut.
@@ -97,8 +98,12 @@ class SchmidtData:
     rank: int
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
+        coeffs = _reals(self.coefficients, "Schmidt coefficients")
         object.__setattr__(self, "coefficients", coeffs)
+        rank = _integer(self.rank, "Schmidt rank", 0)
+        if rank > len(coeffs):
+            raise ValueError(f"Schmidt rank {rank} exceeds the {len(coeffs)} coefficients")
+        object.__setattr__(self, "rank", rank)
         if any(c < -ATOL for c in coeffs):
             raise ValueError("Schmidt coefficients must be nonnegative")
         if list(coeffs) != sorted(coeffs, reverse=True):

@@ -59,9 +59,11 @@ from .qcore import (
     ProjectiveMeasurement,
     PureState,
     _contract_rows,
+    _diagonal_probabilities,
     _integer,
     _local_kernel,
     _measure_rows,
+    _mixture_terms,
     _phase_canonical,
     _probability,
     _reals,
@@ -274,7 +276,7 @@ def build_sigma(p: float) -> DensityOperator:
     pair (embedded in levels 0, 1 of C); with probability 1-p, A-B share the
     Bell pair while C sits at its flag level.
     """
-    return _sigma_mixture(bell_pair("phi+"), _probability(p))
+    return mix(_sigma_terms(bell_pair("phi+"), _probability(p)))
 
 
 def build_sigma_prime(shared_pair: PureState, p: float) -> DensityOperator:
@@ -290,20 +292,15 @@ def build_sigma_prime(shared_pair: PureState, p: float) -> DensityOperator:
     coeffs = _require_entangled_pair(shared_pair, "the shared pair")
     if abs(coeffs[0] - coeffs[1]) <= ATOL:
         raise ValueError("the shared pair is maximally entangled; use build_sigma for that case")
-    return _sigma_mixture(shared_pair, p)
+    return mix(_sigma_terms(shared_pair, p))
 
 
-def _sigma_mixture(shared_pair: PureState, p: float) -> DensityOperator:
-    """Place the two-qubit pair on B-C (A at its flag level) and on A-B (C flagged)."""
+def _sigma_terms(shared_pair: PureState, p: float) -> list[tuple[float, PureState]]:
+    """The two-qubit pair on B-C (A at its flag level), weight p, and on A-B (C flagged)."""
     dims = PartyDims((3, 2, 3))
-    pair = shared_pair.tensor_view()
-    bc = np.zeros(18, dtype=complex)
-    ab = np.zeros(18, dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            bc[int(np.ravel_multi_index((2, i, j), dims.dims))] = pair[i, j]
-            ab[int(np.ravel_multi_index((i, j, 2), dims.dims))] = pair[i, j]
-    return mix([(p, PureState(dims, bc)), (1.0 - p, PureState(dims, ab))])
+    bc, ab = np.zeros((2, 3, 2, 3), dtype=complex)
+    bc[2, :, :2] = ab[:2, :, 2] = shared_pair.tensor_view()
+    return [(p, PureState(dims, bc.ravel())), (1.0 - p, PureState(dims, ab.ravel()))]
 
 
 def _sigma_state(p: float, coeffs) -> tuple[DensityOperator, bool]:
@@ -815,6 +812,8 @@ def analytic_Pn(p: float, n: int) -> float:
 
 _SIGMA_SPLIT = [[0, 1], [2]]  # entangled block versus the flag level
 _SIGMA_LEVELS = {0: 0, 1: 1}  # the qutrit leg's entangled block onto a qubit
+#: C's split as masks over the indices of the sigma states' (3, 2, 3) space
+_SIGMA_C_MASKS = [np.isin(np.indices((3, 2, 3))[2].ravel(), group) for group in _SIGMA_SPLIT]
 
 
 def _sigma_splits(config: ProtocolConfig):
@@ -1067,13 +1066,21 @@ def _repeat_arrivals(rng: np.random.Generator, rate: float, n_max: int, shots: i
     return _count_below(draws, np.nextafter(np.array(limits, dtype=float), np.inf))
 
 
+def _sigma_rate(p: float) -> float:
+    """The probability of C's accepting split on ``build_sigma(p)``, bit for bit, summed
+    off the sigma terms' diagonal as ``postselect_levels`` sums it: no state is formed."""
+    dims, terms = _mixture_terms(_sigma_terms(bell_pair("phi+"), _probability(p)))
+    diag = sum(w * (term.amplitudes * term.amplitudes.conj()) for w, term in terms)
+    return _diagonal_probabilities(diag, _SIGMA_C_MASKS, (2,), dims)[1][0]
+
+
 def sigma_scan(p_list, n_max: int, shots: int, seed: int) -> list[ScanRow]:
     """Empirical versus analytic success law of the adaptive repeat phase.
 
     For each rate p and each repeat budget n the empirical column estimates,
     from ``shots`` seeded samples, the probability that C's accepting branch
-    arrives within n repeat copies; the per-copy rate is taken from the
-    measurement arithmetic, not from the formula it is being tested against.
+    arrives within n repeat copies; the per-copy rate is summed off the sigma
+    terms' diagonal, not taken from the formula it is being tested against.
     Row n=0 has no repeat copies, hence probability zero.
     """
     p_list = _reals(p_list, "p_list")
@@ -1083,8 +1090,7 @@ def sigma_scan(p_list, n_max: int, shots: int, seed: int) -> list[ScanRow]:
     children = np.random.SeedSequence(_integer(seed, "seed", 0)).spawn(len(p_list))
     rows = []
     for p, child in zip(p_list, children):
-        rho = build_sigma(p)
-        rate = measure(rho, level_group_measurement(2, 3, _SIGMA_SPLIT), keep=())[0].probability
+        rate = _sigma_rate(p)
         if not 0.0 < rate <= 1.0:
             raise ValueError(f"p={p!r} gives a per-copy rate {rate!r} outside (0, 1]")
         arrivals = _repeat_arrivals(np.random.default_rng(child), rate, n_max, shots)

@@ -558,6 +558,14 @@ def _require_probability_sum(probabilities, targets, dims: PartyDims) -> None:
             )
 
 
+def _diagonal_probabilities(diag, masks, targets, dims: PartyDims) -> tuple[list, tuple]:
+    """The masked sums of a mixture's diagonal and those clipped to [0, 1], summing to one."""
+    raw = [float(np.real(np.sum(np.where(mask, diag, 0)))) for mask in masks]
+    probs = tuple(min(max(prob, 0.0), 1.0) for prob in raw)
+    _require_probability_sum(probs, targets, dims)
+    return raw, probs
+
+
 def _measure_rows(dims: PartyDims, rows: np.ndarray, targets, operators):
     """Each operator of a local instrument on every row of a ``(B, D)`` stack: the
     images' squared norms (``np.vdot``'s BLAS dot) clipped to [0, 1], each row
@@ -747,9 +755,7 @@ def postselect_levels(
     path, scales = [], []
     support = np.ones(dims.total, dtype=bool)
     for party, masks, accept in plan:
-        raw = [float(np.real(np.sum(np.where(mask, diag, 0)))) for mask in masks]
-        probs = tuple(min(max(prob, 0.0), 1.0) for prob in raw)
-        _require_probability_sum(probs, (party,), dims)
+        raw, probs = _diagonal_probabilities(diag, masks, (party,), dims)
         path.append(probs)
         if raw[accept] <= PRUNE_ATOL:
             return tuple(path), None

@@ -36,6 +36,9 @@ by it on its own, where the package conjugates by a cached stack of all 24 in
 one product; ``loop_recurrence_round`` applies each side's CNOT through
 ``apply_local_unitary`` and builds its target-pair measurement per call, where
 the package gathers the joint matrix by the bilateral CNOT's permutation.
+``loop_render_json`` and ``loop_render_compact`` are the canonical JSON
+renderer as one ``isinstance`` chain, where the package dispatches on the
+exact type first; ``oracle_main`` writes its artifacts with them.
 """
 
 import argparse
@@ -58,11 +61,9 @@ from gmesim.cli import (
     _parse_floats,
     _parse_schmidt,
     _parse_weights,
-    _render_compact,
     certificate_payload,
     format_float,
     mc_payload,
-    render_json,
     resolve_seed,
     resolve_timestamp,
     run_report_payload,
@@ -136,6 +137,75 @@ from gmesim.qcore import (
     tensor,
     to_pure,
 )
+
+# ---------------------------------------------------------------------------
+# canonical JSON text, one isinstance chain per value
+
+
+def _loop_is_scalar(obj) -> bool:
+    return obj is None or isinstance(obj, (bool, str, int, float, np.integer))
+
+
+def loop_render(obj, indent: int) -> str:
+    """``cli._render``: the text of ``obj`` nested ``indent`` spaces deep."""
+    pad = " " * indent
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, float):
+        value = float(obj)
+        if not math.isfinite(value):
+            raise ValueError("cannot serialize non-finite numbers")
+        return format(value, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        items = list(obj)
+        if not items:
+            return "[]"
+        if all(_loop_is_scalar(i) for i in items):
+            return "[" + ", ".join(loop_render(i, 0) for i in items) + "]"
+        inner = ",\n".join(pad + "  " + loop_render(i, indent + 2) for i in items)
+        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(
+            pad + "  " + json.dumps(str(k)) + ": " + loop_render(v, indent + 2)
+            for k, v in obj.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__} values")
+
+
+def loop_render_json(obj) -> str:
+    return loop_render(obj, 0) + "\n"
+
+
+def loop_render_compact(obj) -> str:
+    """The one-line form of the csv manifest."""
+    if isinstance(obj, dict):
+        return "{" + ",".join(
+            json.dumps(str(k)) + ":" + loop_render_compact(v) for k, v in obj.items()
+        ) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(loop_render_compact(i) for i in obj) + "]"
+    return loop_render(obj, 0)
+
+
+def loop_csv_artifact(manifest: dict, rows: list) -> str:
+    """``cli._artifact(manifest, {"rows": rows}, "csv")``."""
+    lines = ["# manifest: " + loop_render_compact(manifest), ",".join(rows[0])]
+    lines += [",".join(loop_render(value, 0) for value in row.values()) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# linear algebra by loops
+
 
 def kron_all(mats):
     out = np.array([[1.0 + 0.0j]])
@@ -1147,7 +1217,7 @@ def oracle_cmd_prop1(args) -> int:
         "distillation": distill_block,
     }
     manifest = make_manifest("prop1", config, seed, timestamp)
-    emit(render_json(envelope(manifest, payload)), args.out)
+    emit(loop_render_json(envelope(manifest, payload)), args.out)
     return EXIT_OK
 
 
@@ -1187,7 +1257,7 @@ def _run_activation(args, protocol: str) -> int:
         if want_mc else None
     )
     manifest = make_manifest(protocol, config, seed, timestamp)
-    emit(render_json(envelope(manifest, payload)), args.out)
+    emit(loop_render_json(envelope(manifest, payload)), args.out)
     return EXIT_OK
 
 
@@ -1221,9 +1291,9 @@ def oracle_cmd_sigma_scan(args) -> int:
                 for r in rows
             ]
         }
-        emit(render_json(envelope(manifest, payload)), args.out)
+        emit(loop_render_json(envelope(manifest, payload)), args.out)
         return EXIT_OK
-    lines = ["# manifest: " + _render_compact(manifest)]
+    lines = ["# manifest: " + loop_render_compact(manifest)]
     lines.append("p,n,analytic,empirical,abs_error")
     for r in rows:
         lines.append(
@@ -1256,7 +1326,7 @@ def oracle_cmd_certify(args) -> int:
     }
     payload = certificate_payload(report, is_gme)
     manifest = make_manifest("certify", config, seed, timestamp)
-    emit(render_json(envelope(manifest, payload)), args.out)
+    emit(loop_render_json(envelope(manifest, payload)), args.out)
     return EXIT_OK
 
 
@@ -1292,7 +1362,7 @@ def oracle_cmd_svetlichny(args) -> int:
         "within_quantum": bool(value <= SVETLICHNY_QUANTUM_BOUND + 1e-9),
     }
     manifest = make_manifest("svetlichny", config, seed, timestamp)
-    emit(render_json(envelope(manifest, payload)), args.out)
+    emit(loop_render_json(envelope(manifest, payload)), args.out)
     return EXIT_OK
 
 

@@ -381,6 +381,20 @@ def test_negative_seed_exits_2_naming_its_source(monkeypatch, capsys, argv, sour
     assert captured.err == f"gmesim: error: {source} must be a non-negative integer, got -1\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sigma-scan", "--n-max", "-1"], "--n-max must be a non-negative integer, got -1"),
+    (["sigma-scan", "--shots", "0"], "--shots must be a positive integer, got 0"),
+    (["prop2", "--shots", "0"], "--shots must be a positive integer, got 0"),
+    (["prop3", "--shots", "-2", "--no-mc"], "--shots must be a positive integer, got -2"),
+    (["prop1", "--rounds", "0"], "--rounds must be a positive integer, got 0"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_a_count_flag_out_of_range_exits_2_naming_the_flag(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gmesim: error: {message}\n"
+
+
 @pytest.mark.parametrize("value", ["9" * 20, "253402300800", "-" + "9" * 20])
 def test_out_of_range_source_date_epoch_exits_2_naming_it(monkeypatch, capsys, value):
     monkeypatch.delenv("GME_SEED", raising=False)

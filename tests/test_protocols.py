@@ -592,24 +592,22 @@ class TestScan:
             sigma_scan([0.5], 3, 0, seed=0)
 
 
-def test_sigma_scan_builds_only_the_sigma_states(monkeypatch):
-    """The rate is read from C's outcome probabilities: no post-state is formed."""
-    constructed, built = [], []
-    post_init, build = qcore.DensityOperator.__post_init__, protocols.build_sigma
+def test_sigma_scan_forms_no_state_or_measurement(monkeypatch):
+    """Each rate is summed off the sigma terms' diagonal by the helper ``postselect_levels``
+    uses: no density operator and no projective measurement is built."""
+    constructed, summed = [], []
+    for kind in (qcore.DensityOperator, qcore.ProjectiveMeasurement):
+        monkeypatch.setattr(kind, "__post_init__", lambda self: constructed.append(self))
+    diagonal = qcore._diagonal_probabilities
 
-    def recording(self):
-        post_init(self)
-        constructed.append(self)
+    def recorded(*args):
+        summed.append(args)
+        return diagonal(*args)
 
-    def recorded_build(p):
-        built.append(build(p))
-        return built[-1]
-
-    monkeypatch.setattr(qcore.DensityOperator, "__post_init__", recording)
-    monkeypatch.setattr(protocols, "build_sigma", recorded_build)
+    monkeypatch.setattr(protocols, "_diagonal_probabilities", recorded)
     sigma_scan([0.3, 0.7], n_max=2, shots=10, seed=0)
-    assert len(constructed) == len(built) == 2
-    assert all(a is b for a, b in zip(constructed, built))
+    assert constructed == []
+    assert len(summed) == 2
 
 
 def test_sampled_sigma_run_reaches_ghz_without_conditioning():

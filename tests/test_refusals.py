@@ -29,6 +29,7 @@ from gmesim.distill import (
 )
 from gmesim.entanglement import (
     Bipartition,
+    SchmidtData,
     enumerate_bipartitions,
     ghz_optimal_settings,
     negativity,
@@ -227,6 +228,16 @@ REFUSALS = [
     ("mix zero terms", mix, ([],), ValueError, r"^mixture weights must sum to 1$"),
     ("mix huge weight", mix, ([(10**400, PHI)],),
      ValueError, r"^mixture weights\[0\] is an integer too large for a float$"),
+    ("SchmidtData string coefficients", SchmidtData, (("0.8", "0.6"), 2),
+     ValueError, r"^Schmidt coefficients\[0\] must be a real number, got '0\.8'$"),
+    ("SchmidtData bool coefficients", SchmidtData, ((True, False), 1),
+     ValueError, r"^Schmidt coefficients\[0\] must be a real number, got True$"),
+    ("SchmidtData NaN coefficient", SchmidtData, ((float("nan"),), 1),
+     ValueError, r"^Schmidt coefficients must be finite, got \(nan,\)$"),
+    ("SchmidtData rank above the coefficients", SchmidtData, ((1.0,), 7),
+     ValueError, r"^Schmidt rank 7 exceeds the 1 coefficients$"),
+    ("SchmidtData negative rank", SchmidtData, ((1.0,), -1),
+     ValueError, r"^Schmidt rank must be a non-negative integer, got -1$"),
 ]
 
 #: (label, name in the message, call with the argument set to x), for every
@@ -265,6 +276,7 @@ INTEGER_ARGUMENTS = [
     ("Bipartition party", "party index", lambda x: Bipartition(frozenset({x}), 3)),
     ("Bipartition n_parties", "n_parties", lambda x: Bipartition(frozenset({0}), x)),
     ("enumerate n_parties", "n_parties", enumerate_bipartitions),
+    ("SchmidtData rank", "Schmidt rank", lambda x: SchmidtData((1.0,), x)),
     ("resolve_seed", "--seed", resolve_seed),
 ]
 NOT_INTEGERS = [2.7, True, "3"]
@@ -307,6 +319,7 @@ NUMPY_INTEGER_CALLS = [
     ("permute", lambda k: permute_parties(GHZ3, (k(2), k(0), k(1))).dims),
     ("Bipartition", lambda k: Bipartition(frozenset({k(2)}), k(3))),
     ("enumerate", lambda k: enumerate_bipartitions(k(3))),
+    ("SchmidtData", lambda k: SchmidtData((0.8, 0.6), k(2))),
     ("resolve_seed", lambda k: resolve_seed(k(7))),
 ]
 
@@ -351,6 +364,7 @@ REAL_ARGUMENTS = [
     ("procrustean a", "Schmidt coefficients[0]", lambda x: procrustean_filter(x, 0.5)),
     ("procrustean b", "Schmidt coefficients[1]", lambda x: procrustean_filter(0.5, x)),
     ("isotropic fidelity", "fidelity", isotropic_state),
+    ("SchmidtData coefficient", "Schmidt coefficients[0]", lambda x: SchmidtData((x,), 1)),
 ]
 #: (label, name in the message, call with the sequence set to x)
 SEQUENCE_ARGUMENTS = [
@@ -361,6 +375,7 @@ SEQUENCE_ARGUMENTS = [
     ("prop3 Schmidt", "Schmidt coefficients", lambda x: build_prop3_state(x, THIRDS)),
     ("prop3 weights", "weights", lambda x: build_prop3_state((0.5,) * 4, x)),
     ("sigma_scan p_list", "p_list", lambda x: sigma_scan(x, 2, 10, 0)),
+    ("SchmidtData", "Schmidt coefficients", lambda x: SchmidtData(x, 1)),
 ]
 NOT_REALS = [True, "0.5", None]
 REAL_ROWS = [

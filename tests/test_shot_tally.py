@@ -15,7 +15,6 @@ and the ``log1p`` in use show.
 
 import contextlib
 import math
-import types
 import warnings
 
 import numpy as np
@@ -304,9 +303,8 @@ def test_sample_leaves_refuses_a_nan_or_negative_leaf_by_index(value):
 
 @pytest.mark.parametrize("rate", [0.0, -0.25, np.nextafter(1.0, 2.0), math.nan])
 def test_sigma_scan_refuses_a_rate_outside_the_unit_interval_before_drawing(monkeypatch, rate):
-    # a stand-in outcome: MeasurementOutcome itself refuses such probabilities
-    monkeypatch.setattr(protocols, "measure",
-                        lambda *args, **kwargs: [types.SimpleNamespace(probability=float(rate))])
+    # a stand-in rate: the diagonal sums are clipped to [0, 1] and must add up to one
+    monkeypatch.setattr(protocols, "_sigma_rate", lambda p: float(rate))
     with recorded_generators() as made, pytest.raises(
         ValueError, match=rf"^p=0\.5 gives a per-copy rate {float(rate)!r} outside \(0, 1\]$"
     ):
