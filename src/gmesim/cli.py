@@ -29,6 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
 from .distill import distill_pipeline
@@ -66,6 +67,7 @@ from .qcore import (
     PartyDims,
     PureState,
     _integer,
+    _probability,
     _real,
     _reals,
     basis_ket,
@@ -226,11 +228,12 @@ def state_from_payload(data: dict) -> PureState | DensityOperator:
 
 
 # A state file whose pair array is a member of its top-level object, in any
-# place, and holds only JSON numbers is read from its bytes: the array is
-# checked by a few vectorized passes, only its tokens that are not literal
-# zeros are gathered and parsed (so a sparse density's conversion costs what
-# its nonzero entries hold), and ``json`` decodes the rest of the file with
-# the array cut out.  Anything else goes to ``json.load`` and
+# place, and holds only JSON numbers is read from its bytes: a few vectorized
+# passes check the array and flag each byte that makes its number other than
+# "0" or "0.0"; every per-token step (locating, the leading-zero and length
+# rules, the gather and the parse) runs on the flagged tokens alone, so past
+# those passes a sparse density costs what its nonzero entries hold; ``json``
+# decodes the rest of the file.  Anything else goes to ``json.load`` and
 # ``state_from_payload``.
 
 #: Byte classes inside a pair array; 0 marks a byte that has no place there.
@@ -241,8 +244,6 @@ _CLASS_BYTES = {_SPACE: b" \t\n\r", _OPEN: b"[", _COMMA: b",", _CLOSE: b"]", _ZE
 _BYTE_CLASS = bytes(
     next((c for c, chars in _CLASS_BYTES.items() if byte in chars), 0) for byte in range(256)
 )
-#: Number bytes kept, every other byte a space.
-_NUMBERS_ONLY = bytes(byte if _BYTE_CLASS[byte] in _NUMBER else 32 for byte in range(256))
 
 #: The classes that may follow each class: the JSON number grammar up to the
 #: count and order of '.' and 'e' and the leading-zero rule.
@@ -257,28 +258,35 @@ _MAY_FOLLOW = {
 
 #: What a byte is, from its class and the class before it: nothing to note,
 #: a number's start, the space or punctuation that ends a number, a number's
-#: '.' or 'e', or punctuation.  _BAD marks a byte that may not follow.
+#: '.' or 'e', or punctuation.  _BAD marks a byte that may not follow.  _FLAG
+#: is added for a byte that makes its number something other than "0" or
+#: "0.0": a nonzero digit, a sign, an 'e', or a '0' after a digit.
 (_QUIET, _START, _END, _END_COMMA, _END_CLOSE, _FRACTION, _EXPONENT,
  _OPEN_ONLY, _COMMA_ONLY, _CLOSE_ONLY) = range(10)
 _BAD = 15
+_FLAG = 16
 
 
 def _byte_event(before: int, byte: int) -> int:
     if byte not in _MAY_FOLLOW.get(before, ()):
         return _BAD
     if byte in _NUMBER:
+        flag = _FLAG * (byte in (_DIGIT, _MINUS, _PLUS, _EXP)
+                        or byte == _ZERO and before in (_ZERO, _DIGIT))
         if before not in _NUMBER:
-            return _START
-        return {_DOT: _FRACTION, _EXP: _EXPONENT}.get(byte, _QUIET)
+            return _START | flag
+        return {_DOT: _FRACTION, _EXP: _EXPONENT}.get(byte, _QUIET) | flag
     if before in _NUMBER:
         return {_SPACE: _END, _COMMA: _END_COMMA, _CLOSE: _END_CLOSE}[byte]
     return {_OPEN: _OPEN_ONLY, _COMMA: _COMMA_ONLY, _CLOSE: _CLOSE_ONLY}.get(byte, _QUIET)
 
 
 _BYTE_EVENT = bytes(_byte_event(code >> 4, code & 15) for code in range(256))
+_EVENT_KIND = bytes(code & 15 for code in range(256))  # the event without its flag
+_QUIET_EVENTS = bytes([_QUIET, _QUIET | _FLAG])
 
-#: The events that may follow each event once spaces are skipped: one number
-#: between a pair's '[' and ',' and one between ',' and ']', none elsewhere.
+#: The events that may follow each event once quiet bytes are skipped: one
+#: number between a pair's '[' and ',' and one between ',' and ']', none elsewhere.
 _ENDS = (_END, _END_COMMA, _END_CLOSE)
 _EVENT_FOLLOWS = {
     _START: (_FRACTION, _EXPONENT) + _ENDS, _FRACTION: (_EXPONENT,) + _ENDS,
@@ -286,15 +294,18 @@ _EVENT_FOLLOWS = {
     _END_CLOSE: (_COMMA_ONLY, _CLOSE_ONLY), _OPEN_ONLY: (_START,),
     _COMMA_ONLY: (_START, _OPEN_ONLY), _CLOSE_ONLY: (_COMMA_ONLY, _CLOSE_ONLY),
 }
-_EVENT_PAIR_OK = bytes(int(code & 15 in _EVENT_FOLLOWS.get(code >> 4, ())) for code in range(256))
-#: The punctuation an event carries; events without any are deleted.
-_EVENT_PUNCT = bytes.maketrans(
-    bytes([_OPEN_ONLY, _COMMA_ONLY, _END_COMMA, _CLOSE_ONLY, _END_CLOSE]), b"[,,]]")
-_NO_PUNCT = bytes([_START, _END, _FRACTION, _EXPONENT])
-_IS_BOUND = bytes(int(event in (_START,) + _ENDS) for event in range(256))
+#: An event after the first, by its code with the event before it: the
+#: punctuation it carries, '!' where it may not follow, deleted otherwise.
+_PUNCT = {_OPEN_ONLY: "[", _COMMA_ONLY: ",", _END_COMMA: ",", _CLOSE_ONLY: "]", _END_CLOSE: "]"}
+_FOLLOW_PUNCT = bytes(
+    ord(_PUNCT.get(code & 15, " ") if code & 15 in _EVENT_FOLLOWS.get(code >> 4, ()) else "!")
+    for code in range(256))
+_NO_PUNCT = bytes(code for code in range(256) if _FOLLOW_PUNCT[code] == ord(" "))
 
 #: No double needs more; JSON would also refuse integers of thousands of digits.
 _MAX_TOKEN = 64
+#: Quiet events around the array's, so that every window below stays inside.
+_PAD = 4
 
 #: A pair key, its colon and the opening bracket of its array.
 _PAIR_KEY = re.compile(rb'("amplitudes"|"matrix")[ \t\n\r]*:[ \t\n\r]*\[')
@@ -321,84 +332,112 @@ def _split_pair_array(raw: bytes) -> tuple[bytes, str, bytearray] | None:
     return rest, key[1:-1].decode(), bytearray(memoryview(raw)[start:end])
 
 
-def _positions(flags: bytearray) -> np.ndarray:
-    """1 + the index of each 1 among 0/1 flags, as int32 when that holds every index."""
-    where = np.flatnonzero(np.frombuffer(flags, np.bool_))
-    if len(flags) < 2**31 - 1:
-        where = where.astype(np.int32)
-    where += 1
-    return where
+def _flagged_tokens(events: bytes):
+    """The start and end of each flagged token, and how many tokens precede it.
+
+    A flagged token has a flag among its first four and its last four bytes
+    ("-0.0"): a start is marked by a flag among the four bytes from it, an
+    end by one among the four before it or the two after it, which marks
+    both ends of a "0" just before a flagged token too.  No bound lies
+    inside a token, so the mark after a marked start is its end.
+    """
+    near = np.frombuffer(events, np.uint8) >= _FLAG
+    near = near[:-1] | near[1:]
+    near = near[:-2] | near[2:]  # near[k]: a flag among events k..k+3
+    kind = np.frombuffer(events, np.uint8)[_PAD:-_PAD] & 15  # the event of each byte
+    start = kind == _START
+    kind -= _END
+    marks = np.less(kind, 3, out=kind.view(np.bool_))  # an end, in kind's place
+    marks &= near[:-5] | near[3:-2]
+    marks |= start & near[_PAD:-1]
+    del near
+    bounds = np.flatnonzero(marks)
+    first = np.flatnonzero(start[bounds])
+    starts, ends = bounds[first], bounds[first + 1]
+    # a token's index counts the starts before it: the unmarked ones if they
+    # are fewer (a dense array), else all, summed over segments cut at each
+    # marked start and every 256 bytes, too short to overflow a byte
+    if np.count_nonzero(start) < 2 * len(starts):
+        skipped = np.flatnonzero(start & ~marks)
+        return starts, ends, np.arange(len(starts)) + np.searchsorted(skipped, starts)
+    cuts = np.sort(np.r_[starts, np.arange(0, len(start), 256)], kind="stable")
+    cuts = cuts[np.r_[True, cuts[1:] != cuts[:-1]]]
+    before = np.cumsum(np.add.reduceat(start.view(np.uint8), cuts, dtype=np.uint8), dtype=np.intp)
+    return starts, ends, before[np.searchsorted(cuts, starts) - 1]
 
 
 def _scan_pair_array(region: bytearray):
-    """Token bounds of a JSON array of [number, number] pairs, or None.
+    """The tokens of a JSON array of [number, number] pairs, or None.
 
-    Returns the pair count, each number token's start and end, and which
-    tokens are literal zeros (-0.0 where ``negative``) that need no
-    conversion.
+    Returns the pair count, the token count, the indices of the tokens that
+    read as -0.0, and the indices, starts and ends of the tokens to parse;
+    every other token reads as +0.0.
     """
     if not region.startswith(b"["):
         return None
     cls = np.frombuffer(region.translate(_BYTE_CLASS), np.uint8)
-    pairs = bytearray(len(region) - 1)
-    codes = np.frombuffer(pairs, np.uint8)
-    np.left_shift(cls[:-1], 4, out=codes)
-    np.bitwise_or(codes, cls[1:], out=codes)
-    events = pairs.translate(_BYTE_EVENT)  # events[i] is the event of byte i + 1
+    # codes[b] holds the classes of bytes b - 1 and b, so events[_PAD + b] is
+    # the event of byte b; the padding is quiet spaces
+    pairs = bytearray(b"\x11") * (len(region) + 2 * _PAD)
+    codes = np.frombuffer(pairs, np.uint8)[_PAD:]
+    np.multiply(cls[:-1], 16, out=codes[1:len(region)])
+    codes[1:len(region)] |= cls[1:]
+    events = pairs.translate(_BYTE_EVENT)
     # buffers the size of the array go as soon as they are used, which keeps
     # the peak memory of a read below that of json.load
     del cls, codes, pairs
     if _BAD in events:
         return None
-    kinds = np.frombuffer(events.translate(None, bytes([_QUIET])), np.uint8)
+    kinds = np.frombuffer(events.translate(_EVENT_KIND, _QUIET_EVENTS), np.uint8)
     if not len(kinds) or kinds[0] != _OPEN_ONLY:
         return None
-    if 0 in ((kinds[:-1] << 4) | kinds[1:]).tobytes().translate(_EVENT_PAIR_OK):
+    follow = kinds[:-1] * 16
+    follow |= kinds[1:]
+    # the punctuation after the first '[', with a '!' for each misplaced event
+    punct = follow.tobytes().translate(_FOLLOW_PUNCT, _NO_PUNCT)
+    del kinds, follow
+    n = (len(punct) + 1) // 4
+    if n < 1 or punct != b",],[" * (n - 1) + b",]]":
         return None
-    punct = kinds.tobytes().translate(_EVENT_PUNCT, _NO_PUNCT)
-    n = len(punct) // 4
-    if n < 1 or punct != b"[,],"* (n - 1) + b"[,]]":
-        return None
-    bounds = _positions(events.translate(_IS_BOUND))  # start, end, start, end, ...
-    del events, kinds, punct
-    starts, ends = bounds[0::2], bounds[1::2]
+    # a token without a flag is "0" or "0.0", as the checks above leave no
+    # other: it reads as +0.0 and needs none of the rules below
+    starts, ends, index = _flagged_tokens(events)
+    del events, punct
     chars = np.frombuffer(region, np.uint8)
     minus = chars[starts] == ord("-")
     digits = starts + minus
     zero = chars[digits] == ord("0")
-    after = chars[digits + 1]  # in range: the array ends with two brackets
-    leading_zero = zero & (after >= ord("0")) & (after <= ord("9"))
-    if leading_zero.any() or (ends - starts).max() > _MAX_TOKEN:
+    # a leading zero has a digit after it (in range: the array ends with "]]")
+    if (zero & (chars[digits + 1] - ord("0") < 10)).any() or (ends - starts > _MAX_TOKEN).any():
         return None
     # "0" and "-0" are integers and read as +0.0; "0.0" and "-0.0" keep their sign
     size = ends - digits
     zero &= (size == 1) | ((size == 3) & (chars[digits + 2] == ord("0")))
-    return n, starts, ends, zero, zero & (size == 3) & minus
-
-
-def _token_values(region: bytearray, starts, ends, zero, negative) -> np.ndarray | None:
-    """The tokens as ``float()`` reads them, by one C-level parse of the non-zero ones.
-
-    The non-zero tokens, each with the byte that ends it, are gathered into
-    one small buffer, so the parse costs what they hold; ``region`` is left
-    as it is.
-    """
-    values = np.zeros(len(starts))
-    values[negative] = -0.0
     keep = ~zero
-    if keep.any():
-        first, last = starts[keep], ends[keep]
-        # byte indices first[0]..last[0], first[1]..last[1], ...: ones, with
-        # a jump where each token starts, summed up
-        lengths = last - first + 1
-        steps = np.ones(int(lengths.sum()), np.intp)
-        steps[0] = first[0]
-        steps[np.cumsum(lengths[:-1])] = first[1:] - last[:-1]
-        gathered = np.frombuffer(region, np.uint8)[np.cumsum(steps)]
-        parsed = np.fromstring(gathered.tobytes().translate(_NUMBERS_ONLY), sep=" ")
-        if len(parsed) != len(first):
+    return n, 2 * n, index[zero & (size == 3) & minus], index[keep], starts[keep], ends[keep]
+
+
+def _token_values(region: bytearray, count, negative, index, starts, ends) -> np.ndarray | None:
+    """The ``count`` tokens as ``float()`` reads them, by one C-level parse of those to parse.
+
+    Each of those tokens is copied into a row one byte wider than the
+    longest, the bytes around it blanked, so the parse costs what they hold;
+    ``region`` is left as it is.
+    """
+    values = np.zeros(count)
+    values[negative] = -0.0
+    if len(index):
+        lengths = ends - starts
+        width = int(lengths.max()) + 1
+        corner = np.minimum(starts, len(region) - width)  # no row runs past the array
+        rows = sliding_window_view(np.frombuffer(region, np.uint8), width)[corner]
+        # bytes before or after the token, by a byte-wide distance from its start
+        after = np.arange(width, dtype=np.uint8) - (starts - corner).astype(np.uint8)[:, None]
+        rows[after >= lengths.astype(np.uint8)[:, None]] = ord(" ")
+        parsed = np.fromstring(rows.tobytes(), sep=" ")
+        if len(parsed) != len(index):
             return None
-        values[keep] = parsed
+        values[index] = parsed
     return values
 
 
@@ -640,10 +679,10 @@ def _builtin_state(name: str, p: float = 0.5, schmidt_text=None, weights_text=No
         merged = merge_chain_to_ghz([bell_pair("phi+"), bell_pair("phi+")])
         return merged.branches[0].state, {}
     if name == "prop1":
-        return build_prop1_example(p), {"p": p}
+        return build_prop1_example(_probability(p, "--p")), {"p": p}
     if name == "prop2":
         coeffs = _parse_schmidt(schmidt_text, 3) or normalize_schmidt([1.0, 1.0, 1.0])
-        return build_prop2_state(coeffs, p), {"p": p, "schmidt": list(coeffs)}
+        return build_prop2_state(coeffs, _probability(p, "--p")), {"p": p, "schmidt": list(coeffs)}
     if name == "prop3":
         coeffs = _parse_schmidt(schmidt_text, 4) or normalize_schmidt([1.0] * 4)
         weights = _parse_weights(weights_text)
@@ -651,7 +690,7 @@ def _builtin_state(name: str, p: float = 0.5, schmidt_text=None, weights_text=No
         return build_prop3_state(coeffs, weights), params
     if name == "sigma":
         coeffs = _parse_schmidt(schmidt_text, 2) or normalize_schmidt([1.0, 1.0])
-        return _sigma_state(p, coeffs)[0], {"p": p, "schmidt": list(coeffs)}
+        return _sigma_state(_probability(p, "--p"), coeffs)[0], {"p": p, "schmidt": list(coeffs)}
     raise ValueError(f"unknown builtin {name!r}; choose from {', '.join(_BUILTIN_NAMES)}")
 
 
@@ -686,14 +725,14 @@ def cmd_prop1(args, seed: int) -> tuple[dict, dict]:
             basis_ket((2,), (ref_c,)),
             basis_ket((2,), (ref_a,)),
             ket([bc[0], 0.0, 0.0, bc[1]], (2, 2)),
-            args.p,
+            _probability(args.p, "--p"),
         )
         family: dict | str = {
             "pair_ab": list(ab), "pair_bc": list(bc), "ref_a": ref_a, "ref_c": ref_c,
         }
         reference = basis_ket((2,), (ref_c,))
     else:
-        rho = build_prop1_example(args.p)
+        rho = build_prop1_example(_probability(args.p, "--p"))
         family = "standard"
         reference = basis_ket((2,), (0,))
     rounds = _integer(args.rounds, "--rounds", 1)
@@ -745,6 +784,8 @@ def cmd_prop2(args, seed: int) -> tuple[dict, dict]:
     coeffs = _parse_schmidt(args.schmidt, n)
     mixture = {"p": args.p} if n == 3 else {"weights": list(_parse_weights(args.weights))}
     shots = _integer(args.shots, "--shots", 1)
+    if n == 3:
+        mixture["p"] = _probability(args.p, "--p")
     config_obj = ProtocolConfig(**mixture, schmidt_coeffs=coeffs, shots=shots, seed=seed)
     config = {
         **mixture,

@@ -1096,5 +1096,5 @@ def sigma_scan(p_list, n_max: int, shots: int, seed: int) -> list[ScanRow]:
         arrivals = _repeat_arrivals(np.random.default_rng(child), rate, n_max, shots)
         for n in range(n_max + 1):
             empirical = float(arrivals[n]) / shots
-            rows.append(ScanRow(p, n, analytic_Pn(p, n), empirical))
+            rows.append(ScanRow(p, n, 1.0 - (1.0 - p) ** n, empirical))
     return rows

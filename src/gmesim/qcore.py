@@ -154,11 +154,11 @@ def _reals(values, name: str, count: int | None = None, positive: bool = False) 
     return vals
 
 
-def _probability(p) -> float:
+def _probability(p, name: str = "p") -> float:
     """``p`` strictly inside (0, 1)."""
-    p = _real(p, "p")
+    p = _real(p, name)
     if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
+        raise ValueError(f"{name} must lie strictly inside (0, 1)")
     return p
 
 
@@ -257,10 +257,12 @@ class DensityOperator:
     ``H = (rho + rho^dagger)/2``: it succeeds when the smallest eigenvalue of
     ``H`` exceeds ``-ATOL`` up to roundoff (about 3e-14 at 256 dimensions).
     From 64 rows on it runs on the support, the rows and columns of ``H``
-    that hold a nonzero entry: the rest of ``H + ATOL*I`` is ``ATOL*I``, so
-    a sparse state pays for its support, not its dimension.  Only when the
-    factorization fails does a full ``eigvalsh`` decide, so a matrix is
-    rejected exactly when its smallest eigenvalue is below ``-ATOL``.
+    that hold a nonzero entry (the rest of ``H + ATOL*I`` is ``ATOL*I``),
+    and the finiteness and Hermiticity checks read only rho's nonzero
+    entries and their transposed partners, so a sparse state pays for its
+    support, not its dimension.  Only when the factorization fails does a
+    full ``eigvalsh`` decide, so a matrix is rejected exactly when its
+    smallest eigenvalue is below ``-ATOL``.
     """
 
     dims: PartyDims
@@ -274,9 +276,16 @@ class DensityOperator:
         if mat.shape != (d, d):
             raise ValueError(f"matrix has shape {mat.shape}, expected {(d, d)}")
         where = f"density operator on dims {self.dims.dims}"
-        _require_finite(mat, f"{where}: matrix")
-        adj = np.conj(mat.T, order="C")
-        herm = float(np.max(np.abs(mat - adj)))
+        # the nonzero entries and their partners hold those of rho -+ rho^dagger
+        if d < _SUPPORT_ROWS:
+            vals, partners = mat, np.conj(mat.T, order="C")
+        else:
+            flat = np.flatnonzero(mat != 0)
+            rows, cols = np.divmod(flat, d)
+            vals, partners = mat.ravel()[flat], np.conj(mat.ravel()[cols * d + rows])
+        if not np.isfinite(vals).all():
+            _require_finite(mat, f"{where}: matrix")
+        herm = float(np.abs(vals - partners).max(initial=0.0))
         if herm > ATOL:
             raise ValueError(
                 f"{where}: matrix is not Hermitian, max |rho - rho^dagger| = {herm:.3e} "
@@ -285,15 +294,18 @@ class DensityOperator:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > ATOL:
             raise ValueError(f"{where}: trace is {tr!r}, expected 1 within {ATOL:g}")
-        # 2*(H + ATOL*I), built in place on the adjoint temporary; the exact
-        # factor of two does not change definiteness.  The sum is exactly
-        # Hermitian, so a zero column is a zero row too, and each such row
-        # and column adds only the pivot 2*ATOL: the factor runs on the rest.
-        # Only a row with a zero diagonal entry can be zero.
-        adj += mat
-        if d >= _SUPPORT_ROWS and not adj.diagonal().all():
-            live = np.flatnonzero(adj.any(0))
-            adj = adj.take(live, 0).take(live, 1)
+        # 2*(H + ATOL*I); the exact factor of two does not change
+        # definiteness.  The sum is exactly Hermitian, so a zero column is a
+        # zero row too, and adds only the pivot 2*ATOL.
+        adj, block = partners, mat
+        if d >= _SUPPORT_ROWS:
+            live = np.zeros(d, dtype=bool)
+            nonzero = partners + vals != 0
+            live[rows[nonzero]] = live[cols[nonzero]] = True
+            live = np.flatnonzero(live)
+            block = mat.take(live, 0).take(live, 1)
+            adj = np.conj(block.T, order="C")
+        adj += block
         adj.flat[:: len(adj) + 1] += 2.0 * ATOL
         try:
             np.linalg.cholesky(adj)

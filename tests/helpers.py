@@ -118,8 +118,11 @@ from gmesim.qcore import (
     MeasurementOutcome,
     ProjectiveMeasurement,
     PureState,
+    _SUPPORT_ROWS,
     _hermitian_part,
+    _min_eigenvalue,
     _phase_canonical,
+    _require_finite,
     apply_local_unitary,
     basis_ket,
     bell_pair,
@@ -482,6 +485,44 @@ def eig_min_hermitian_part(matrix: np.ndarray) -> float:
 def eig_psd_accepts(matrix: np.ndarray, atol: float) -> bool:
     """The PSD verdict of a full eigendecomposition: lambda_min >= -atol."""
     return eig_min_hermitian_part(matrix) >= -atol
+
+
+def dense_density_checks(dims, matrix: np.ndarray) -> None:
+    """``DensityOperator``'s checks on the whole D x D matrix, raising what it raises.
+
+    Finiteness, the Hermiticity residual and the choice of the rows the PSD
+    factorization keeps each read every entry here; the library reads only
+    the nonzero entries and their transposed partners from ``_SUPPORT_ROWS``
+    rows on.
+    """
+    mat = np.array(matrix, dtype=complex)
+    d = mat.shape[0]
+    where = f"density operator on dims {tuple(dims)}"
+    _require_finite(mat, f"{where}: matrix")
+    adj = np.conj(mat.T, order="C")
+    herm = float(np.max(np.abs(mat - adj)))
+    if herm > ATOL:
+        raise ValueError(
+            f"{where}: matrix is not Hermitian, max |rho - rho^dagger| = {herm:.3e} "
+            f"exceeds {ATOL:g}"
+        )
+    tr = complex(np.trace(mat))
+    if abs(tr - 1.0) > ATOL:
+        raise ValueError(f"{where}: trace is {tr!r}, expected 1 within {ATOL:g}")
+    adj += mat
+    if d >= _SUPPORT_ROWS and not adj.diagonal().all():
+        live = np.flatnonzero(adj.any(0))
+        adj = adj.take(live, 0).take(live, 1)
+    adj.flat[:: len(adj) + 1] += 2.0 * ATOL
+    try:
+        np.linalg.cholesky(adj)
+    except np.linalg.LinAlgError:
+        low = _min_eigenvalue(mat)
+        if low < -ATOL:
+            raise ValueError(
+                f"{where}: matrix is not positive semidefinite, minimum eigenvalue "
+                f"{low!r} is below {-ATOL:g}"
+            ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -1144,6 +1185,14 @@ def emit(text: str, out: str | None) -> None:
         fh.write(text)
 
 
+def _flag_p(value) -> float:
+    """``--p`` as the CLI checks it before a builder sees it."""
+    p = float(value)
+    if not 0.0 < p < 1.0:
+        raise ValueError("--p must lie strictly inside (0, 1)")
+    return p
+
+
 def oracle_cmd_prop1(args) -> int:
     seed = resolve_seed(args.seed)
     timestamp = resolve_timestamp(args.timestamp)
@@ -1162,14 +1211,14 @@ def oracle_cmd_prop1(args) -> int:
             basis_ket((2,), (ref_c,)),
             basis_ket((2,), (ref_a,)),
             ket([bc[0], 0.0, 0.0, bc[1]], (2, 2)),
-            p,
+            _flag_p(p),
         )
         family: dict | str = {
             "pair_ab": list(ab), "pair_bc": list(bc), "ref_a": ref_a, "ref_c": ref_c,
         }
         reference = basis_ket((2,), (ref_c,))
     else:
-        rho = build_prop1_example(p)
+        rho = build_prop1_example(_flag_p(p))
         family = "standard"
         reference = basis_ket((2,), (0,))
 
@@ -1229,7 +1278,7 @@ def _run_activation(args, protocol: str) -> int:
     if protocol == "prop2":
         coeffs = _parse_schmidt(args.schmidt, 3)
         config_obj = ProtocolConfig(
-            p=float(args.p), schmidt_coeffs=coeffs, shots=shots, seed=seed
+            p=_flag_p(args.p), schmidt_coeffs=coeffs, shots=shots, seed=seed
         )
         config = {
             "p": config_obj.p,

@@ -395,6 +395,17 @@ def test_a_count_flag_out_of_range_exits_2_naming_the_flag(capsys, argv, message
     assert captured.err == f"gmesim: error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["prop2", "--p", "2"], ["prop1", "--p", "0"], ["certify", "--builtin", "prop1", "--p", "0"],
+    ["certify", "--builtin", "sigma", "--p", "1"],
+], ids=" ".join)
+def test_a_p_flag_out_of_range_exits_2_naming_the_flag(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gmesim: error: --p must lie strictly inside (0, 1)\n"
+
+
 @pytest.mark.parametrize("value", ["9" * 20, "253402300800", "-" + "9" * 20])
 def test_out_of_range_source_date_epoch_exits_2_naming_it(monkeypatch, capsys, value):
     monkeypatch.delenv("GME_SEED", raising=False)

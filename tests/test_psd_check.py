@@ -9,8 +9,15 @@ skipped: there the factorization's roundoff (about 3e-14 at 256
 dimensions) may legitimately decide either way.  A second property plants
 such a matrix on random rows and columns of a zero matrix of 64 to 256
 dimensions, where the factorization runs on the nonzero rows and columns
-alone.
+alone.  A third draws 64-256-row matrices, sparse and dense, with a planted
+fault (a non-finite entry, a non-Hermitian entry whose transposed partner is
+zero or cancels it in rho + rho^dagger, an off trace, or nothing beyond the
+planted eigenvalue): the checks that read only the nonzero entries must give
+the verdict and the message of the same checks over the whole matrix
+(``helpers.dense_density_checks``), and factor the same matrix bit for bit.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +29,12 @@ from gmesim.cli import load_state_file, save_state_file
 from gmesim.protocols import ProtocolConfig, build_prop3_state, run_prop3
 from gmesim.qcore import ATOL, DensityOperator, PartyDims
 
-from helpers import eig_min_hermitian_part, eig_psd_accepts, random_unit_trace_hermitian
+from helpers import (
+    dense_density_checks,
+    eig_min_hermitian_part,
+    eig_psd_accepts,
+    random_unit_trace_hermitian,
+)
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -86,6 +98,65 @@ def test_psd_verdict_on_a_zero_padded_matrix_matches_eigvalsh_oracle(
     )
     assume(abs(eig_min_hermitian_part(matrix) + ATOL) > BOUNDARY_BAND)
     assert accepts(dims, matrix) == eig_psd_accepts(matrix, ATOL)
+
+
+def verdict(check, dims, matrix):
+    """``check``'s ValueError message (None if it accepts) and what it factors."""
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def recording(a, *args, **kwargs):
+        factored.append((a.shape, a.tobytes()))
+        return cholesky(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "cholesky", recording):
+        try:
+            check(dims, matrix)
+        except ValueError as exc:
+            return str(exc), factored
+    return None, factored
+
+
+FAULTS = ("none", "nan", "inf", "one-sided", "cancelling", "trace")
+
+
+@pytest.mark.parametrize("lambda_min", [-10 * ATOL, -ATOL, 0.0, ATOL])
+@PROPERTY
+@given(
+    dims=st.sampled_from([(4, 4, 4), (3, 3, 3, 3), (2,) * 7, (4, 4, 4, 4)]),
+    size=st.integers(2, 256),
+    dense=st.booleans(),
+    fault=st.sampled_from(FAULTS),
+    scale=st.floats(-12, -6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dims=(4, 4, 4, 4), size=11, dense=False, fault="one-sided", scale=-8.5, seed=0)
+@example(dims=(4, 4, 4), size=64, dense=True, fault="nan", scale=-9, seed=1)
+@example(dims=(4, 4, 4), size=5, dense=False, fault="cancelling", scale=-10, seed=2)
+def test_support_checks_match_the_dense_oracle(lambda_min, dims, size, dense, fault, scale, seed):
+    """``scale`` sets the planted fault's size: 10**scale off the trace or off Hermitian."""
+    d = int(np.prod(dims))
+    size = d if dense else 2 + (size - 2) % (d - 1)
+    rng = np.random.default_rng(seed)
+    support = rng.choice(d, size=size, replace=False)
+    matrix = np.zeros((d, d), dtype=complex)
+    matrix[np.ix_(support, support)] = random_unit_trace_hermitian(
+        (size,), rng, lambda_min, 1 + int(rng.integers(size - 1))
+    )
+    i, j = (int(k) for k in rng.choice(support, size=2, replace=False))
+    if fault in ("nan", "inf"):
+        matrix[i if dense else int(rng.integers(d)), j] = (
+            np.nan if fault == "nan" else complex(0, -np.inf))
+    elif fault in ("one-sided", "cancelling"):
+        if not dense:
+            j = int(rng.choice(np.setdiff1d(np.arange(d), support)))
+        # one-sided: rho_ji is zero; cancelling: rho_ij + conj(rho_ji) is
+        # zero, so row j of rho + rho^dagger stays zero when j is off the support
+        matrix[i, j] = 10.0**scale * (1j if fault == "cancelling" else 1)
+        matrix[j, i] = matrix[i, j] if fault == "cancelling" else 0.0
+    elif fault == "trace":
+        matrix[i, i] += 10.0**scale
+    assert verdict(DensityOperator, dims, matrix) == verdict(dense_density_checks, dims, matrix)
 
 
 @pytest.mark.parametrize("coupling, accepted", [(1e-4, False), (1e-5, True)])

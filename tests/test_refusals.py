@@ -211,6 +211,8 @@ REFUSALS = [
     # real arguments: the forms of the real rule
     ("config p range", ProtocolConfig, (0.0,),
      ValueError, r"^p must lie strictly inside \(0, 1\)$"),
+    ("p under a flag's name", qcore._probability, (2.0, "--p"),
+     ValueError, r"^--p must lie strictly inside \(0, 1\)$"),
     ("config complex p", ProtocolConfig, (0.5 + 0j,),
      ValueError, r"^p must be a real number, got \(0\.5\+0j\)$"),
     ("analytic_Pn huge p", analytic_Pn, (10**400, 2),

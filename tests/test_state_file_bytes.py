@@ -13,6 +13,7 @@ import contextlib
 import itertools
 import json
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -155,6 +156,45 @@ def test_any_layout_reads_as_json_and_float_read_it(tmp_path_factory, file):
     assert calls == []
 
 
+#: Every spelling of a zero the reader may meet, each read without a parse.
+ZERO_SPELLINGS = ["0", "0.0", "-0", "-0.0", "0e0", "-0E+0", "0.00", "0.0e-5"]
+
+
+@PROPERTY
+@given(count=st.integers(60, 600), nonzero=st.integers(0, 30), ws=st.sampled_from(WHITESPACE),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_long_sparse_array_reads_as_json_and_float_read_it(count, nonzero, ws, seed):
+    """Zeros in every spelling around a few other numbers, over many hundred bytes.
+
+    The reader locates only the tokens that are not "0" or "0.0", so their
+    starts, ends and indices must come out right wherever they sit.
+    """
+    rng = np.random.default_rng(seed)
+    tokens = rng.choice(ZERO_SPELLINGS, size=2 * count).tolist()
+    for k in rng.choice(2 * count, size=min(nonzero, 2 * count), replace=False):
+        value = rng.uniform(-1.0, 1.0) * 10.0 ** int(rng.integers(-30, 30))
+        tokens[k] = SPELLINGS[int(rng.integers(len(SPELLINGS)))](value)
+    pairs = [f"[{re},{ws}{im}]" for re, im in zip(tokens[0::2], tokens[1::2])]
+    text = f'{{"dims": [{count}], "kind": "pure", "amplitudes": [{ws}{f",{ws}".join(pairs)}]}}'
+    want = loop_pairs_to_array(json.loads(text)["amplitudes"], count, "amplitudes")
+    assert bytes_values(text.encode()).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("zero", ["0", "-0.0"])
+def test_a_number_on_a_256_byte_boundary_keeps_its_index(zero):
+    """Token starts at bytes 256 and 768 of the array, where the starts are also counted."""
+    pair = f"[{zero},{zero}],"
+    head = (256 - 3) // len(pair) * pair
+    pad = (252 - len(head)) * " "
+    middle = (512 - 6) // len(pair) * pair
+    array = f"[{pad}{head}[0,5],{middle}{(506 - len(middle)) * ' '}[0,7],{pair * 40}[0,0]]"
+    assert (array.index("5"), array.index("7")) == (256, 768)
+    count = array.count("[") - 1
+    text = f'{{"dims": [{count}], "kind": "pure", "amplitudes": {array}}}'
+    want = loop_pairs_to_array(json.loads(text)["amplitudes"], count, "amplitudes")
+    assert bytes_values(text.encode()).tobytes() == want.tobytes()
+
+
 def write_layouts(state, directory):
     """The state's file as save_state_file writes it and as json.dump writes it."""
     pure = isinstance(state, PureState)
@@ -230,6 +270,45 @@ def test_the_value_stage_parses_only_the_nonzero_tokens(tmp_path):
         assert len(region) > 500_000
         assert len(parsed) == 1 and len(parsed[0]) < 2_000
         assert len(parsed[0].split()) == np.count_nonzero(values) == 47
+
+
+#: The tracemalloc peak of ``_read_pairs`` on the prop3 density, over the
+#: file's size, when the reader formed bounds for every token: 7.83 on the
+#: save_state_file layout (6,164,468 bytes) and 8.33 on the json.dump one
+#: (Python 3.11, NumPy 2.4.6).
+PEAK_PER_FILE_BYTE = 7.8
+
+
+def test_the_reader_costs_what_the_nonzero_tokens_hold(tmp_path):
+    """No index array per token: positions, indices and the parse cover the 47 nonzero ones."""
+    for path in write_layouts(_prop3_density(), tmp_path):
+        _, _, region = cli._split_pair_array(path.read_bytes())
+        formed, parsed = [], []
+        flatnonzero, fromstring = np.flatnonzero, np.fromstring
+
+        def recording(a, *args, **kwargs):
+            formed.append(flatnonzero(a, *args, **kwargs))
+            return formed[-1]
+
+        def parsing(text, *args, **kwargs):
+            parsed.append(text)
+            return fromstring(text, *args, **kwargs)
+
+        with mock.patch.object(cli.np, "flatnonzero", recording), \
+                mock.patch.object(cli.np, "fromstring", parsing):
+            tokens = cli._scan_pair_array(region)
+            values = cli._token_values(region, *tokens[1:])
+        assert tokens[:2] == (65536, 131072) and len(values) == 131072
+        assert formed and max(len(a) for a in formed) < 200
+        assert [len(a) for a in tokens[2:]] == [0, 47, 47, 47]
+        assert len(parsed) == 1 and len(parsed[0].split()) == 47
+        tracemalloc.start()
+        try:
+            assert cli._read_pairs(str(path)) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= PEAK_PER_FILE_BYTE * path.stat().st_size
 
 
 def test_certify_artifacts_match_the_json_reader_in_both_layouts(tmp_path, capsys):
