@@ -282,7 +282,6 @@ def _byte_event(before: int, byte: int) -> int:
 
 
 _BYTE_EVENT = bytes(_byte_event(code >> 4, code & 15) for code in range(256))
-_EVENT_KIND = bytes(code & 15 for code in range(256))  # the event without its flag
 _QUIET_EVENTS = bytes([_QUIET, _QUIET | _FLAG])
 
 #: The events that may follow each event once quiet bytes are skipped: one
@@ -335,11 +334,11 @@ def _split_pair_array(raw: bytes) -> tuple[bytes, str, bytearray] | None:
 def _flagged_tokens(events: bytes):
     """The start and end of each flagged token, and how many tokens precede it.
 
-    A flagged token has a flag among its first four and its last four bytes
-    ("-0.0"): a start is marked by a flag among the four bytes from it, an
-    end by one among the four before it or the two after it, which marks
-    both ends of a "0" just before a flagged token too.  No bound lies
-    inside a token, so the mark after a marked start is its end.
+    A flagged token has a flag among its first four and among its last four
+    bytes (as in "-0.0"): a start is marked by a flag among the four bytes
+    from it, an end by one among the four before it or the two after it,
+    which marks both ends of a "0" just before a flagged token too.  The
+    mark after a marked start is its end.
     """
     near = np.frombuffer(events, np.uint8) >= _FLAG
     near = near[:-1] | near[1:]
@@ -354,12 +353,8 @@ def _flagged_tokens(events: bytes):
     bounds = np.flatnonzero(marks)
     first = np.flatnonzero(start[bounds])
     starts, ends = bounds[first], bounds[first + 1]
-    # a token's index counts the starts before it: the unmarked ones if they
-    # are fewer (a dense array), else all, summed over segments cut at each
-    # marked start and every 256 bytes, too short to overflow a byte
-    if np.count_nonzero(start) < 2 * len(starts):
-        skipped = np.flatnonzero(start & ~marks)
-        return starts, ends, np.arange(len(starts)) + np.searchsorted(skipped, starts)
+    # a token's index counts the starts before it, summed over segments cut
+    # at each marked start and every 256 bytes, too short to overflow a byte
     cuts = np.sort(np.r_[starts, np.arange(0, len(start), 256)], kind="stable")
     cuts = cuts[np.r_[True, cuts[1:] != cuts[:-1]]]
     before = np.cumsum(np.add.reduceat(start.view(np.uint8), cuts, dtype=np.uint8), dtype=np.intp)
@@ -369,9 +364,8 @@ def _flagged_tokens(events: bytes):
 def _scan_pair_array(region: bytearray):
     """The tokens of a JSON array of [number, number] pairs, or None.
 
-    Returns the pair count, the token count, the indices of the tokens that
-    read as -0.0, and the indices, starts and ends of the tokens to parse;
-    every other token reads as +0.0.
+    Returns the pair count, the token count, and the indices, starts and ends
+    of the tokens to parse; every other token reads as +0.0.
     """
     if not region.startswith(b"["):
         return None
@@ -388,14 +382,12 @@ def _scan_pair_array(region: bytearray):
     del cls, codes, pairs
     if _BAD in events:
         return None
-    kinds = np.frombuffer(events.translate(_EVENT_KIND, _QUIET_EVENTS), np.uint8)
+    kinds = np.frombuffer(events.translate(None, _QUIET_EVENTS), np.uint8) & 15  # flags dropped
     if not len(kinds) or kinds[0] != _OPEN_ONLY:
         return None
-    follow = kinds[:-1] * 16
-    follow |= kinds[1:]
     # the punctuation after the first '[', with a '!' for each misplaced event
-    punct = follow.tobytes().translate(_FOLLOW_PUNCT, _NO_PUNCT)
-    del kinds, follow
+    punct = (kinds[:-1] * 16 | kinds[1:]).tobytes().translate(_FOLLOW_PUNCT, _NO_PUNCT)
+    del kinds
     n = (len(punct) + 1) // 4
     if n < 1 or punct != b",],[" * (n - 1) + b",]]":
         return None
@@ -410,14 +402,13 @@ def _scan_pair_array(region: bytearray):
     # a leading zero has a digit after it (in range: the array ends with "]]")
     if (zero & (chars[digits + 1] - ord("0") < 10)).any() or (ends - starts > _MAX_TOKEN).any():
         return None
-    # "0" and "-0" are integers and read as +0.0; "0.0" and "-0.0" keep their sign
+    # "0" and "-0" are integers and read as +0.0, like "0.0"; "-0.0" is parsed
     size = ends - digits
-    zero &= (size == 1) | ((size == 3) & (chars[digits + 2] == ord("0")))
-    keep = ~zero
-    return n, 2 * n, index[zero & (size == 3) & minus], index[keep], starts[keep], ends[keep]
+    zero &= (size == 1) | ((size == 3) & ~minus & (chars[digits + 2] == ord("0")))
+    return n, 2 * n, index[~zero], starts[~zero], ends[~zero]
 
 
-def _token_values(region: bytearray, count, negative, index, starts, ends) -> np.ndarray | None:
+def _token_values(region: bytearray, count, index, starts, ends) -> np.ndarray | None:
     """The ``count`` tokens as ``float()`` reads them, by one C-level parse of those to parse.
 
     Each of those tokens is copied into a row one byte wider than the
@@ -425,7 +416,6 @@ def _token_values(region: bytearray, count, negative, index, starts, ends) -> np
     ``region`` is left as it is.
     """
     values = np.zeros(count)
-    values[negative] = -0.0
     if len(index):
         lengths = ends - starts
         width = int(lengths.max()) + 1
@@ -715,9 +705,10 @@ def _load_input_state(args, default_builtin: str | None = None):
 
 
 def cmd_prop1(args, seed: int) -> tuple[dict, dict]:
+    ab = _parse_schmidt(args.pair_ab, 2, "--pair-ab") or normalize_schmidt([1.0, 1.0])
+    bc = _parse_schmidt(args.pair_bc, 2, "--pair-bc") or normalize_schmidt([1.0, 1.0])
+    p = _probability(args.p, "--p")
     if any(x is not None for x in (args.pair_ab, args.pair_bc, args.ref_a, args.ref_c)):
-        ab = _parse_schmidt(args.pair_ab, 2, "--pair-ab") or normalize_schmidt([1.0, 1.0])
-        bc = _parse_schmidt(args.pair_bc, 2, "--pair-bc") or normalize_schmidt([1.0, 1.0])
         ref_a = 1 if args.ref_a is None else args.ref_a
         ref_c = 0 if args.ref_c is None else args.ref_c
         rho = build_prop1_general(
@@ -725,14 +716,14 @@ def cmd_prop1(args, seed: int) -> tuple[dict, dict]:
             basis_ket((2,), (ref_c,)),
             basis_ket((2,), (ref_a,)),
             ket([bc[0], 0.0, 0.0, bc[1]], (2, 2)),
-            _probability(args.p, "--p"),
+            p,
         )
         family: dict | str = {
             "pair_ab": list(ab), "pair_bc": list(bc), "ref_a": ref_a, "ref_c": ref_c,
         }
         reference = basis_ket((2,), (ref_c,))
     else:
-        rho = build_prop1_example(_probability(args.p, "--p"))
+        rho = build_prop1_example(p)
         family = "standard"
         reference = basis_ket((2,), (0,))
     rounds = _integer(args.rounds, "--rounds", 1)
@@ -782,10 +773,9 @@ def cmd_prop2(args, seed: int) -> tuple[dict, dict]:
     n = 3 if protocol == "prop2" else 4
     want_mc = not args.no_mc
     coeffs = _parse_schmidt(args.schmidt, n)
-    mixture = {"p": args.p} if n == 3 else {"weights": list(_parse_weights(args.weights))}
+    weights = None if n == 3 else list(_parse_weights(args.weights))
     shots = _integer(args.shots, "--shots", 1)
-    if n == 3:
-        mixture["p"] = _probability(args.p, "--p")
+    mixture = {"p": _probability(args.p, "--p")} if n == 3 else {"weights": weights}
     config_obj = ProtocolConfig(**mixture, schmidt_coeffs=coeffs, shots=shots, seed=seed)
     config = {
         **mixture,

@@ -490,10 +490,9 @@ def eig_psd_accepts(matrix: np.ndarray, atol: float) -> bool:
 def dense_density_checks(dims, matrix: np.ndarray) -> None:
     """``DensityOperator``'s checks on the whole D x D matrix, raising what it raises.
 
-    Finiteness, the Hermiticity residual and the choice of the rows the PSD
-    factorization keeps each read every entry here; the library reads only
-    the nonzero entries and their transposed partners from ``_SUPPORT_ROWS``
-    rows on.
+    Finiteness and the Hermiticity residual read every entry here; from
+    ``_SUPPORT_ROWS`` rows on, when the diagonal holds a zero, the library
+    reads only the rows and columns that hold a nonzero entry.
     """
     mat = np.array(matrix, dtype=complex)
     d = mat.shape[0]

@@ -12,8 +12,9 @@ dimensions, where the factorization runs on the nonzero rows and columns
 alone.  A third draws 64-256-row matrices, sparse and dense, with a planted
 fault (a non-finite entry, a non-Hermitian entry whose transposed partner is
 zero or cancels it in rho + rho^dagger, an off trace, or nothing beyond the
-planted eigenvalue): the checks that read only the nonzero entries must give
-the verdict and the message of the same checks over the whole matrix
+planted eigenvalue), in C or Fortran order: the checks that read only the
+rows and columns holding a nonzero entry must give the verdict and the
+message of the same checks over the whole matrix
 (``helpers.dense_density_checks``), and factor the same matrix bit for bit.
 """
 
@@ -129,14 +130,19 @@ FAULTS = ("none", "nan", "inf", "one-sided", "cancelling", "trace")
     fault=st.sampled_from(FAULTS),
     scale=st.floats(-12, -6),
     seed=st.integers(0, 2**32 - 1),
+    fortran=st.booleans(),
 )
-@example(dims=(4, 4, 4, 4), size=11, dense=False, fault="one-sided", scale=-8.5, seed=0)
-@example(dims=(4, 4, 4), size=64, dense=True, fault="nan", scale=-9, seed=1)
-@example(dims=(4, 4, 4), size=5, dense=False, fault="cancelling", scale=-10, seed=2)
-def test_support_checks_match_the_dense_oracle(lambda_min, dims, size, dense, fault, scale, seed):
+@example(dims=(4, 4, 4, 4), size=11, dense=False, fault="one-sided", scale=-8.5, seed=0,
+         fortran=False)
+@example(dims=(4, 4, 4), size=64, dense=True, fault="nan", scale=-9, seed=1, fortran=False)
+@example(dims=(4, 4, 4), size=5, dense=False, fault="cancelling", scale=-10, seed=2,
+         fortran=True)
+def test_support_checks_match_the_dense_oracle(
+    lambda_min, dims, size, dense, fault, scale, seed, fortran
+):
     """``scale`` sets the planted fault's size: 10**scale off the trace or off Hermitian."""
     d = int(np.prod(dims))
-    size = d if dense else 2 + (size - 2) % (d - 1)
+    size = d if dense else 2 + (size - 2) % (d - 2)  # a sparse one leaves a row out
     rng = np.random.default_rng(seed)
     support = rng.choice(d, size=size, replace=False)
     matrix = np.zeros((d, d), dtype=complex)
@@ -156,7 +162,8 @@ def test_support_checks_match_the_dense_oracle(lambda_min, dims, size, dense, fa
         matrix[j, i] = matrix[i, j] if fault == "cancelling" else 0.0
     elif fault == "trace":
         matrix[i, i] += 10.0**scale
-    assert verdict(DensityOperator, dims, matrix) == verdict(dense_density_checks, dims, matrix)
+    given = np.asfortranarray(matrix) if fortran else matrix
+    assert verdict(DensityOperator, dims, given) == verdict(dense_density_checks, dims, matrix)
 
 
 @pytest.mark.parametrize("coupling, accepted", [(1e-4, False), (1e-5, True)])

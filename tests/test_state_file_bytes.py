@@ -300,7 +300,7 @@ def test_the_reader_costs_what_the_nonzero_tokens_hold(tmp_path):
             values = cli._token_values(region, *tokens[1:])
         assert tokens[:2] == (65536, 131072) and len(values) == 131072
         assert formed and max(len(a) for a in formed) < 200
-        assert [len(a) for a in tokens[2:]] == [0, 47, 47, 47]
+        assert [len(a) for a in tokens[2:]] == [47, 47, 47]
         assert len(parsed) == 1 and len(parsed[0].split()) == 47
         tracemalloc.start()
         try:
