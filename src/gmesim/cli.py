@@ -630,9 +630,7 @@ def _parse_schmidt(text, n_expected: int, name: str = "--schmidt"):
 def _parse_weights(text) -> tuple[float, float, float]:
     if text is None:
         return (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    vals = _parse_floats(text, "--weights")
-    if len(vals) != 3 or any(v <= 0 for v in vals):
-        raise ValueError("--weights expects three positive values")
+    vals = _reals(_parse_floats(text, "--weights"), "--weights", 3, positive=True)
     total = sum(vals)
     if not math.isfinite(total):  # large finite values overflow the plain sum
         top = max(vals)

@@ -184,11 +184,6 @@ def partial_transpose(rho: DensityOperator, cut: Bipartition) -> np.ndarray:
     return out.reshape(rho.dims.total, rho.dims.total)
 
 
-def _nonzero_pairs(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The (row, column) indices of ``rho``'s nonzero entries."""
-    return np.divmod(np.flatnonzero(rho.matrix != 0), rho.dims.total)
-
-
 def _left_parts(dims: PartyDims, cut: Bipartition) -> np.ndarray:
     """For each flat index, what the digits of the parties left of the cut add to it."""
     digits = np.unravel_index(np.arange(dims.total), dims.dims)
@@ -197,7 +192,7 @@ def _left_parts(dims: PartyDims, cut: Bipartition) -> np.ndarray:
     )
 
 
-def _live_block(rho: DensityOperator, cut: Bipartition, rows, cols) -> np.ndarray:
+def _live_block(rho: DensityOperator, cut: Bipartition) -> np.ndarray:
     """The partial transpose on its rows and columns that hold a nonzero entry.
 
     Row a and column b of the partial transpose hold ``rho``'s entry at row
@@ -206,6 +201,7 @@ def _live_block(rho: DensityOperator, cut: Bipartition, rows, cols) -> np.ndarra
     same map sends ``rho``'s nonzero (row, column) pairs to the partial
     transpose's.  The live rows come out ascending.
     """
+    rows, cols = rho._nonzero_pairs
     left = _left_parts(rho.dims, cut)
     shift = left[cols] - left[rows]
     live = np.zeros(rho.dims.total, dtype=bool)
@@ -227,18 +223,14 @@ def negativity(rho: DensityOperator, cut: Bipartition) -> float:
     nonzero entry) is diagonalized, so the cost scales with the support, not
     with the full dimension.  This is exact: a zero row and column adds only
     the eigenvalue 0, which never enters the sum.  The support is gathered
-    from ``rho``'s nonzero entries, so no D x D partial transpose is formed.
+    from ``rho``'s nonzero entries, found once per density on the live rows
+    its checks recorded, so no D x D array is formed.
     Raises ``InvariantError`` when the kept block's eigenvalues miss
     ``Re tr rho`` by more than ``ATOL``.
     """
-    return _negativity(rho, cut, _nonzero_pairs(rho))
-
-
-def _negativity(rho: DensityOperator, cut: Bipartition, pairs) -> float:
-    """``negativity`` given ``_nonzero_pairs(rho)``."""
     if cut.n_parties != rho.dims.n:
         raise ValueError("cut does not match the number of parties")
-    vals = np.linalg.eigvalsh(_hermitian_part(_live_block(rho, cut, *pairs), 2.0))
+    vals = np.linalg.eigvalsh(_hermitian_part(_live_block(rho, cut), 2.0))
     residual = float(np.sum(vals)) - float(np.trace(rho.matrix).real)
     if abs(residual) > ATOL:
         raise InvariantError(
@@ -256,11 +248,8 @@ def _negativity_from_schmidt(coeffs) -> float:
 
 def certify_entangled_all_cuts(rho: DensityOperator) -> BipartitionReport:
     """Negativity certificate for every bipartition of a density operator."""
-    pairs = _nonzero_pairs(rho)  # once for all cuts
-    records = tuple(
-        CutRecord(cut, _negativity(rho, cut, pairs)) for cut in enumerate_bipartitions(rho.dims.n)
-    )
-    return BipartitionReport(rho.dims.n, records)
+    cuts = enumerate_bipartitions(rho.dims.n)
+    return BipartitionReport(rho.dims.n, tuple(CutRecord(c, negativity(rho, c)) for c in cuts))
 
 
 def certify_gme_pure(state: PureState) -> tuple[bool, BipartitionReport]:

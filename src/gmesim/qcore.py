@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -261,7 +262,10 @@ class DensityOperator:
     only those of ``H``: the rest of ``H + ATOL*I`` is ``ATOL*I``, so a
     sparse state pays for its support, not its dimension.  Only when the
     factorization fails does a full ``eigvalsh`` decide, so a matrix is
-    rejected exactly when its smallest eigenvalue is below ``-ATOL``.
+    rejected exactly when its smallest eigenvalue is below ``-ATOL``.  The
+    checks record those live rows (every row when they read the whole matrix),
+    and ``negativity`` reads the nonzero entries off the block on them, found
+    once per density and cached; the matrix is read-only, so threads share them.
     """
 
     dims: PartyDims
@@ -276,11 +280,12 @@ class DensityOperator:
             raise ValueError(f"matrix has shape {mat.shape}, expected {(d, d)}")
         where = f"density operator on dims {self.dims.dims}"
         # off the rows and columns that hold a nonzero entry all entries are zero
-        block = mat
+        block, live = mat, np.arange(d)
         if d >= _SUPPORT_ROWS and not mat.diagonal().all():
             nonzero = np.ascontiguousarray(mat).view(float) != 0  # re, im side by side
             live = np.flatnonzero(nonzero.any(1) | nonzero.any(0).reshape(d, 2).any(1))
             block = mat.take(live, 0).take(live, 1)
+        object.__setattr__(self, "_live", live)  # private: no field, so no eq or repr
         adj = np.conj(block.T, order="C")
         with np.errstate(invalid="ignore"):  # a NaN or infinite entry makes herm NaN or inf
             herm = float(np.abs(block - adj).max(initial=0.0))
@@ -316,6 +321,13 @@ class DensityOperator:
     def tensor_view(self) -> np.ndarray:
         """Matrix reshaped to row axes then column axes, one per party."""
         return self.matrix.reshape(self.dims.dims * 2)
+
+    @cached_property
+    def _nonzero_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, column) indices of the nonzero entries, row-major, read off the live rows."""
+        live = self._live  # every nonzero entry lies on these rows and columns
+        rows, cols = np.nonzero(self.matrix[live[:, None], live])
+        return live[rows], live[cols]
 
 
 @dataclass(frozen=True)

@@ -387,6 +387,8 @@ def test_negative_seed_exits_2_naming_its_source(monkeypatch, capsys, argv, sour
     (["prop2", "--shots", "0"], "--shots must be a positive integer, got 0"),
     (["prop3", "--shots", "-2", "--no-mc"], "--shots must be a positive integer, got -2"),
     (["prop1", "--rounds", "0"], "--rounds must be a positive integer, got 0"),
+    (["prop3", "--weights", "1,0,1", "--no-mc"], "three positive --weights are required"),
+    (["certify", "--builtin", "prop3", "--weights", "1,2"], "three positive --weights are required"),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
 def test_a_count_flag_out_of_range_exits_2_naming_the_flag(capsys, argv, message):
     assert main(argv) == 2

@@ -1,6 +1,8 @@
 """Certificates: bipartitions, Schmidt data, negativity, nonlocality value."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +198,11 @@ def _record_eigvalsh(monkeypatch) -> list:
     return shapes
 
 
+#: Sparse oracle inputs: below ``qcore._SUPPORT_ROWS`` the density's checks
+#: read the whole matrix, from 64 rows on only the rows that hold an entry.
+_SPARSE_DIMS = [(2, 2, 2), (3, 3, 3), (2, 3, 4), (4, 4, 4), (2,) * 6]
+
+
 class TestSupportNegativity:
     """Negativity diagonalizes only the support of the partial transpose."""
 
@@ -207,7 +214,7 @@ class TestSupportNegativity:
             for cut in enumerate_bipartitions(len(dims)):
                 assert negativity(rho, cut) == dense_negativity(rho, cut)
 
-    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 3, 4)])
+    @pytest.mark.parametrize("dims", _SPARSE_DIMS)
     def test_sparse_support_matches_loop_oracle(self, dims):
         rng = np.random.default_rng(43)
         d = math.prod(dims)
@@ -218,7 +225,7 @@ class TestSupportNegativity:
                 want = loop_negativity(mat, dims, sorted(cut.left))
                 assert abs(negativity(rho, cut) - want) < 1e-12
 
-    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 3, 4)])
+    @pytest.mark.parametrize("dims", _SPARSE_DIMS)
     def test_sparse_support_is_bit_identical_to_masked_oracle(self, dims):
         rng = np.random.default_rng(53)
         d = math.prod(dims)
@@ -231,9 +238,9 @@ class TestSupportNegativity:
                 assert rec.negativity == want
                 assert negativity(rho, rec.cut) == want
 
-    def test_an_entry_without_its_mirror_keeps_its_column_live(self, monkeypatch):
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (4, 4, 4)])
+    def test_an_entry_without_its_mirror_keeps_its_column_live(self, monkeypatch, dims):
         """Hermitian within ATOL only: rho[i, j] = 1e-12 while rho[j, i] = 0."""
-        dims = (2, 3, 4)
         rng = np.random.default_rng(61)
         mat = _sparse_density(dims, rng, 5)
         i = int(np.flatnonzero(mat.any(0))[0])
@@ -241,6 +248,7 @@ class TestSupportNegativity:
         mat[i, j] = 1e-12
         rho = DensityOperator(PartyDims(dims), mat)
         shapes = _record_eigvalsh(monkeypatch)
+        assert np.flatnonzero(mat[:, j]).tolist() == [i] and not mat[j].any()
         for cut in enumerate_bipartitions(3):
             assert negativity(rho, cut) == masked_negativity(rho, cut)
         assert shapes[0::2] == shapes[1::2]
@@ -286,6 +294,37 @@ class TestSupportNegativity:
         )
         for rec in report.records:
             assert abs(rec.negativity - dense[rec.cut.label]) < 1e-12
+
+    def test_prop3_negativity_forms_no_full_size_array(self):
+        """Peak below D**2 / 2 bytes: no D x D mask, let alone a complex matrix."""
+        rho = build_prop3_state((0.5,) * 4, (0.2, 0.3, 0.5))
+        cut = enumerate_bipartitions(4)[0]
+        tracemalloc.start()
+        try:
+            value = negativity(rho, cut)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == masked_negativity(rho, cut)
+        assert peak < rho.dims.total**2 // 2
+
+    def test_certificate_finds_the_nonzero_pairs_once_for_all_cuts(self, monkeypatch):
+        found = DensityOperator._nonzero_pairs
+        calls = []
+
+        def counted(rho):
+            calls.append(rho.dims)
+            return found.func(rho)
+
+        counting = functools.cached_property(counted)
+        counting.__set_name__(DensityOperator, "_nonzero_pairs")
+        monkeypatch.setattr(DensityOperator, "_nonzero_pairs", counting)
+        rho = build_prop3_state((0.5,) * 4, (0.2, 0.3, 0.5))
+        report = certify_entangled_all_cuts(rho)
+        assert len(report.records) == 7
+        assert calls == [rho.dims]
+        negativity(rho, report.records[0].cut)
+        assert calls == [rho.dims]
 
     def test_certify_prop3_diagonalizes_small_blocks(self, monkeypatch, capsys):
         shapes = _record_eigvalsh(monkeypatch)
