@@ -51,7 +51,8 @@ from .protocols import (
     build_prop1_general,
     build_prop2_state,
     build_prop3_state,
-    _sigma_state,
+    _sigma_pair,
+    _sigma_terms,
     chain_leaves,
     copy_chain,
     merge_chain_to_ghz,
@@ -75,6 +76,7 @@ from .qcore import (
     fidelity_pure,
     ghz_state,
     ket,
+    mix,
 )
 
 EXIT_OK = 0
@@ -678,7 +680,8 @@ def _builtin_state(name: str, p: float = 0.5, schmidt_text=None, weights_text=No
         return build_prop3_state(coeffs, weights), params
     if name == "sigma":
         coeffs = _parse_schmidt(schmidt_text, 2) or normalize_schmidt([1.0, 1.0])
-        return _sigma_state(_probability(p, "--p"), coeffs)[0], {"p": p, "schmidt": list(coeffs)}
+        checked_p, (pair, _) = _probability(p, "--p"), _sigma_pair(coeffs)
+        return mix(_sigma_terms(pair, checked_p)), {"p": p, "schmidt": list(coeffs)}
     raise ValueError(f"unknown builtin {name!r}; choose from {', '.join(_BUILTIN_NAMES)}")
 
 

@@ -12,9 +12,10 @@ each copy is measured once along its accepting path by
 ``qcore.postselect_levels``, which never forms the mixture's density
 operator; only each copy's reduced pair is one.  ``replay_chain`` turns the
 chain into a run and ``chain_leaves`` into the branch tree, so neither
-repeats a measurement.  Likewise ``run_sigma_adaptive`` and the sigma tree
-read one state build and one measurement of A's and C's splits, and the
-prop1 tree reads C's outcome probabilities without forming a post-state.
+repeats a measurement.  Sigma reads its copies the same way: its runner, its
+tree and ``sigma_scan`` sum A's and C's splits off the sigma terms' diagonal
+(``_sigma_split``), and the runner postselects each pair it keeps on them.
+The prop1 tree reads C's outcome probabilities without forming a post-state.
 
 ``prop2`` and ``prop3`` are the n = 3 and n = 4 instances of one chain rule:
 n parties of dimension n; term k (weight w_k, k = 0..n-2) puts sum_i a_i |ii>
@@ -77,7 +78,6 @@ from .qcore import (
     contract_party,
     ghz_state,
     ket,
-    level_group_measurement,
     measure,
     mix,
     partial_trace,
@@ -303,11 +303,12 @@ def _sigma_terms(shared_pair: PureState, p: float) -> list[tuple[float, PureStat
     return [(p, PureState(dims, bc.ravel())), (1.0 - p, PureState(dims, ab.ravel()))]
 
 
-def _sigma_state(p: float, coeffs) -> tuple[DensityOperator, bool]:
-    """The sigma state with pair coefficients ``coeffs``, True when maximal within ``ATOL``."""
-    if abs(coeffs[0] - coeffs[1]) <= ATOL:
-        return build_sigma(p), True
-    return build_sigma_prime(ket([coeffs[0], 0.0, 0.0, coeffs[1]], (2, 2)), p), False
+def _sigma_pair(coeffs) -> tuple[PureState, bool]:
+    """The sigma terms' shared pair for ``coeffs``, True when maximal within ``ATOL``."""
+    maximal = abs(coeffs[0] - coeffs[1]) <= ATOL
+    pair = bell_pair("phi+") if maximal else ket([coeffs[0], 0.0, 0.0, coeffs[1]], (2, 2))
+    _require_entangled_pair(pair, "the shared pair")
+    return pair, maximal
 
 
 def build_prop3_state(schmidt_coeffs, weights) -> DensityOperator:
@@ -442,11 +443,9 @@ def _fuse_chain(pairs):
 
 
 def _finish_branches(dims: PartyDims, records, rows: np.ndarray) -> list[MergeBranch]:
-    """Correct fused rows (parity prefix: X flips, sign count: Z@0), divide each
-    by the phase of its largest-magnitude entry, and validate each once, in
-    ``PureState``.  The stacked phase ``pv / np.abs(pv)`` is the scalar one of
-    ``_phase_canonical`` bit for bit only for a real pivot, as every fused row
-    of Schmidt-aligned pairs has; for a complex pivot the two may differ."""
+    """Correct fused rows (parity prefix: X flips, sign count: Z@0), divide each by
+    the phase of its largest-magnitude entry (``_phase_canonical``), and validate
+    each once, in ``PureState``."""
     m = dims.n - 1
     flips = np.cumsum([pattern[0::2] for pattern, _ in records], axis=1) % 2 == 1
     odd = np.array([sum(pattern[1::2]) % 2 == 1 for pattern, _ in records])
@@ -455,8 +454,7 @@ def _finish_branches(dims: PartyDims, records, rows: np.ndarray) -> list[MergeBr
     for mask, t, pauli, _ in fixes:
         if mask.any():
             rows[mask] = _local_kernel(dims, (t,), rows[mask])[1](pauli)
-    pivots = rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)]
-    rows /= (pivots / np.abs(pivots))[:, None]
+    rows = _phase_canonical(rows)
     return [MergeBranch(pattern[0::2], pattern[1::2], prob, PureState(dims, rows[b]),
                         tuple(name for mask, _, _, name in fixes if mask[b]))
             for b, (pattern, prob) in enumerate(records)]
@@ -812,16 +810,17 @@ def analytic_Pn(p: float, n: int) -> float:
 
 _SIGMA_SPLIT = [[0, 1], [2]]  # entangled block versus the flag level
 _SIGMA_LEVELS = {0: 0, 1: 1}  # the qutrit leg's entangled block onto a qubit
-#: C's split as masks over the indices of the sigma states' (3, 2, 3) space
-_SIGMA_C_MASKS = [np.isin(np.indices((3, 2, 3))[2].ravel(), group) for group in _SIGMA_SPLIT]
+#: A's and C's split as masks over the indices of the sigma states' (3, 2, 3) space
+_SIGMA_MASKS = {party: [np.isin(np.indices((3, 2, 3))[party].ravel(), group)
+                        for group in _SIGMA_SPLIT] for party in (0, 2)}
 
 
-def _sigma_splits(config: ProtocolConfig):
-    """The sigma state's maximal flag and the outcomes of A's and of C's split on it."""
-    rho, maximal = _sigma_state(config.p, config.coeffs_or_uniform(2))
-    outs_a = measure(rho, level_group_measurement(0, 3, _SIGMA_SPLIT))
-    outs_c = measure(rho, level_group_measurement(2, 3, _SIGMA_SPLIT))
-    return maximal, outs_a, outs_c
+def _sigma_split(terms, party: int) -> tuple[float, float]:
+    """``party``'s split probabilities on the mixture of the sigma ``terms``, bit for bit
+    ``measure``'s, summed off their diagonal as ``postselect_levels`` sums them."""
+    dims, terms = _mixture_terms(terms)
+    diag = sum(w * (term.amplitudes * term.amplitudes.conj()) for w, term in terms)
+    return _diagonal_probabilities(diag, _SIGMA_MASKS[party], (party,), dims)[1]
 
 
 def run_sigma_adaptive(
@@ -837,32 +836,33 @@ def run_sigma_adaptive(
     On success, B either teleports two legs of a locally prepared GHZ state
     through the two pairs (maximal case) or merges the pairs directly.
     """
-    maximal, outs_a, outs_c = _sigma_splits(config)
+    pair, maximal = _sigma_pair(config.coeffs_or_uniform(2))
+    terms = _sigma_terms(pair, config.p)
     rng = np.random.default_rng(config.seed) if rng is None else rng
     steps: list[StepRecord] = []
 
-    f = _sample_index(rng, [out.probability for out in outs_a])
+    first, rates = _sigma_split(terms, 0), _sigma_split(terms, 2)
+    f = _sample_index(rng, first)
     steps.append(
-        StepRecord(1, "A", "split {levels 0,1} vs {flag level 2} on A", f,
-                   outs_a[f].probability, True)
+        StepRecord(1, "A", "split {levels 0,1} vs {flag level 2} on A", f, first[f], True)
     )
     # A's outcome f leaves A-B (f = 0) or B-C (f = 1) holding a pair, and C
     # keeps its own outcome f, the branch holding the other pair
-    pair_first = _qubit_pair(partial_trace(outs_a[f].post_state, {2 - 2 * f}), _SIGMA_LEVELS)
-    rates = [out.probability for out in outs_c]
     analytic = 1.0 - (1.0 - rates[f]) ** (config.max_copies - 1)
     for copies in range(2, config.max_copies + 1):
         idx = _sample_index(rng, rates)
         steps.append(
             StepRecord(copies, "C", "split {levels 0,1} vs {flag level 2} on C", idx,
-                       outs_c[idx].probability, idx == f)
+                       rates[idx], idx == f)
         )
         if idx == f:
             break
     else:
         return ProtocolReport("sigma", config, tuple(steps), config.max_copies, False, analytic)
 
-    pairs = (pair_first, _qubit_pair(partial_trace(outs_c[f].post_state, {2 * f}), _SIGMA_LEVELS))
+    # A's outcome f traces out C (f = 0) or A (f = 1), and C's outcome f the other party
+    pairs = [_qubit_pair(postselect_levels(terms, [(party, _SIGMA_SPLIT, f)], {traced})[1],
+                         _SIGMA_LEVELS) for party, traced in ((0, 2 - 2 * f), (2, 2 * f))]
     pair_ab, pair_bc = pairs if f == 0 else pairs[::-1]
     if maximal:
         local = ghz_state(3)
@@ -924,13 +924,13 @@ def _prop1_tree(config: ProtocolConfig):
 
 
 def _sigma_tree(config: ProtocolConfig):
-    _, outs_a, outs_c = _sigma_splits(config)
-    total_first = sum(out.probability for out in outs_a)
+    terms = _sigma_terms(_sigma_pair(config.coeffs_or_uniform(2))[0], config.p)
+    first, rates = _sigma_split(terms, 0), _sigma_split(terms, 2)
     repeats = config.max_copies - 1
     leaves = []
     for f in (0, 1):
-        pf = outs_a[f].probability / total_first
-        q = outs_c[f].probability
+        pf = first[f] / sum(first)
+        q = rates[f]
         name = "AB-first" if f == 0 else "BC-first"
         for k in range(1, repeats + 1):
             leaves.append(
@@ -1005,12 +1005,12 @@ def sample_leaves(protocol: str, leaves, shots: int, seed: int) -> MonteCarloSum
 def monte_carlo(protocol: str, config: ProtocolConfig) -> MonteCarloSummary:
     """Sample a protocol's exact branch distribution and summarize frequencies.
 
-    The per-branch probabilities are computed once from the density-operator
-    arithmetic (for prop2 and prop3 they are read off the same copy chain
-    that ``run_prop2`` and ``run_prop3`` replay); ``sample_leaves`` then
-    draws ``config.shots`` shots from that distribution with one generator
-    seeded by ``config.seed``, so results are deterministic given the config
-    and independent of evaluation order.
+    The per-branch probabilities are computed once from the simulated
+    arithmetic (prop2 and prop3 read the copy chain ``run_prop2`` and
+    ``run_prop3`` replay, sigma the splits ``run_sigma_adaptive`` draws on);
+    ``sample_leaves`` then draws ``config.shots`` shots from that distribution
+    with one generator seeded by ``config.seed``, so results are deterministic
+    given the config and independent of evaluation order.
     """
     if protocol not in _TREES:
         raise ValueError(
@@ -1069,9 +1069,7 @@ def _repeat_arrivals(rng: np.random.Generator, rate: float, n_max: int, shots: i
 def _sigma_rate(p: float) -> float:
     """The probability of C's accepting split on ``build_sigma(p)``, bit for bit, summed
     off the sigma terms' diagonal as ``postselect_levels`` sums it: no state is formed."""
-    dims, terms = _mixture_terms(_sigma_terms(bell_pair("phi+"), _probability(p)))
-    diag = sum(w * (term.amplitudes * term.amplitudes.conj()) for w, term in terms)
-    return _diagonal_probabilities(diag, _SIGMA_C_MASKS, (2,), dims)[1][0]
+    return _sigma_split(_sigma_terms(bell_pair("phi+"), _probability(p)), 2)[0]
 
 
 def sigma_scan(p_list, n_max: int, shots: int, seed: int) -> list[ScanRow]:

@@ -81,14 +81,13 @@ def _hermitian_part(mat: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
-def _phase_canonical(vec: np.ndarray) -> np.ndarray:
-    """``vec`` divided by the phase of its largest-magnitude entry.
-
-    That entry becomes real and positive, which keeps reported states stable.
-    """
-    pivot = int(np.argmax(np.abs(vec)))
-    phase = vec[pivot] / abs(vec[pivot])
-    return vec / phase
+def _phase_canonical(vecs: np.ndarray) -> np.ndarray:
+    """A vector, or each row of a ``(B, D)`` stack, divided by the phase of its
+    largest-magnitude entry, which becomes real and positive to keep reported
+    states stable.  ``np.hypot`` gives a complex scalar's ``abs`` bit for bit, as
+    ``np.abs`` on a complex array does not, so a row's phase is its vector's."""
+    pivots = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=-1)[..., None], axis=-1)
+    return vecs / (pivots / np.hypot(pivots.real, pivots.imag))
 
 
 def _min_eigenvalue(mat: np.ndarray) -> float:

@@ -10,6 +10,9 @@ oracles in ``helpers``, which measure the dense mixture of the hand-placed
 ``loop_merge_chain_to_ghz``.  The one exception is prop3's three-pair merge,
 whose fused sums run in another order than the oracle's: its probability, its
 final state and that state's negativities agree within ``FUSION_ATOL``.
+The sigma runner postselects its pairs on the sigma terms the same way, and
+its tree sums its splits off their diagonal: both are held to the density
+operators they read.
 """
 
 import dataclasses
@@ -131,6 +134,34 @@ def test_copy_chain_calls_no_measure_and_forms_only_the_pairs(monkeypatch, proto
     assert all(pair is not None for pair in chain.pairs)
     assert calls == []
     assert sizes == PAIR_SIZES[protocol]
+
+
+#: (config, the last step's text): both first branches of the teleport route,
+#: the merge route and a run that exhausts its copies
+SIGMA_RUNS = [
+    (ProtocolConfig(p=0.35, seed=2), "teleport GHZ legs to A and C through both pairs"),
+    (ProtocolConfig(p=0.35, seed=1), "teleport GHZ legs to A and C through both pairs"),
+    (ProtocolConfig(schmidt_coeffs=normalize_schmidt([1.0, 0.6]), seed=1),
+     "pair merge: parity then +/- readout at B"),
+    (ProtocolConfig(max_copies=1, seed=1), "split {levels 0,1} vs {flag level 2} on A"),
+]
+
+
+@pytest.mark.parametrize("config,last", SIGMA_RUNS)
+def test_sigma_run_forms_only_the_pairs_it_reads(monkeypatch, config, last):
+    """Each kept pair is postselected on the sigma terms: no density operator on
+    the (3, 2, 3) space, no post-state, only the qubit-qutrit pair reductions."""
+    sizes = count_density_sizes(monkeypatch)
+    report = protocols.run_sigma_adaptive(config)
+    assert report.steps[-1].measurement == last
+    assert sizes == ([6, 6] if report.success else [])
+
+
+def test_sigma_tree_forms_no_density_operator(monkeypatch):
+    sizes = count_density_sizes(monkeypatch)
+    for coeffs in (None, normalize_schmidt([1.0, 0.6])):
+        monte_carlo("sigma", ProtocolConfig(schmidt_coeffs=coeffs, shots=100))
+    assert sizes == []
 
 
 def random_config(protocol: str, seed: int) -> ProtocolConfig:

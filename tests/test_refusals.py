@@ -47,6 +47,7 @@ from gmesim.protocols import (
     build_sigma_prime,
     merge_chain_to_ghz,
     normalize_schmidt,
+    run_sigma_adaptive,
     sample_leaves,
     sigma_scan,
     teleport,
@@ -222,6 +223,8 @@ REFUSALS = [
     ("config weights sum", ProtocolConfig, (0.5, (0.5, 0.5, 0.5)),
      ValueError, r"^weights must sum to 1$"),
     ("sigma' product pair", build_sigma_prime, (ket([1.0, 0.0, 0.0, 0.0], (2, 2)), 0.5),
+     ValueError, r"^the shared pair must be entangled \(Schmidt rank 2\), got a product state$"),
+    ("sigma run product pair", run_sigma_adaptive, (ProtocolConfig(schmidt_coeffs=(1.0, 1e-12)),),
      ValueError, r"^the shared pair must be entangled \(Schmidt rank 2\), got a product state$"),
     ("sigma_scan non-finite p", sigma_scan, ([float("nan")], 2, 10, 0),
      ValueError, r"^p_list must be finite, got \(nan,\)$"),

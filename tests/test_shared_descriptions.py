@@ -1,9 +1,11 @@
 """The sigma and prop1 descriptions and the one CLI wrapper against their oracles.
 
-``run_sigma_adaptive`` and ``monte_carlo`` read one sigma state build and one
-pair of splits, and ``cli.main`` writes every subcommand's artifact; the
-oracles in ``helpers`` are the forms in which each caller did that work
-itself.  Everything is compared bit for bit: steps, final amplitudes,
+``run_sigma_adaptive`` and ``monte_carlo`` sum A's and C's splits off the
+sigma terms' diagonal, and the runner postselects each pair it keeps on
+those terms, never forming the sigma mixture; ``cli.main`` writes every
+subcommand's artifact.  The oracles in ``helpers`` are the forms in which
+each caller did that work itself: the sigma ones build the dense mixture and
+measure it.  Everything is compared bit for bit: steps, final amplitudes,
 certificates and generator state, or stdout, stderr and exit code.
 """
 
