@@ -67,6 +67,7 @@ from .qcore import (
     _mixture_terms,
     _phase_canonical,
     _probability,
+    _pure_rows,
     _reals,
     _require_unit_rows,
     _require_unitary,
@@ -393,16 +394,6 @@ class MergeResult:
     alignments: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-def _schmidt_align_pair(pair: PureState) -> tuple[PureState, tuple[float, float], tuple]:
-    mat = pair.tensor_view()
-    u, svals, vh = np.linalg.svd(mat)
-    a, b = float(svals[0]), float(svals[1])
-    if b <= ATOL:
-        raise ValueError("merging needs entangled pairs, got a product state")
-    aligned = PureState(PartyDims((2, 2)), np.diag([a, b]).reshape(-1))
-    return aligned, (a, b), (u.conj().T, vh.conj())
-
-
 def _fuse_chain(pairs):
     """``merge_chain_to_ghz`` short of the corrections, its branches sorted parity-major."""
     pairs = list(pairs)
@@ -411,7 +402,12 @@ def _fuse_chain(pairs):
     for j, pair in enumerate(pairs):
         if not isinstance(pair, PureState) or pair.dims.dims != (2, 2):
             raise ValueError(f"pair {j} is not a two-qubit pure state")
-    aligned, coeffs, alignments = zip(*(_schmidt_align_pair(pair) for pair in pairs))
+    u, svals, vh = np.linalg.svd(np.array([pair.tensor_view() for pair in pairs]))
+    if (svals[:, 1] <= ATOL).any():
+        raise ValueError("merging needs entangled pairs, got a product state")
+    aligned = _pure_rows(PartyDims((2, 2)), (svals[:, :, None] * np.eye(2)).reshape(-1, 4))
+    coeffs = tuple(map(tuple, svals.tolist()))
+    alignments = tuple(zip(u.conj().swapaxes(1, 2), vh.conj()))
 
     m = len(pairs)
     # the 2m-qubit joint space is never formed; its cap bounds 4**(m-1) branches
@@ -444,8 +440,8 @@ def _fuse_chain(pairs):
 
 def _finish_branches(dims: PartyDims, records, rows: np.ndarray) -> list[MergeBranch]:
     """Correct fused rows (parity prefix: X flips, sign count: Z@0), divide each by
-    the phase of its largest-magnitude entry (``_phase_canonical``), and validate
-    each once, in ``PureState``."""
+    the phase of its largest-magnitude entry (``_phase_canonical``), and check the
+    stack once (``_pure_rows``): each branch's state views a row of one frozen array."""
     m = dims.n - 1
     flips = np.cumsum([pattern[0::2] for pattern, _ in records], axis=1) % 2 == 1
     odd = np.array([sum(pattern[1::2]) % 2 == 1 for pattern, _ in records])
@@ -454,10 +450,11 @@ def _finish_branches(dims: PartyDims, records, rows: np.ndarray) -> list[MergeBr
     for mask, t, pauli, _ in fixes:
         if mask.any():
             rows[mask] = _local_kernel(dims, (t,), rows[mask])[1](pauli)
-    rows = _phase_canonical(rows)
-    return [MergeBranch(pattern[0::2], pattern[1::2], prob, PureState(dims, rows[b]),
-                        tuple(name for mask, _, _, name in fixes if mask[b]))
-            for b, (pattern, prob) in enumerate(records)]
+    applied = np.stack([mask for mask, _, _, _ in fixes], axis=1).tolist()
+    states = _pure_rows(dims, _phase_canonical(rows))
+    return [MergeBranch(pattern[0::2], pattern[1::2], prob, state,
+                        tuple(name for (_, _, _, name), on in zip(fixes, row) if on))
+            for (pattern, prob), state, row in zip(records, states, applied)]
 
 
 def merge_chain_to_ghz(pairs) -> MergeResult:
@@ -479,8 +476,9 @@ def merge_chain_to_ghz(pairs) -> MergeResult:
     kernels (``qcore._measure_rows``, ``qcore._contract_rows``) that
     ``measure`` and ``contract_party`` run on one row, so each row gets the
     arithmetic of separate ``measure``, ``contract_party`` and
-    ``apply_local_unitary`` calls; each branch is validated once, by
-    ``PureState``.  The branches are sorted from fusion order (parity 1,
+    ``apply_local_unitary`` calls.  One batched SVD aligns the pairs, and the
+    aligned pairs and the branches are each checked as one stack, by
+    ``qcore._pure_rows``.  The branches are sorted from fusion order (parity 1,
     sign 1, parity 2, ...) to parity-major order, so branch indices, and the
     branch a sampled run draws, are those of a merge over the joint vector.
     For m = 2 each row sees the same calls on the same rows as there, so the
@@ -810,6 +808,8 @@ def analytic_Pn(p: float, n: int) -> float:
 
 _SIGMA_SPLIT = [[0, 1], [2]]  # entangled block versus the flag level
 _SIGMA_LEVELS = {0: 0, 1: 1}  # the qutrit leg's entangled block onto a qubit
+#: The states of ``build_sigma``'s two terms, built once: only their weights depend on p
+_PHI_SIGMA_STATES = [term for _, term in _sigma_terms(bell_pair("phi+"), 0.5)]
 #: A's and C's split as masks over the indices of the sigma states' (3, 2, 3) space
 _SIGMA_MASKS = {party: [np.isin(np.indices((3, 2, 3))[party].ravel(), group)
                         for group in _SIGMA_SPLIT] for party in (0, 2)}
@@ -1069,7 +1069,8 @@ def _repeat_arrivals(rng: np.random.Generator, rate: float, n_max: int, shots: i
 def _sigma_rate(p: float) -> float:
     """The probability of C's accepting split on ``build_sigma(p)``, bit for bit, summed
     off the sigma terms' diagonal as ``postselect_levels`` sums it: no state is formed."""
-    return _sigma_split(_sigma_terms(bell_pair("phi+"), _probability(p)), 2)[0]
+    p = _probability(p)
+    return _sigma_split(zip((p, 1.0 - p), _PHI_SIGMA_STATES), 2)[0]
 
 
 def sigma_scan(p_list, n_max: int, shots: int, seed: int) -> list[ScanRow]:

@@ -212,7 +212,8 @@ def _as_party_dims(dims) -> PartyDims:
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit vector over ``dims``: norm 1 within ``ATOL``; ``ket`` normalizes raw amplitudes."""
+    """Unit vector over ``dims``: norm 1 within ``ATOL``; ``ket`` normalizes raw amplitudes.
+    States checked as one stack by ``_pure_rows`` view the rows of one frozen array."""
 
     dims: PartyDims
     amplitudes: np.ndarray
@@ -325,7 +326,7 @@ class DensityOperator:
     def _nonzero_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(row, column) indices of the nonzero entries, row-major, read off the live rows."""
         live = self._live  # every nonzero entry lies on these rows and columns
-        rows, cols = np.nonzero(self.matrix[live[:, None], live])
+        rows, cols = np.nonzero(self.matrix[live[:, None], live] != 0)  # a bool mask, not complex
         return live[rows], live[cols]
 
 
@@ -556,9 +557,21 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _require_unit_rows(rows: np.ndarray, dims: PartyDims) -> None:
-    """``PureState``'s norm check on each row of a stack; a failing row raises its message."""
-    for i in (~(np.abs(_row_norms(rows) - 1.0) <= ATOL)).nonzero()[0]:
+    """``PureState``'s length and norm checks on each row of a stack, with its messages."""
+    failing = ~(np.abs(_row_norms(rows) - 1.0) <= ATOL) | (rows.shape[1] != dims.total)
+    for i in failing.nonzero()[0]:
         PureState(dims, rows[i])
+
+
+def _pure_rows(dims: PartyDims, rows) -> list[PureState]:
+    """A ``PureState`` per row of a ``(B, D)`` stack, checked in one stacked pass as
+    ``PureState`` checks it, with its messages; each views a row of one frozen copy."""
+    rows = _frozen_array(np.ascontiguousarray(rows))
+    _require_unit_rows(rows, dims)
+    states = [object.__new__(PureState) for _ in rows]
+    for state, row in zip(states, rows):
+        state.__dict__.update(dims=dims, amplitudes=row)
+    return states
 
 
 def _require_unitary(u: np.ndarray) -> None:

@@ -110,12 +110,12 @@ from gmesim.protocols import (
     sigma_scan,
 )
 from gmesim.protocols import _sample_index as _sample_probabilities
-from gmesim.protocols import _schmidt_align_pair
 from gmesim.qcore import (
     ATOL,
     DensityOperator,
     InvariantError,
     MeasurementOutcome,
+    PartyDims,
     ProjectiveMeasurement,
     PureState,
     _SUPPORT_ROWS,
@@ -877,6 +877,16 @@ def loop_sample_leaves(protocol: str, leaves, shots: int, seed: int) -> MonteCar
 def _canonical_phase(state: PureState) -> PureState:
     amps = _phase_canonical(state.amplitudes)
     return PureState(state.dims, amps)
+
+
+def _schmidt_align_pair(pair: PureState) -> tuple[PureState, tuple[float, float], tuple]:
+    """One pair's own SVD: its Schmidt form a|00> + b|11>, (a, b) and the alignment unitaries."""
+    u, svals, vh = np.linalg.svd(pair.tensor_view())
+    a, b = float(svals[0]), float(svals[1])
+    if b <= ATOL:
+        raise ValueError("merging needs entangled pairs, got a product state")
+    aligned = PureState(PartyDims((2, 2)), np.diag([a, b]).reshape(-1))
+    return aligned, (a, b), (u.conj().T, vh.conj())
 
 
 def loop_merge_chain_to_ghz(pairs) -> MergeResult:

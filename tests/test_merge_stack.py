@@ -34,7 +34,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmesim.protocols import _PARITY, _READOUT, merge_chain_to_ghz, normalize_schmidt
+from gmesim import qcore
+from gmesim.protocols import (
+    _PARITY,
+    _READOUT,
+    _sample_merge,
+    merge_chain_to_ghz,
+    normalize_schmidt,
+)
 from gmesim.qcore import (
     ATOL,
     PartyDims,
@@ -246,3 +253,25 @@ def test_row_norm_check_raises_the_pure_state_message():
     rows[1, 2] = np.nan
     with pytest.raises(ValueError, match=r"pure state on dims \(2, 2\): amplitude entry 2 is"):
         _require_unit_rows(rows, dims)
+
+
+def test_merge_checks_its_stacks_without_building_a_state_per_row(monkeypatch):
+    """The aligned pairs and the branches are checked as stacks (``qcore._pure_rows``):
+    a 4-pair merge and a sampled one run ``PureState.__post_init__`` on no row."""
+    rng = np.random.default_rng(4)
+    pairs = [rotated_pair(r, rng) for r in (0.3, 0.6, 0.9, 0.45)]
+    want = merge_chain_to_ghz(pairs)
+    built, stacked = [], []
+    pure_rows = qcore._pure_rows
+
+    def counting(dims, rows):
+        stacked.append(len(rows))
+        return pure_rows(dims, rows)
+
+    monkeypatch.setattr(PureState, "__post_init__", lambda self: built.append(self))
+    monkeypatch.setattr("gmesim.protocols._pure_rows", counting)
+    got = merge_chain_to_ghz(pairs)
+    _sample_merge(np.random.default_rng(0), pairs)
+    assert built == []
+    assert stacked == [4, 4**3, 4, 1]  # aligned pairs, then branches, per merge
+    assert_same_merge(got, want, bitwise=True)

@@ -610,6 +610,16 @@ def test_sigma_scan_forms_no_state_or_measurement(monkeypatch):
     assert len(summed) == 2
 
 
+def test_sigma_scan_builds_no_pure_state(monkeypatch):
+    """The phi+ sigma terms' states are built once, at import: a 4-rate scan builds
+    none, where rebuilding them per rate would build 12 (the pair and two terms)."""
+    built = []
+    monkeypatch.setattr(qcore.PureState, "__post_init__", lambda self: built.append(self))
+    rows = sigma_scan([0.1, 0.35, 0.6, 0.85], n_max=2, shots=10, seed=0)
+    assert built == []
+    assert len(rows) == 12
+
+
 def test_sampled_sigma_run_reaches_ghz_without_conditioning():
     """End-to-end sampled run; the seed fixes the whole trajectory."""
     report = run_sigma_adaptive(ProtocolConfig(p=0.5, seed=123))

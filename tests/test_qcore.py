@@ -394,3 +394,48 @@ def test_phase_canonical_treats_each_row_of_a_stack_as_its_vector_bit_for_bit(d)
         pivot = row[np.argmax(np.abs(row))]
         want = row / (pivot / abs(pivot))
         assert got.tobytes() == qcore._phase_canonical(row).tobytes() == want.tobytes()
+
+
+def _message(call, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad", ["length", "norm", "nan", "inf"])
+def test_pure_rows_refuses_a_bad_row_with_the_pure_state_message(bad):
+    """A stack is refused with exactly the message ``PureState`` gives its first bad row."""
+    dims = PartyDims((2, 3))
+    rng = np.random.default_rng(3)
+    rows = np.array([random_pure(dims.dims, rng) for _ in range(5)])
+    if bad == "length":  # unit rows, one entry short
+        rows = rows[:, :5] / np.linalg.norm(rows[:, :5], axis=1)[:, None]
+    elif bad == "norm":
+        rows[3] *= 1.0 + 1e-6
+    else:
+        rows[[1, 3], 4] = math.nan if bad == "nan" else math.inf
+    row = rows[0] if bad == "length" else rows[3 if bad == "norm" else 1]
+    want = _message(PureState, dims, row)
+    assert _message(qcore._pure_rows, dims, rows) == want
+
+
+def test_pure_rows_states_view_one_frozen_copy_and_equal_pure_state():
+    dims = PartyDims((2, 2, 2))
+    rng = np.random.default_rng(8)
+    rows = np.array([random_pure(dims.dims, rng) for _ in range(6)])
+    states = qcore._pure_rows(dims, rows)
+    assert len(states) == len(rows)
+    frozen = states[0].amplitudes.base
+    for state, row in zip(states, rows):
+        want = PureState(dims, row)
+        assert type(state) is PureState and state.dims == want.dims
+        assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert state.amplitudes.shape == want.amplitudes.shape
+        assert state.amplitudes.base is frozen and state.amplitudes.flags.c_contiguous
+        assert not state.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 0.0
+    assert not np.shares_memory(frozen, rows)
+    rows[0] = 0.0  # the states do not see a later write to the input
+    assert states[0].amplitudes.tobytes() == PureState(dims, states[0].amplitudes).amplitudes.tobytes()
+    assert qcore._pure_rows(dims, rows[:0]) == []
