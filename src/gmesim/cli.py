@@ -100,7 +100,8 @@ def format_float(value: float) -> str:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError("cannot serialize non-finite numbers")
-    return format(value, ".17g")
+    text = format(value, ".17g")
+    return "-0.0" if text == "-0" else text  # JSON reads "-0" as the integer 0
 
 
 #: ``json.dumps`` of a str, and the serializable types in the order an instance of a
@@ -485,6 +486,7 @@ def _state_file_text(state: PureState | DensityOperator) -> str:
     if not np.isfinite(flat).all():
         raise ValueError("cannot serialize non-finite numbers")
     pairs = ("    [%.17g, %.17g],\n" * (flat.size // 2)) % tuple(flat.tolist())
+    pairs = pairs.replace("[-0,", "[-0.0,").replace(" -0]", " -0.0]")  # as format_float
     dims = ", ".join(str(int(d)) for d in state.dims.dims)
     kind, field = ("pure", "amplitudes") if pure else ("density", "matrix")
     return '{\n  "dims": [%s],\n  "kind": "%s",\n  "%s": [\n%s\n  ]\n}\n' % (

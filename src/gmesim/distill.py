@@ -170,15 +170,10 @@ def isotropic_state(fidelity: float) -> DensityOperator:
 # recurrence
 # ---------------------------------------------------------------------------
 
-_CNOT = np.zeros((4, 4), dtype=complex)
-_CNOT[0, 0] = _CNOT[1, 1] = _CNOT[2, 3] = _CNOT[3, 2] = 1.0
-
-# CNOT(A1 -> A2) (x) CNOT(B1 -> B2) on the parties A1 B1 A2 B2 maps basis
-# state perm[i] to i, so it conjugates a matrix by gathering rows and columns.
-_BILATERAL_CNOT = np.einsum("ikac,jlbd->ijklabcd", *[_CNOT.reshape(2, 2, 2, 2)] * 2).reshape(16, 16)
-_BILATERAL_PERM = np.argmax(np.abs(_BILATERAL_CNOT), axis=1)
-if not np.array_equal(_BILATERAL_CNOT, np.eye(16)[_BILATERAL_PERM]):  # pragma: no cover
-    raise AssertionError("the bilateral CNOT is not a permutation matrix")
+# CNOT(A1 -> A2) (x) CNOT(B1 -> B2) on the parties A1 B1 A2 B2 XORs the bits
+# (a1, b1) into (a2, b2): it maps basis state perm[i] to i (perm is its own
+# inverse), so it conjugates a matrix by gathering rows and columns.
+_BILATERAL_PERM = np.arange(16) ^ np.arange(16) >> 2
 _BILATERAL_IX = np.ix_(_BILATERAL_PERM, _BILATERAL_PERM)
 
 # the target pair A2 B2 read out in the computational basis

@@ -59,10 +59,10 @@ from .qcore import (
     PartyDims,
     ProjectiveMeasurement,
     PureState,
+    _BELL_SIGNS,
     _contract_rows,
     _diagonal_probabilities,
     _integer,
-    _local_kernel,
     _measure_rows,
     _mixture_terms,
     _phase_canonical,
@@ -70,9 +70,7 @@ from .qcore import (
     _pure_rows,
     _reals,
     _require_unit_rows,
-    _require_unitary,
     _unit_sum,
-    apply_local_unitary,
     basis_ket,
     bell_basis,
     bell_pair,
@@ -90,8 +88,6 @@ from .qcore import (
     to_pure,
 )
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_Z = np.diag([1.0, -1.0]).astype(complex)
 _PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 _MINUS = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 
@@ -100,12 +96,10 @@ _MINUS = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 PARITY_CORRELATED = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
 PARITY_ANTI = np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex)
 
-#: The merge's parity and |+>/|-> measurements and Pauli corrections, checked
-#: once; each fusion step places them on its own qubits.
+#: The merge's parity and |+>/|-> measurements, checked once; each fusion
+#: step places them on its own qubits.
 _PARITY = ProjectiveMeasurement((0, 1), (PARITY_CORRELATED, PARITY_ANTI))
 _READOUT = ProjectiveMeasurement((0,), tuple(np.outer(v, v.conj()) for v in (_PLUS, _MINUS)))
-_require_unitary(_X)
-_require_unitary(_Z)
 _REFERENCES = np.array([_PLUS.conj(), _MINUS.conj()])  # <+| and <-|, by readout outcome
 
 
@@ -439,22 +433,22 @@ def _fuse_chain(pairs):
 
 
 def _finish_branches(dims: PartyDims, records, rows: np.ndarray) -> list[MergeBranch]:
-    """Correct fused rows (parity prefix: X flips, sign count: Z@0), divide each by
-    the phase of its largest-magnitude entry (``_phase_canonical``), and check the
-    stack once (``_pure_rows``): each branch's state views a row of one frozen array."""
+    """Correct fused rows by index (X fixes: one gather flipping each row's corrected
+    qubit bits; Z@0: the half with qubit 0 at 1 negated), phase-fix them
+    (``_phase_canonical``) and check the stack once (``_pure_rows``)."""
     m = dims.n - 1
     flips = np.cumsum([pattern[0::2] for pattern, _ in records], axis=1) % 2 == 1
     odd = np.array([sum(pattern[1::2]) % 2 == 1 for pattern, _ in records])
-    fixes = [(flips[:, min(t, m - 1) - 1], t, _X, f"X@{t}") for t in range(1, m + 1)]
-    fixes.append((odd, 0, _Z, "Z@0"))
-    for mask, t, pauli, _ in fixes:
-        if mask.any():
-            rows[mask] = _local_kernel(dims, (t,), rows[mask])[1](pauli)
-    applied = np.stack([mask for mask, _, _, _ in fixes], axis=1).tolist()
+    fixes = [(f"X@{t}", flips[:, min(t, m - 1) - 1]) for t in range(1, m + 1)] + [("Z@0", odd)]
+    applied = np.stack([mask for _, mask in fixes], axis=1)
+    flipped = applied[:, :-1] @ (1 << np.arange(m - 1, -1, -1))  # qubit t is index bit m - t
+    rows = np.take_along_axis(rows, np.arange(dims.total) ^ flipped[:, None], axis=1)
+    rows[odd, dims.total // 2:] = -rows[odd, dims.total // 2:]
+    rows += 0.0  # every zero +0.0, as each Pauli's 2x2 matmul left it
     states = _pure_rows(dims, _phase_canonical(rows))
     return [MergeBranch(pattern[0::2], pattern[1::2], prob, state,
-                        tuple(name for (_, _, _, name), on in zip(fixes, row) if on))
-            for (pattern, prob), state, row in zip(records, states, applied)]
+                        tuple(name for (name, _), on in zip(fixes, row) if on))
+            for (pattern, prob), state, row in zip(records, states, applied.tolist())]
 
 
 def merge_chain_to_ghz(pairs) -> MergeResult:
@@ -474,13 +468,14 @@ def merge_chain_to_ghz(pairs) -> MergeResult:
     contracted away, so the 4**m joint vector is never formed; X and Z
     corrections follow.  Each step is one call on the whole stack of the row
     kernels (``qcore._measure_rows``, ``qcore._contract_rows``) that
-    ``measure`` and ``contract_party`` run on one row, so each row gets the
-    arithmetic of separate ``measure``, ``contract_party`` and
-    ``apply_local_unitary`` calls.  One batched SVD aligns the pairs, and the
-    aligned pairs and the branches are each checked as one stack, by
-    ``qcore._pure_rows``.  The branches are sorted from fusion order (parity 1,
-    sign 1, parity 2, ...) to parity-major order, so branch indices, and the
-    branch a sampled run draws, are those of a merge over the joint vector.
+    ``measure`` and ``contract_party`` run on one row, and the corrections move
+    and negate amplitudes by index, so each row gets the bits of separate
+    ``measure``, ``contract_party`` and ``apply_local_unitary`` calls.  One
+    batched SVD aligns the pairs, and the aligned pairs and the branches are
+    each checked as one stack, by ``qcore._pure_rows``.  The branches are
+    sorted from fusion order (parity 1, sign 1, parity 2, ...) to parity-major
+    order, so branch indices, and the branch a sampled run draws, are those of
+    a merge over the joint vector.
     For m = 2 each row sees the same calls on the same rows as there, so the
     result is bit for bit the same; from m = 3 on sums run in another order.
     """
@@ -491,9 +486,6 @@ def merge_chain_to_ghz(pairs) -> MergeResult:
 # ---------------------------------------------------------------------------
 # teleportation
 # ---------------------------------------------------------------------------
-
-_BELL_CORRECTIONS = (np.eye(2, dtype=complex), _Z, _X, _Z @ _X)
-
 
 def teleport(
     state: PureState, input_party: int, resource: PureState, outcome: int | None = None
@@ -506,7 +498,8 @@ def teleport(
     The receiver's qubit takes over the teleported party's slot, so the
     output has the same party structure as the input.  With ``outcome=None``
     all four correction branches are computed and checked to agree; an
-    explicit ``outcome`` selects a single branch.
+    explicit ``outcome`` selects a single branch.  Its Pauli is applied by
+    index: X swaps the receiver's two levels and Z negates its level 1.
     """
     n = state.dims.n
     input_party = _integer(input_party, "input party", stop=n, of="parties")
@@ -538,8 +531,10 @@ def teleport(
                 f"{where}: Bell outcome {k} of 4 has probability {out.probability!r}, "
                 f"expected 1/4, residual {out.probability - 0.25:.3e} exceeds {ATOL:g}"
             )
-        post = apply_local_unitary(out.post_state, _BELL_CORRECTIONS[k], (n + 1,))
-        post = contract_party(post, (input_party, n), basis[k])
+        correlated, sign = list(_BELL_SIGNS.values())[k]  # bell_basis order: I, Z, X, ZX
+        levels = out.post_state.amplitudes.reshape(-1, 2)[:, ::1 if correlated else -1] * (1, sign)
+        corrected = PureState(joint.dims, levels.reshape(-1) + 0.0)  # zeros +0.0, as a matmul
+        post = contract_party(corrected, (input_party, n), basis[k])
         # the receiver's qubit is the last axis; move it into the vacated slot
         t = np.moveaxis(post.tensor_view(), -1, input_party)
         results.append(PureState(state.dims, _phase_canonical(t.reshape(-1))))

@@ -846,7 +846,9 @@ def relabel_subspace(state: PureState, party: int, basis_map: dict, new_dim: int
 
     ``basis_map`` maps old levels to new levels and must be injective; any
     population outside its domain must be negligible (below the prune
-    threshold), otherwise the relabeling would lose weight.
+    threshold), otherwise the relabeling would lose weight.  Each source
+    level's amplitudes are gathered into its target level; the other target
+    levels stay zero.
     """
     if not isinstance(state, PureState):
         raise ValueError("relabel_subspace operates on pure states")
@@ -857,18 +859,12 @@ def relabel_subspace(state: PureState, party: int, basis_map: dict, new_dim: int
         raise ValueError("new dimension must be >= 2")
     items = [(_integer(a, "source level", stop=old_dim, of="levels"),
               _integer(b, "target level", stop=new_dim, of="levels")) for a, b in basis_map.items()]
-    if len({b for _, b in items}) != len(items):
+    sources, targets = [a for a, _ in items], [b for _, b in items]
+    if len(set(targets)) != len(targets):
         raise ValueError("basis map must be injective")
-    mapped = {a for a, _ in items}
-    unmapped = [lv for lv in range(old_dim) if lv not in mapped]
+    unmapped = [lv for lv in range(old_dim) if lv not in sources]
 
-    isometry = np.zeros((new_dim, old_dim), dtype=complex)
-    for a, b in items:
-        isometry[b, a] = 1.0
-
-    new_dims = PartyDims(
-        tuple(new_dim if i == party else d for i, d in enumerate(state.dims.dims))
-    )
+    new_dims = PartyDims(state.dims.dims[:party] + (new_dim,) + state.dims.dims[party + 1:])
     t = state.tensor_view()
     if unmapped:
         lost = float(np.sum(np.abs(np.take(t, unmapped, axis=party)) ** 2))
@@ -876,7 +872,8 @@ def relabel_subspace(state: PureState, party: int, basis_map: dict, new_dim: int
             raise ValueError(
                 f"population {lost!r} outside the relabeled subspace on party {party}"
             )
-    out = np.moveaxis(np.tensordot(isometry, t, axes=([1], [party])), 0, party)
+    out = np.zeros(new_dims.dims, dtype=complex)
+    np.moveaxis(out, party, 0)[targets] = np.moveaxis(t, party, 0)[sources]
     return PureState(new_dims, out.reshape(-1))
 
 

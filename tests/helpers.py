@@ -36,6 +36,9 @@ by it on its own, where the package conjugates by a cached stack of all 24 in
 one product; ``loop_recurrence_round`` applies each side's CNOT through
 ``apply_local_unitary`` and builds its target-pair measurement per call, where
 the package gathers the joint matrix by the bilateral CNOT's permutation.
+``loop_teleport`` applies each Bell outcome's Pauli as a 2x2 matrix through
+``apply_local_unitary`` and ``isometry_relabel_subspace`` contracts a 0/1
+isometry, where the package moves and negates amplitudes by index.
 ``loop_render_json`` and ``loop_render_compact`` are the canonical JSON
 renderer as one ``isinstance`` chain, where the package dispatches on the
 exact type first; ``oracle_main`` writes its artifacts with them.
@@ -82,8 +85,6 @@ from gmesim.entanglement import (
 from gmesim.protocols import (
     _MINUS,
     _PLUS,
-    _X,
-    _Z,
     PARITY_ANTI,
     PARITY_CORRELATED,
     BranchStat,
@@ -112,6 +113,7 @@ from gmesim.protocols import (
 from gmesim.protocols import _sample_index as _sample_probabilities
 from gmesim.qcore import (
     ATOL,
+    PRUNE_ATOL,
     DensityOperator,
     InvariantError,
     MeasurementOutcome,
@@ -120,11 +122,13 @@ from gmesim.qcore import (
     PureState,
     _SUPPORT_ROWS,
     _hermitian_part,
+    _integer,
     _min_eigenvalue,
     _phase_canonical,
     _require_finite,
     apply_local_unitary,
     basis_ket,
+    bell_basis,
     bell_pair,
     contract_party,
     fidelity_pure,
@@ -162,6 +166,8 @@ def loop_render(obj, indent: int) -> str:
         value = float(obj)
         if not math.isfinite(value):
             raise ValueError("cannot serialize non-finite numbers")
+        if value == 0.0 and math.copysign(1.0, value) < 0:
+            return "-0.0"  # JSON reads "-0" as the integer 0
         return format(value, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -872,6 +878,90 @@ def loop_sample_leaves(protocol: str, leaves, shots: int, seed: int) -> MonteCar
     exact = float(sum(s.probability for s in stats if s.success))
     mean_copies = float(sum(s.frequency * s.copies for s in stats))
     return MonteCarloSummary(protocol, shots, seed, stats, success_rate, exact, mean_copies)
+
+
+_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_Z = np.diag([1.0, -1.0]).astype(complex)
+_LOOP_BELL_CORRECTIONS = (np.eye(2, dtype=complex), _Z, _X, _Z @ _X)
+
+
+def loop_teleport(
+    state: PureState, input_party: int, resource: PureState, outcome: int | None = None
+) -> PureState:
+    """``protocols.teleport`` with each Bell outcome's Pauli applied as a 2x2
+    matrix through ``apply_local_unitary``."""
+    n = state.dims.n
+    input_party = _integer(input_party, "input party", stop=n, of="parties")
+    if state.dims.dims[input_party] != 2:
+        raise ValueError("only qubit parties can be teleported")
+    if not isinstance(resource, PureState) or resource.dims.dims != (2, 2):
+        raise ValueError("the resource must be a two-qubit pure state")
+    if abs(resource.overlap(bell_pair("phi+"))) ** 2 < 1.0 - ATOL:
+        raise ValueError(
+            "the resource is not maximally entangled; exact teleportation needs phi+ "
+            "(for partially entangled pairs use merge_chain_to_ghz)"
+        )
+    joint = tensor(state, resource)
+    basis = bell_basis()
+    outs = measure(joint, ProjectiveMeasurement(
+        (input_party, n), tuple(np.outer(v, v.conj()) for v in basis)))
+    chosen = range(4)
+    if outcome is not None:
+        chosen = [_integer(outcome, "outcome", stop=4, of="Bell outcomes")]
+    where = f"teleportation of party {input_party} of dims {state.dims.dims}"
+    results = []
+    for k in chosen:
+        out = outs[k]
+        if out.post_state is None or abs(out.probability - 0.25) > ATOL:
+            raise InvariantError(
+                f"{where}: Bell outcome {k} of 4 has probability {out.probability!r}, "
+                f"expected 1/4, residual {out.probability - 0.25:.3e} exceeds {ATOL:g}"
+            )
+        post = apply_local_unitary(out.post_state, _LOOP_BELL_CORRECTIONS[k], (n + 1,))
+        post = contract_party(post, (input_party, n), basis[k])
+        t = np.moveaxis(post.tensor_view(), -1, input_party)
+        results.append(PureState(state.dims, _phase_canonical(t.reshape(-1))))
+    for k, r in zip(chosen[1:], results[1:]):
+        fid = abs(r.overlap(results[0])) ** 2
+        if fid < 1.0 - ATOL:
+            raise InvariantError(
+                f"{where}: after correction, Bell branch {k} of {len(results)} has fidelity "
+                f"{fid!r} with branch 0, residual {1.0 - fid:.3e} exceeds {ATOL:g}"
+            )
+    return results[0]
+
+
+def isometry_relabel_subspace(state: PureState, party: int, basis_map: dict,
+                              new_dim: int) -> PureState:
+    """``qcore.relabel_subspace`` as a 0/1 isometry contracted by ``np.tensordot``."""
+    if not isinstance(state, PureState):
+        raise ValueError("relabel_subspace operates on pure states")
+    party = _integer(party, "party index", stop=state.dims.n)
+    old_dim = state.dims.dims[party]
+    new_dim = _integer(new_dim, "new dimension")
+    if new_dim < 2:
+        raise ValueError("new dimension must be >= 2")
+    items = [(_integer(a, "source level", stop=old_dim, of="levels"),
+              _integer(b, "target level", stop=new_dim, of="levels")) for a, b in basis_map.items()]
+    if len({b for _, b in items}) != len(items):
+        raise ValueError("basis map must be injective")
+    mapped = {a for a, _ in items}
+    unmapped = [lv for lv in range(old_dim) if lv not in mapped]
+    isometry = np.zeros((new_dim, old_dim), dtype=complex)
+    for a, b in items:
+        isometry[b, a] = 1.0
+    new_dims = PartyDims(
+        tuple(new_dim if i == party else d for i, d in enumerate(state.dims.dims))
+    )
+    t = state.tensor_view()
+    if unmapped:
+        lost = float(np.sum(np.abs(np.take(t, unmapped, axis=party)) ** 2))
+        if lost > PRUNE_ATOL:
+            raise ValueError(
+                f"population {lost!r} outside the relabeled subspace on party {party}"
+            )
+    out = np.moveaxis(np.tensordot(isometry, t, axes=([1], [party])), 0, party)
+    return PureState(new_dims, out.reshape(-1))
 
 
 def _canonical_phase(state: PureState) -> PureState:

@@ -47,8 +47,8 @@ SAMPLED_RUNS = {"prop2": 8, "prop3": 2}
 
 #: Kernel calls of one prop2 (m = 2) and prop3 (m = 3) fusion: per fused pair
 #: one each for the parity, the sign readout and the contraction (see
-#: ``merge_chain_to_ghz``).  A sampled run then corrects the drawn branch
-#: only, one call per correction it lists.
+#: ``merge_chain_to_ghz``).  The corrections of the branch a sampled run
+#: draws are index moves and sign flips, with no kernel call.
 FUSION_KERNELS = {"prop2": 3 * 1, "prop3": 3 * 2}
 
 
@@ -57,8 +57,9 @@ def test_cli_op_builds_the_terms_once_and_measures_only_the_merge(monkeypatch, c
     """The copies are postselected on the terms; the tree adds no measurement.
 
     The merge measures its branches as stacks, so ``measure`` is never called;
-    the axis-local kernel runs a fixed number of times per fusion and once per
-    correction of the one branch the run draws.
+    the axis-local kernel runs a fixed number of times per fusion, and never
+    for the corrections of the one branch the run draws, which move and negate
+    amplitudes by index.
     """
     calls = {"build": 0, "measure": 0, "kernel": 0}
     build, measure, kernel = protocols._chain_terms, protocols.measure, qcore._local_kernel
@@ -83,13 +84,11 @@ def test_cli_op_builds_the_terms_once_and_measures_only_the_merge(monkeypatch, c
     monkeypatch.setattr(protocols, "_chain_terms", counting_build)
     monkeypatch.setattr(protocols, "measure", counting_measure)
     monkeypatch.setattr(protocols, "_sample_merge", recording_sample_merge)
-    for module in (qcore, protocols):
-        monkeypatch.setattr(module, "_local_kernel", counting_kernel)
+    monkeypatch.setattr(qcore, "_local_kernel", counting_kernel)
     assert cli.main([protocol, "--seed", "3", "--shots", "200"]) == 0
     assert capsys.readouterr().out
-    ((_, branch),) = drawn
-    kernels = FUSION_KERNELS[protocol] + len(branch.corrections)
-    assert calls == {"build": 1, "measure": 0, "kernel": kernels}
+    assert len(drawn) == 1
+    assert calls == {"build": 1, "measure": 0, "kernel": FUSION_KERNELS[protocol]}
 
 
 def count_density_sizes(monkeypatch) -> list[int]:

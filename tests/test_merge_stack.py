@@ -21,10 +21,12 @@ Each fusion step runs on the whole stack through ``qcore._measure_rows`` and
 row: the outcome probabilities and contraction weights are stacked matmuls
 whose items are the BLAS dots of ``np.vdot`` and ``np.linalg.norm``
 (``qcore._row_dots``, ``qcore._row_norms``).
-So for every chain length the merge equals, bit for bit,
-``helpers.row_merge_chain_to_ghz``, which sends each row of each stage
-through the public ``measure``, ``contract_party`` and ``apply_local_unitary``
-on its own.
+The X and Z corrections move and negate amplitudes by index on the stack,
+and every zero comes out +0.0, as a 2x2 Pauli matrix through
+``apply_local_unitary`` leaves it.  So for every chain length the merge
+equals, bit for bit, ``helpers.row_merge_chain_to_ghz``, which sends each row
+of each stage through the public ``measure``, ``contract_party`` and
+``apply_local_unitary`` on its own.
 """
 
 import tracemalloc

@@ -312,7 +312,7 @@ class TestMerge:
             raise AssertionError("merge measured before checking the dimension cap")
 
         monkeypatch.setattr(protocols, "measure", no_measure)
-        monkeypatch.setattr(protocols, "_local_kernel", no_measure)
+        monkeypatch.setattr(qcore, "_local_kernel", no_measure)
         with pytest.raises(ValueError, match="exceeds the cap"):
             merge_chain_to_ghz([bell_pair("phi+")] * 7)
 
@@ -661,7 +661,7 @@ def test_protocol_invariant_errors_name_the_operation_sizes_and_residual(monkeyp
     monkeypatch.undo()
 
     # no correction at all: branches 1-3 carry a Z, an X or both on the receiver
-    monkeypatch.setattr(protocols, "_BELL_CORRECTIONS", (np.eye(2, dtype=complex),) * 4)
+    monkeypatch.setattr(protocols, "_BELL_SIGNS", dict.fromkeys(qcore._BELL_SIGNS, (1, 1)))
     with pytest.raises(qcore.InvariantError,
                        match=r"teleportation of party 1 of dims \(2, 2, 2\): after correction, "
                              r"Bell branch 1 of 4 has fidelity 0\.0 with branch 0, "

@@ -1,5 +1,6 @@
 """Core state/operator arithmetic against explicit index-loop oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -320,6 +321,21 @@ class TestLocalOperations:
         assert fwd.dims.dims == (2, 2, 3)
         back = permute_parties(fwd, (1, 2, 0))
         np.testing.assert_allclose(back.amplitudes, st.amplitudes, atol=1e-15)
+
+    def test_permute_density_moves_each_entry_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        dims, order = (2, 3, 2), (2, 0, 1)
+        rho = DensityOperator(PartyDims(dims), random_density(dims, rng))
+        got = permute_parties(rho, order)
+        assert got.dims.dims == (2, 2, 3)
+        levels = list(itertools.product(*map(range, dims)))
+        moved = [np.ravel_multi_index([lv[i] for i in order], got.dims.dims) for lv in levels]
+        want = np.empty_like(rho.matrix)
+        for r, row in enumerate(moved):
+            for c, col in enumerate(moved):
+                want[row, col] = rho.matrix[r, c]
+        assert got.matrix.tobytes() == want.tobytes()
+        assert permute_parties(got, (1, 2, 0)).matrix.tobytes() == rho.matrix.tobytes()
 
     def test_contract_party(self):
         st = tensor(ket([0.6, 0.8], (2,)), bell_pair("phi+"))

@@ -195,6 +195,16 @@ def test_missing_dims_names_the_field(tmp_path, capsys):
     assert err == "gmesim: error: state file is missing a valid field: 'dims'\n"
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"dims": [2], "kind": "density"}, "density state files need a 'matrix' field"),
+    (_bell_doc(kind="mixed"), "unknown state kind 'mixed'; expected 'pure' or 'density'"),
+], ids=["density-without-matrix", "unknown-kind"])
+def test_kind_and_its_pair_field_are_checked(tmp_path, capsys, doc, message):
+    code, err = certify(tmp_path, capsys, doc)
+    assert code == cli.EXIT_USAGE
+    assert err == f"gmesim: error: {message}\n"
+
+
 _DEEP = "[" * 100_000 + "]" * 100_000
 
 

@@ -320,13 +320,16 @@ def test_certify_artifacts_match_the_json_reader_in_both_layouts(tmp_path, capsy
         assert (got.out, got.err) == tuple(capsys.readouterr())
 
 
-def test_negative_zero_round_trips_as_positive_zero(tmp_path):
-    """.17g writes -0.0 as "-0", which JSON reads as the integer 0."""
-    state = PureState((2,), np.array([complex(1.0, -0.0), 0.0]))
+def test_negative_zero_round_trips_as_negative_zero(tmp_path):
+    """-0.0 is written "-0.0", not the "-0" of .17g, which JSON reads as the integer 0."""
+    state = PureState((2,), np.array([complex(1.0, -0.0), complex(-0.0, 0.0)]))
     saved, dumped = write_layouts(state, tmp_path)
-    assert '[1, -0]' in saved.read_text(encoding="utf-8")
-    assert not np.signbit(cli.load_state_file(str(saved)).amplitudes[0].imag)
-    assert np.signbit(cli.load_state_file(str(dumped)).amplitudes[0].imag)
+    text = saved.read_text(encoding="utf-8")
+    assert "[1, -0.0]" in text and "[-0.0, 0]" in text
+    assert text == cli.render_json(cli.state_to_payload(state))
+    for path in (saved, dumped):
+        loaded = cli.load_state_file(str(path)).amplitudes
+        assert np.signbit(loaded.view(float)).tolist() == [False, True, True, False]
 
 
 # ---------------------------------------------------------------------------
