@@ -60,16 +60,16 @@ from .qcore import (
     ProjectiveMeasurement,
     PureState,
     _BELL_SIGNS,
-    _contract_rows,
     _diagonal_probabilities,
     _integer,
-    _measure_rows,
     _mixture_terms,
     _phase_canonical,
     _probability,
     _pure_rows,
     _reals,
+    _require_probability_sum,
     _require_unit_rows,
+    _row_dots,
     _unit_sum,
     basis_ket,
     bell_basis,
@@ -96,11 +96,11 @@ _MINUS = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 PARITY_CORRELATED = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
 PARITY_ANTI = np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex)
 
-#: The merge's parity and |+>/|-> measurements, checked once; each fusion
-#: step places them on its own qubits.
-_PARITY = ProjectiveMeasurement((0, 1), (PARITY_CORRELATED, PARITY_ANTI))
-_READOUT = ProjectiveMeasurement((0,), tuple(np.outer(v, v.conj()) for v in (_PLUS, _MINUS)))
-_REFERENCES = np.array([_PLUS.conj(), _MINUS.conj()])  # <+| and <-|, by readout outcome
+#: The merge's Kraus operators K(p, s) = (<s| x 1) Pi_p stacked by outcome 2p + s,
+#: as one (8, 4) matrix: a party's parity p of its two qubits, then the |+>/|->
+#: readout s of the first, which leaves with it.
+_KRAUS = np.vstack([np.kron(ref.conj(), np.eye(2)) @ proj
+                    for proj in (PARITY_CORRELATED, PARITY_ANTI) for ref in (_PLUS, _MINUS)])
 
 
 def normalize_schmidt(coeffs) -> tuple[float, ...]:
@@ -412,12 +412,22 @@ def _fuse_chain(pairs):
         dims = PartyDims((2,) * (j + 3))
         rows = (rows[:, :, None] * aligned[j].amplitudes).reshape(len(rows), dims.total)
         _require_unit_rows(rows, dims)
-        for targets, stage in (((j, j + 1), _PARITY), ((j,), _READOUT)):
-            probs, live, rows = _measure_rows(dims, rows, targets, stage.projectors)
-            records = [(records[b][0] + (k,), records[b][1] * prob) for b, k, prob in
-                       zip(*(index.tolist() for index in live.nonzero()), probs[live].tolist())]
-            _require_unit_rows(rows, dims)
-        rows = _contract_rows(dims, rows, (j,), _REFERENCES[[p[-1] for p, _ in records]])
+        # one product gives each row's four images, (rows, parity, sign, D / 2)
+        front = rows.reshape(len(rows), 2**j, 4, 2).transpose(2, 0, 1, 3).reshape(4, -1)
+        subs = (_KRAUS @ front).reshape(4, 2, len(rows), 2**j, 2).transpose(2, 0, 3, 1, 4)
+        subs = subs.reshape(len(rows), 2, 2, -1)
+        raw = _row_dots(subs)
+        parity = raw.sum(axis=2)
+        kept = parity > PRUNE_ATOL  # a parity is pruned first, then a sign given it
+        signs = np.divide(raw, parity[..., None], out=np.zeros_like(raw), where=kept[..., None])
+        index = (kept[..., None] & (signs > PRUNE_ATOL)).nonzero()
+        parity, signs = np.clip(parity, 0.0, 1.0), np.clip(signs, 0.0, 1.0)
+        _require_probability_sum(parity, (j, j + 1), dims)
+        _require_probability_sum(signs[kept], (j,), dims)
+        records = [(records[b][0] + (p, s), records[b][1] * x * y) for b, p, s, x, y in
+                   zip(*(a.tolist() for a in index + (parity[index[:2]], signs[index])))]
+        rows = subs[index]
+        rows /= np.sqrt(raw[index])[:, None]
         dims = PartyDims((2,) * (j + 2))
         _require_unit_rows(rows, dims)
 
@@ -444,7 +454,6 @@ def _finish_branches(dims: PartyDims, records, rows: np.ndarray) -> list[MergeBr
     flipped = applied[:, :-1] @ (1 << np.arange(m - 1, -1, -1))  # qubit t is index bit m - t
     rows = np.take_along_axis(rows, np.arange(dims.total) ^ flipped[:, None], axis=1)
     rows[odd, dims.total // 2:] = -rows[odd, dims.total // 2:]
-    rows += 0.0  # every zero +0.0, as each Pauli's 2x2 matmul left it
     states = _pure_rows(dims, _phase_canonical(rows))
     return [MergeBranch(pattern[0::2], pattern[1::2], prob, state,
                         tuple(name for (name, _), on in zip(fixes, row) if on))
@@ -463,21 +472,19 @@ def merge_chain_to_ghz(pairs) -> MergeResult:
     with equal coefficients every branch lands on the uniform GHZ state.
 
     The pairs are fused one at a time into one stack of rows, the live
-    branches so far: pair j is tensored onto every row, party j measures the
-    parity of its qubits j and j+1 and reads qubit j out, and that qubit is
-    contracted away, so the 4**m joint vector is never formed; X and Z
-    corrections follow.  Each step is one call on the whole stack of the row
-    kernels (``qcore._measure_rows``, ``qcore._contract_rows``) that
-    ``measure`` and ``contract_party`` run on one row, and the corrections move
-    and negate amplitudes by index, so each row gets the bits of separate
-    ``measure``, ``contract_party`` and ``apply_local_unitary`` calls.  One
-    batched SVD aligns the pairs, and the aligned pairs and the branches are
-    each checked as one stack, by ``qcore._pure_rows``.  The branches are
-    sorted from fusion order (parity 1, sign 1, parity 2, ...) to parity-major
-    order, so branch indices, and the branch a sampled run draws, are those of
-    a merge over the joint vector.
-    For m = 2 each row sees the same calls on the same rows as there, so the
-    result is bit for bit the same; from m = 3 on sums run in another order.
+    branches so far, so the 4**m joint vector is never formed: pair j is
+    tensored onto every row, and one product by the four Kraus operators
+    K(p, s) = (<s|_j x 1) Pi_p (``_KRAUS``) measures the parity p of party j's
+    qubits j, j+1, reads qubit j out as s and drops it.  The images' squared
+    norms are the joint probabilities of (p, s); the parity's sum and the
+    sign's given the parity are each checked to sum to one per row and pruned
+    at ``PRUNE_ATOL``, as separate measurements would be.  X and Z corrections
+    follow, moving and negating amplitudes by index.  One batched SVD aligns
+    the pairs, and the aligned pairs and the branches are each checked as one
+    stack, by ``qcore._pure_rows``.  The branches are sorted from fusion order
+    (parity 1, sign 1, parity 2, ...) to parity-major order, so branch
+    indices, and the branch a sampled run draws, are those of a merge over the
+    joint vector; amplitudes and probabilities agree with it to rounding.
     """
     coeffs, alignments, dims, records, rows = _fuse_chain(pairs)
     return MergeResult(tuple(_finish_branches(dims, records, rows)), coeffs, alignments)
@@ -533,8 +540,7 @@ def teleport(
             )
         correlated, sign = list(_BELL_SIGNS.values())[k]  # bell_basis order: I, Z, X, ZX
         levels = out.post_state.amplitudes.reshape(-1, 2)[:, ::1 if correlated else -1] * (1, sign)
-        corrected = PureState(joint.dims, levels.reshape(-1) + 0.0)  # zeros +0.0, as a matmul
-        post = contract_party(corrected, (input_party, n), basis[k])
+        post = contract_party(PureState(joint.dims, levels.reshape(-1)), (input_party, n), basis[k])
         # the receiver's qubit is the last axis; move it into the vacated slot
         t = np.moveaxis(post.tensor_view(), -1, input_party)
         results.append(PureState(state.dims, _phase_canonical(t.reshape(-1))))

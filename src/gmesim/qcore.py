@@ -84,10 +84,11 @@ def _hermitian_part(mat: np.ndarray, scale: float) -> np.ndarray:
 def _phase_canonical(vecs: np.ndarray) -> np.ndarray:
     """A vector, or each row of a ``(B, D)`` stack, divided by the phase of its
     largest-magnitude entry, which becomes real and positive to keep reported
-    states stable.  ``np.hypot`` gives a complex scalar's ``abs`` bit for bit, as
-    ``np.abs`` on a complex array does not, so a row's phase is its vector's."""
+    states stable; every zero comes out +0.0, whatever the phase's signs.
+    ``np.hypot`` gives a complex scalar's ``abs`` bit for bit, as ``np.abs`` on
+    a complex array does not, so a row's phase is its vector's."""
     pivots = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=-1)[..., None], axis=-1)
-    return vecs / (pivots / np.hypot(pivots.real, pivots.imag))
+    return vecs / (pivots / np.hypot(pivots.real, pivots.imag)) + 0.0
 
 
 def _min_eigenvalue(mat: np.ndarray) -> float:

@@ -20,3 +20,15 @@ if "numpy" in sys.modules:
         "count is not pinned to one",
         RuntimeWarning,
     )
+
+# A failing ``@given`` test makes Hypothesis's pytest plugin import its patch
+# writer, which imports libcst, whose import raises a DeprecationWarning (from
+# mypy_extensions).  Under ``-W error`` that became an INTERNALERROR that ended
+# the session before any later failure was reported.  Importing it once here,
+# with that category ignored for this import alone, leaves it cached.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: Hypothesis then writes no patch at all
+        pass

@@ -7,9 +7,9 @@ protocol oracles at the end are the exception: they call the package's
 kernels and builders, but none of the postselection or copy-chain code they
 are compared with.  ``loop_merge_chain_to_ghz`` is the chain merge in its
 branch-by-branch form: it calls ``measure``, ``contract_party`` and
-``apply_local_unitary`` once per branch and step, where the package merges a
-stack of branches per kernel call; ``row_merge_chain_to_ghz`` makes the same
-calls one row at a time in the package's own fusion order.  ``dense_negativity`` is the package's
+``apply_local_unitary`` once per branch and step, where the package fuses a
+stack of branches with one Kraus product per pair; ``row_merge_chain_to_ghz``
+makes the same calls one row at a time in the package's own fusion order.  ``dense_negativity`` is the package's
 former negativity: it diagonalizes the whole partial transpose, where the
 package diagonalizes only its support; ``masked_negativity`` forms the whole
 partial transpose and cuts it down to its nonzero rows and columns, where the
@@ -979,6 +979,12 @@ def _schmidt_align_pair(pair: PureState) -> tuple[PureState, tuple[float, float]
     return aligned, (a, b), (u.conj().T, vh.conj())
 
 
+#: The merge's measurements on one party, placed on its qubits by each caller: the
+#: parity of its two qubits, then the |+>/|-> readout of the first.
+PARITY = ProjectiveMeasurement((0, 1), (PARITY_CORRELATED, PARITY_ANTI))
+READOUT = ProjectiveMeasurement((0,), tuple(np.outer(v, v.conj()) for v in (_PLUS, _MINUS)))
+
+
 def loop_merge_chain_to_ghz(pairs) -> MergeResult:
     """``protocols.merge_chain_to_ghz`` one branch and one step at a time."""
     pairs = list(pairs)
@@ -999,10 +1005,8 @@ def loop_merge_chain_to_ghz(pairs) -> MergeResult:
         joint = tensor(joint, st)
 
     # stage 1: parity measurements at every internal party
-    parity_meas = [
-        ProjectiveMeasurement((2 * i - 1, 2 * i), (PARITY_CORRELATED, PARITY_ANTI))
-        for i in range(1, m)
-    ]
+    parity_meas = [ProjectiveMeasurement((2 * i - 1, 2 * i), PARITY.projectors)
+                   for i in range(1, m)]
     stage1: list[tuple[tuple[int, ...], float, PureState]] = [((), 1.0, joint)]
     for meas in parity_meas:
         nxt = []
@@ -1014,13 +1018,7 @@ def loop_merge_chain_to_ghz(pairs) -> MergeResult:
         stage1 = nxt
 
     # stage 2: |+>/|-> readout of each internal party's first qubit
-    sign_meas = [
-        ProjectiveMeasurement(
-            (2 * i - 1,),
-            (np.outer(_PLUS, _PLUS.conj()), np.outer(_MINUS, _MINUS.conj())),
-        )
-        for i in range(1, m)
-    ]
+    sign_meas = [ProjectiveMeasurement((2 * i - 1,), READOUT.projectors) for i in range(1, m)]
     branches = []
     for parity_pattern, parity_prob, state in stage1:
         stage2: list[tuple[tuple[int, ...], float, PureState]] = [((), parity_prob, state)]
@@ -1088,17 +1086,15 @@ def row_merge_chain_to_ghz(pairs) -> MergeResult:
         coeffs.append(ab)
         alignments.append(uv)
     m = len(pairs)
-    readout = (np.outer(_PLUS, _PLUS.conj()), np.outer(_MINUS, _MINUS.conj()))
     rows = [((), 1.0, aligned[0])]
     for j in range(1, m):
         fused = []
         for pattern, prob, state in rows:
             state = tensor(state, aligned[j])
-            parity = ProjectiveMeasurement((j, j + 1), (PARITY_CORRELATED, PARITY_ANTI))
-            for out in measure(state, parity):
+            for out in measure(state, ProjectiveMeasurement((j, j + 1), PARITY.projectors)):
                 if out.post_state is None:
                     continue
-                for sign in measure(out.post_state, ProjectiveMeasurement((j,), readout)):
+                for sign in measure(out.post_state, ProjectiveMeasurement((j,), READOUT.projectors)):
                     if sign.post_state is None:
                         continue
                     ref = _MINUS if sign.outcome_index else _PLUS

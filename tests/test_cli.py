@@ -8,6 +8,7 @@ and outputs can be compared byte for byte.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -498,3 +499,16 @@ def test_a_postselected_chain_names_its_pruned_copy(capsys, protocol, schmidt, t
         f"gmesim: error: {protocol}: an accepting branch of copy 1 has probability at or "
         "below 1e-12, so the copy leaves no pair\n"
     )
+
+
+def test_a_merged_state_prints_no_negative_zero(capsys):
+    """The phase fix makes every zero amplitude +0.0: at this draw the final state's
+    phase has a negative part, and 30 of its zero parts printed as -0.0."""
+    assert main([
+        "prop3", "--weights", "0.8937500512081724,1.0508571496236117,1.2622384732317333",
+        "--schmidt", "0.6515595160591205,0.5042719090669235,0.8287476728484128,0.622758886359967",
+        "--seed", "1316504689",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "[0, 0]" in out
+    assert re.findall(r"-0\.0(?![0-9eE])", out) == []

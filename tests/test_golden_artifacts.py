@@ -24,17 +24,17 @@ NUMPY_VERSION = "2.4.6"
 
 GOLDEN = {
     "prop2 --shots 30000 --seed 11":
-        "e64157117f8883ea8fe39e4b1fd436e73e1da99ec284d5c3cf3019c153137937",
+        "28cbb697b7212c9cb519ac5c2ffaf73e55f80df73f5c39227c007e65ae86be17",
     "prop3 --shots 30000 --seed 11":
-        "e0a3d55e3385110bee08ad73da595193201a76ea6326695124992df60135bafd",
+        "f7eae98b0d02fb518f81c2dd3c6789658a112f1d7d5c6a6e7e12eeeee828f91b",
     "prop3 --no-mc --weights 1,2,3 --schmidt 1,2,3,4 --seed 11":
-        "2e23eb8ef7c84c8a4f246fddc50f5f7c051a17740a51536547478eaa7bdd10bb",
+        "02a65fb7a60026eb8a4c6697ae84f18fa7433af1a70275b91d8037ab973f0146",
     "sigma-scan --p-list 0.1,0.5 --n-max 10 --shots 20000 --seed 11":
         "3eec8701c19f27b8402de85c38af4f15897f09738ac913fb62fbcbd435049501",
     "sigma-scan --p-list 0.5 --n-max 5 --shots 5000 --format json --seed 11":
         "81b21900facf806bb725cd868afec6946a7597987c18406cbc2ee26f91b9c79b",
     "svetlichny --builtin merged-ghz3 --seed 11":
-        "3fc0d3ed3b2f55c6bba6d22bc5574287b79a7f6c9da37b9d070e011d96b7066f",
+        "d9ffb2ef6336239053ddcf6c1ee318584d0ed0e7d16327505562d7e6ef67940d",
 }
 
 

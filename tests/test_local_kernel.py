@@ -1,5 +1,5 @@
-"""The axis-local kernel behind measure, apply_local_unitary, local_filter,
-contract_party and the chain merge.
+"""The axis-local kernel behind measure, apply_local_unitary, local_filter and
+contract_party.
 
 Each property draws a random party structure (2-4 parties of local
 dimension 2-4, at most 64 dimensions in all), an ordered tuple of distinct
@@ -10,10 +10,9 @@ of pure-state rows must get, bit for bit, the arithmetic of one state at a
 time, and ``contract_party`` that of ``np.tensordot``.
 
 On a pure state, ``measure`` and ``contract_party`` are one-row calls of the
-stacked row kernels ``qcore._measure_rows`` and ``qcore._contract_rows``,
-which the chain merge runs on its whole stack.  So these dense random states
-pin the merge's probabilities and contraction weights bit for bit, and its
-probability-sum check, which the merge's own Schmidt-form rows cannot.
+stacked row kernels ``qcore._measure_rows`` and ``qcore._contract_rows``, so
+these dense random states pin those kernels' probabilities and contraction
+weights bit for bit, and their probability-sum check.
 """
 
 import itertools

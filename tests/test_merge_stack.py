@@ -1,32 +1,32 @@
-"""The pairwise-fusion chain merge against its branch-by-branch oracle.
+"""The pairwise-fusion chain merge against its branch-by-branch oracles.
 
 ``merge_chain_to_ghz`` fuses the pairs one at a time into one stack of rows:
-pair j is tensored on, party j's parity and |+>/|-> readout are measured on
-every row, and the read-out qubit is contracted away.  The branches are then
-sorted back to parity-major order, so the branch order, and with it the
-branch a sampled run draws, is that of ``helpers.loop_merge_chain_to_ghz``,
-which measures the 4**m joint vector and corrects one branch at a time.
+pair j is tensored on, and one product by the four Kraus operators
+K(p, s) = (<s|_j x 1) Pi_p (``protocols._KRAUS``) gives party j's parity p,
+its |+>/|-> readout s and the read-out qubit's removal on every row at once.
+Each image's squared norm is the joint probability of (p, s); the parity's
+probability is their sum and the sign's is their ratio to it, each checked to
+sum to one per row and each pruned at ``PRUNE_ATOL`` as a separate
+measurement would be.  The branches are then sorted back to parity-major
+order, so the branch order, and with it the branch a sampled run draws, is
+that of ``helpers.loop_merge_chain_to_ghz``, which measures the 4**m joint
+vector and corrects one branch at a time, and of
+``helpers.row_merge_chain_to_ghz``, which sends each row of each stage on its
+own through the public ``measure`` (the parity, then the readout) and
+``contract_party``.
 
-For two pairs the fusion applies the same measurements and the same
-contraction to the same four-qubit rows as the oracle, so every branch is
-compared bit for bit.  From three pairs on, the parity of a later pair is
-measured after the earlier readout and contraction, so sums run in another
-order: patterns, corrections, branch order and the pruned set stay exact,
-amplitudes and probabilities agree within ``FUSION_ATOL``.  Every branch is
-also checked against the closed form of ``helpers.merge_branch_amplitudes``,
-and the memory a 6-pair merge may take is bounded.
+One product forms each outcome's image, where the oracles measure, renormalize
+and measure again before they contract, so sums run in another order:
+patterns, corrections, branch order and the pruned set are exact, amplitudes
+and probabilities agree within ``FUSION_ATOL`` for every chain length.  Every
+branch is also checked against the closed form of
+``helpers.merge_branch_amplitudes``, and the memory a 6-pair merge may take is
+bounded.  The X and Z corrections move and negate amplitudes by index on the
+stack, and every zero comes out +0.0, as a 2x2 Pauli matrix through
+``apply_local_unitary`` leaves it.
 
-Each fusion step runs on the whole stack through ``qcore._measure_rows`` and
-``qcore._contract_rows``, which ``measure`` and ``contract_party`` run on one
-row: the outcome probabilities and contraction weights are stacked matmuls
-whose items are the BLAS dots of ``np.vdot`` and ``np.linalg.norm``
-(``qcore._row_dots``, ``qcore._row_norms``).
-The X and Z corrections move and negate amplitudes by index on the stack,
-and every zero comes out +0.0, as a 2x2 Pauli matrix through
-``apply_local_unitary`` leaves it.  So for every chain length the merge
-equals, bit for bit, ``helpers.row_merge_chain_to_ghz``, which sends each row
-of each stage through the public ``measure``, ``contract_party`` and
-``apply_local_unitary`` on its own.
+``qcore._measure_rows``, the row kernel of ``measure``, is pinned here too: on
+a merge stage's dense rows it gives each row's one-row ``measure`` bit for bit.
 """
 
 import tracemalloc
@@ -38,8 +38,7 @@ from hypothesis import strategies as st
 
 from gmesim import qcore
 from gmesim.protocols import (
-    _PARITY,
-    _READOUT,
+    _KRAUS,
     _sample_merge,
     merge_chain_to_ghz,
     normalize_schmidt,
@@ -58,19 +57,21 @@ from gmesim.qcore import (
 )
 
 from helpers import (
+    PARITY,
+    READOUT,
     loop_merge_chain_to_ghz,
     merge_branch_amplitudes,
     random_unitary,
     row_merge_chain_to_ghz,
 )
 
-#: A 6-pair merge peaks near 11 MiB; all 1,024 of its branches over the
+#: A 6-pair merge peaks near 8.4 MiB; all 1,024 of its branches over the
 #: 12-qubit joint space at once would hold about 224 MiB.
 MERGE6_PEAK_MIB = 16
 
-#: Largest gap from the oracle allowed from three pairs on, in amplitude and
-#: in probability (the worst seen over 150 chains with b/a down to 1e-7 was
-#: 4.4e-16 and 1.4e-16).
+#: Largest gap from the oracles allowed, in amplitude and in probability (the
+#: worst seen over 400 chains of 2 to 6 pairs with b/a down to 1e-7 was 5.6e-16
+#: and 3.9e-16).
 FUSION_ATOL = 1e-15
 
 
@@ -91,8 +92,7 @@ def chains(draw, sizes=st.integers(2, 5)):
 
 
 def assert_same_merge(got, want, bitwise=False):
-    """Equal branches, bit for bit for two pairs (or with ``bitwise``), within ``FUSION_ATOL`` beyond."""
-    bitwise = bitwise or len(got.pair_coefficients) == 2
+    """Equal branches, bit for bit with ``bitwise``, else within ``FUSION_ATOL``."""
     assert len(got.branches) == len(want.branches)
     for g, w in zip(got.branches, want.branches):
         assert g.parity_pattern == w.parity_pattern
@@ -132,14 +132,20 @@ def test_every_branch_matches_the_loop_oracle(pairs):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(chains(st.just(2)))
-def test_two_pair_merge_is_the_loop_oracle_bit_for_bit(pairs):
+def test_two_pair_merge_matches_the_loop_oracle(pairs):
     assert_same_merge(merge_chain_to_ghz(pairs), loop_merge_chain_to_ghz(pairs))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(chains())
-def test_every_branch_is_the_per_row_oracle_bit_for_bit(pairs):
-    assert_same_merge(merge_chain_to_ghz(pairs), row_merge_chain_to_ghz(pairs), bitwise=True)
+@given(chains(st.integers(2, 6)))
+def test_every_branch_matches_the_per_row_oracle(pairs):
+    assert_same_merge(merge_chain_to_ghz(pairs), row_merge_chain_to_ghz(pairs))
+
+
+def test_kraus_operators_resolve_the_identity():
+    """sum over (p, s) of K(p, s)^dagger K(p, s) is the identity on a party's two qubits."""
+    kraus = _KRAUS.reshape(4, 2, 4)
+    assert np.max(np.abs(sum(k.conj().T @ k for k in kraus) - np.eye(4))) <= ATOL
 
 
 @st.composite
@@ -182,14 +188,14 @@ def test_stacked_row_dots_and_norms_are_vdot_and_norm_bit_for_bit(stack):
     st.integers(0, 2**32 - 1),
 )
 def test_measure_rows_is_measure_per_row_bit_for_bit(j, n_rows, stage, seed):
-    """The shared row kernel on a merge stage's dense rows, which the chain's
-    Schmidt-form rows are not, gives each row's one-row ``measure`` outcomes:
-    probabilities and states bit for bit, and the same pruned set."""
+    """The row kernel of ``measure``, on dense rows shaped as a merge stage's,
+    gives each row's one-row ``measure`` outcomes: probabilities and states
+    bit for bit, and the same pruned set."""
     dims = PartyDims((2,) * (j + 3))
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(n_rows, dims.total)) + 1j * rng.normal(size=(n_rows, dims.total))
     rows /= np.linalg.norm(rows, axis=1)[:, None]
-    targets, meas = ((j, j + 1), _PARITY) if stage == "parity" else ((j,), _READOUT)
+    targets, meas = ((j, j + 1), PARITY) if stage == "parity" else ((j,), READOUT)
     probs, live, out = _measure_rows(dims, rows, targets, meas.projectors)
     per_row = ProjectiveMeasurement(targets, meas.projectors)
     want_probs, want_live, want_rows = [], [], []
@@ -203,7 +209,7 @@ def test_measure_rows_is_measure_per_row_bit_for_bit(j, n_rows, stage, seed):
     assert out.tobytes() == np.array(want_rows).tobytes()
 
 
-def test_pruned_two_pair_branches_match_the_loop_oracle_bit_for_bit():
+def test_pruned_two_pair_branches_match_the_loop_oracle():
     # the anticorrelated parity has probability 2e-14, below the prune threshold
     rng = np.random.default_rng(5)
     pairs = [rotated_pair(1e-7, rng), rotated_pair(1e-7, rng)]
@@ -231,9 +237,9 @@ def test_six_pair_merge_matches_the_loop_oracle():
     assert_closed_form(got)
 
 
-def test_six_pair_merge_holds_one_block_of_sign_branches_at_a_time():
-    """The fusion's widest stage, the last readout over 512 eight-qubit rows,
-    with its projector stack, stays under ``MERGE6_PEAK_MIB``."""
+def test_six_pair_merge_stays_under_its_memory_bound():
+    """The fusion's widest stage, the last Kraus product on 256 eight-qubit rows,
+    with its 1,024 images, stays under ``MERGE6_PEAK_MIB``."""
     rng = np.random.default_rng(7)
     pairs = [rotated_pair(r, rng) for r in (0.9, 0.2, 0.7, 0.4, 1.0, 0.5)]
     tracemalloc.start()

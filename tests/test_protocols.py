@@ -312,7 +312,7 @@ class TestMerge:
             raise AssertionError("merge measured before checking the dimension cap")
 
         monkeypatch.setattr(protocols, "measure", no_measure)
-        monkeypatch.setattr(qcore, "_local_kernel", no_measure)
+        monkeypatch.setattr(protocols, "_row_dots", no_measure)  # a fusion stage's outcomes
         with pytest.raises(ValueError, match="exceeds the cap"):
             merge_chain_to_ghz([bell_pair("phi+")] * 7)
 
@@ -642,18 +642,22 @@ def test_protocol_invariant_errors_name_the_operation_sizes_and_residual(monkeyp
         return [qcore.MeasurementOutcome(o.outcome_index, o.probability / 2, o.post_state)
                 for o in measure(*args, **kwargs)]
 
-    measure_rows = protocols._measure_rows  # the qcore row kernel, as the merge calls it
-
-    def halved_rows(*args):
-        probs, live, rows = measure_rows(*args)
-        return probs / 2, live, rows
-
-    monkeypatch.setattr(protocols, "measure", halved)
-    monkeypatch.setattr(protocols, "_measure_rows", halved_rows)
+    # Kraus operators at half length: each image's weight, and so each parity
+    # probability, is quartered; the stage's sum check refuses them, and past
+    # it the merge's own sum check does
+    monkeypatch.setattr(protocols, "_KRAUS", protocols._KRAUS / 2)
+    with pytest.raises(qcore.InvariantError,
+                       match=r"measurement on parties \(1, 2\) of dims \(2, 2, 2, 2\): "
+                             r"probabilities sum to 0\.2499.*, residual -7\.500e-01 exceeds 1e-09"):
+        merge_chain_to_ghz([bell_pair("phi+"), bell_pair("phi+")])
+    monkeypatch.setattr(protocols, "_require_probability_sum", lambda *args: None)
     with pytest.raises(qcore.InvariantError,
                        match=r"merge of 2 pairs: 4 branch probabilities sum to 0\.2499.*, "
                              r"residual -7\.500e-01 exceeds 1e-09"):
         merge_chain_to_ghz([bell_pair("phi+"), bell_pair("phi+")])
+    monkeypatch.undo()
+
+    monkeypatch.setattr(protocols, "measure", halved)
     with pytest.raises(qcore.InvariantError,
                        match=r"teleportation of party 1 of dims \(2, 2, 2\): Bell outcome 0 "
                              r"of 4 has probability 0\.124.*, expected 1/4, residual -1\.250e-01"):

@@ -401,14 +401,14 @@ def test_hermitian_part_equals_the_naive_expression_bit_for_bit(n):
 @pytest.mark.parametrize("d", [2, 8, 64])
 def test_phase_canonical_treats_each_row_of_a_stack_as_its_vector_bit_for_bit(d):
     """One phase rule: each row of a complex stack comes out as the row alone does,
-    divided by its largest entry over that entry's scalar ``abs``."""
+    divided by its largest entry over that entry's scalar ``abs``, every zero +0.0."""
     rng = np.random.default_rng(d)
     rows = rng.normal(size=(500, d)) + 1j * rng.normal(size=(500, d))
     stack = qcore._phase_canonical(rows)
     assert stack.shape == rows.shape
     for row, got in zip(rows, stack):
         pivot = row[np.argmax(np.abs(row))]
-        want = row / (pivot / abs(pivot))
+        want = row / (pivot / abs(pivot)) + 0.0
         assert got.tobytes() == qcore._phase_canonical(row).tobytes() == want.tobytes()
 
 
