@@ -2,8 +2,8 @@
 
 The pipeline offered here is deliberately concrete: an optional local filter
 (the Procrustean trick on the dominant eigenvector), an exact twirl to the
-isotropic family, and then repeated two-to-one recurrence rounds simulated on
-the full four-qubit space.  Everything is exact dense arithmetic; acceptance
+isotropic family, and then repeated two-to-one recurrence rounds read off the
+pair's own entries by index.  Everything is exact dense arithmetic; acceptance
 probabilities come out of the simulation, not a formula.
 """
 
@@ -17,21 +17,20 @@ import numpy as np
 
 from .qcore import (
     ATOL,
+    PRUNE_ATOL,
     DensityOperator,
     PartyDims,
-    ProjectiveMeasurement,
     _frozen_array,
     _hermitian_part,
     _integer,
     _local_branches,
     _real,
     _reals,
+    _require_probability_sum,
     apply_local_unitary,
     bell_pair,
     fidelity_pure,
-    measure,
     mix,
-    partial_trace,
 )
 
 _PHI_PLUS = bell_pair("phi+")
@@ -170,37 +169,38 @@ def isotropic_state(fidelity: float) -> DensityOperator:
 # recurrence
 # ---------------------------------------------------------------------------
 
-# CNOT(A1 -> A2) (x) CNOT(B1 -> B2) on the parties A1 B1 A2 B2 XORs the bits
-# (a1, b1) into (a2, b2): it maps basis state perm[i] to i (perm is its own
-# inverse), so it conjugates a matrix by gathering rows and columns.
-_BILATERAL_PERM = np.arange(16) ^ np.arange(16) >> 2
-_BILATERAL_IX = np.ix_(_BILATERAL_PERM, _BILATERAL_PERM)
-
-# the target pair A2 B2 read out in the computational basis
-_TARGET_READOUT = ProjectiveMeasurement((2, 3), tuple(np.diag(e) for e in np.eye(4, dtype=complex)))
+# CNOT(A1 -> A2) (x) CNOT(B1 -> B2) on copies A1 B1 and A2 B2 XORs the source
+# pair's bits x into the target pair's, which reads k where it held x ^ k.
+_XOR = np.arange(4) ^ np.arange(4)[:, None]  # row k maps x to x ^ k
+_JOINT_DIMS = PartyDims((2,) * 4)  # A1 B1 A2 B2, as the readout's sum check names them
 
 
 def recurrence_round(rho: DensityOperator) -> tuple[float, DensityOperator]:
-    """One two-to-one recurrence round, simulated exactly on four qubits.
+    """One two-to-one recurrence round, simulated exactly on the pair's entries.
 
     Two copies of ``rho`` are combined; each side applies a CNOT from its
     source-pair qubit onto its target-pair qubit, the target pair is measured
     in the computational basis, and only equal outcomes are kept.  Returns
-    the acceptance probability and the renormalized surviving pair.
+    the acceptance probability and the renormalized surviving pair.  Outcome
+    k leaves the source pair in ``M_k[x, x'] = rho[x, x'] rho[x^k, x'^k]``,
+    of probability ``tr M_k``: the measured 16 x 16 joint's entries, bit for
+    bit, read off the pair by index, so no joint or post-state is formed.
     """
     if rho.dims.dims != (2, 2):
         raise ValueError("the recurrence round is defined for two-qubit pairs")
-    # parties A1 B1 A2 B2; rho (x) rho is validated once, after the permutation
-    joint = DensityOperator(PartyDims((2,) * 4), np.kron(rho.matrix, rho.matrix)[_BILATERAL_IX])
-    outcomes = measure(joint, _TARGET_READOUT, keep=(0, 3))
-    kept = [outcomes[0], outcomes[3]]  # equal measurement results: 00 and 11
-    accept = sum(o.probability for o in kept)
+    blocks = rho.matrix * rho.matrix[_XOR[:, :, None], _XOR[:, None, :]]  # M_k, k = 0..3
+    # np.trace's order on the joint diagonal, where outcome k's entries share partial sum k
+    diag = blocks.diagonal(0, 1, 2).real
+    raw = (((diag[:, 0] + diag[:, 1]) + diag[:, 2]) + diag[:, 3]).tolist()
+    probs = [min(max(prob, 0.0), 1.0) for prob in raw]
+    _require_probability_sum(probs, (2, 3), _JOINT_DIMS)
+    accept = probs[0] + probs[3]  # equal measurement results: 00 and 11
     if accept <= ATOL:
         raise ValueError("recurrence round accepted with negligible probability")
-    post = mix(
-        [(o.probability / accept, o.post_state) for o in kept if o.post_state is not None]
-    )
-    return accept, partial_trace(post, (2, 3))
+    return accept, mix([
+        (probs[k] / accept, DensityOperator(rho.dims, _hermitian_part(blocks[k], 2.0 * raw[k])))
+        for k in (0, 3) if raw[k] > PRUNE_ATOL
+    ])
 
 
 # ---------------------------------------------------------------------------

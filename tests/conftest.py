@@ -2,9 +2,11 @@
 
 With the BLAS default of one thread per core, small matrix products slow
 down several times over whenever another process keeps a second core busy;
-one thread makes the suite's timing independent of the host's load.  The
-variables take effect only if NumPy has not been imported yet, which is
-checked here rather than assumed.
+one thread makes the suite's timing independent of the host's load.  A
+thread count already set in the environment is kept, so a run can ask for
+more on purpose (CI runs the bitwise oracle tests on two).  The variables
+take effect only if NumPy has not been imported yet, which is checked here
+rather than assumed.
 """
 
 import os
@@ -12,7 +14,7 @@ import sys
 import warnings
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+    os.environ.setdefault(_var, "1")
 
 if "numpy" in sys.modules:
     warnings.warn(

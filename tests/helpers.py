@@ -34,8 +34,9 @@ the underlying uniform or exponential draws against cumulative thresholds.
 ``loop_twirl_to_isotropic`` forms each Clifford's U (x) conj(U) and conjugates
 by it on its own, where the package conjugates by a cached stack of all 24 in
 one product; ``loop_recurrence_round`` applies each side's CNOT through
-``apply_local_unitary`` and builds its target-pair measurement per call, where
-the package gathers the joint matrix by the bilateral CNOT's permutation.
+``apply_local_unitary`` and builds its target-pair measurement per call on
+the four-qubit joint state, where the package reads each outcome's block off
+the pair's own entries by index.
 ``loop_teleport`` applies each Bell outcome's Pauli as a 2x2 matrix through
 ``apply_local_unitary`` and ``isometry_relabel_subspace`` contracts a 0/1
 isometry, where the package moves and negates amplitudes by index.

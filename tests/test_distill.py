@@ -1,11 +1,11 @@
 """Purification pipeline: filters, twirling, and the two-copy recurrence.
 
 The twirl conjugates by a cached stack of all 24 Clifford superoperators in
-one product, and the recurrence round gathers the joint matrix by the
-bilateral CNOT's permutation and reads the target pair out with one
-measurement built at import.  Both are compared bit for bit with
-``helpers.loop_twirl_to_isotropic`` and ``helpers.loop_recurrence_round``,
-which form and apply each operator on its own, as the package did before.
+one product, and the recurrence round reads each target-pair outcome's
+block of the joint state off the pair's own entries, by index.  Both are
+compared bit for bit with ``helpers.loop_twirl_to_isotropic`` and
+``helpers.loop_recurrence_round``, which form and apply each operator on its
+own, the round on the full four-qubit joint state.
 """
 
 import math
@@ -187,14 +187,14 @@ def test_twirl_and_round_are_their_loop_oracles_bit_for_bit(rho):
 
 
 def test_rounds_redo_no_constant_work(monkeypatch):
-    """After the first twirl no kron is formed; a round builds no measurement
-    and applies no unitary, only the one kron of its two copies.  It validates
-    five density operators: the permuted joint (once, not also before the
-    permutation, as six per round did), the two kept post-states, their
-    mixture and the surviving pair."""
+    """After the first twirl no kron is formed; a round forms no kron, builds
+    or runs no measurement and applies no unitary.  It validates three density
+    operators: the two kept post-pairs and their mixture, the surviving pair
+    (the 16 x 16 joint and its two post-states, five per round before, are
+    never formed)."""
     rho = DensityOperator(PartyDims((2, 2)), random_density((2, 2), np.random.default_rng(3)))
     twirl_to_isotropic(rho)
-    calls = {"kron": 0, "measurement": 0, "unitary": 0, "density": 0}
+    calls = {"kron": 0, "measurement": 0, "measure": 0, "unitary": 0, "density": 0}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -209,8 +209,10 @@ def test_rounds_redo_no_constant_work(monkeypatch):
         "__post_init__",
         counting("measurement", qcore.ProjectiveMeasurement.__post_init__),
     )
+    branches = counting("measure", qcore._local_branches)  # every measurement's kernel
     unitary = counting("unitary", qcore.apply_local_unitary)
     for module in (distill, qcore):
+        monkeypatch.setattr(module, "_local_branches", branches)
         monkeypatch.setattr(module, "apply_local_unitary", unitary)
     monkeypatch.setattr(
         qcore.DensityOperator,
@@ -218,10 +220,66 @@ def test_rounds_redo_no_constant_work(monkeypatch):
         counting("density", qcore.DensityOperator.__post_init__),
     )
     twirl_to_isotropic(rho)
-    assert calls == {"kron": 0, "measurement": 0, "unitary": 0, "density": 1}
+    assert calls == {"kron": 0, "measurement": 0, "measure": 0, "unitary": 0, "density": 1}
     for _ in range(3):
         recurrence_round(rho)
-    assert calls == {"kron": 3, "measurement": 0, "unitary": 0, "density": 1 + 5 * 3}
+    assert calls == {"kron": 0, "measurement": 0, "measure": 0, "unitary": 0,
+                     "density": 1 + 3 * 3}
+
+
+@pytest.mark.parametrize("last", [0.0, -1e-16])
+def test_round_with_a_pruned_outcome_mixes_one_term(monkeypatch, last):
+    """On a diagonal pair whose entries x and x^3 never both hold weight,
+    outcome 11 has probability zero, or below zero by a rounding-sized
+    negative entry and clipped as ``measure`` clips it: it is pruned, and the
+    surviving pair is outcome 00's alone, bit for bit the loop oracle's."""
+    rho = DensityOperator(PartyDims((2, 2)), np.diag([0.6, 0.4, 0.0, last]).astype(complex))
+    seen = []
+
+    def recording(terms):
+        seen.append(len(terms))
+        return mix(terms)
+
+    monkeypatch.setattr(distill, "mix", recording)
+    accept, post = recurrence_round(rho)
+    want_accept, want_post = loop_recurrence_round(rho)
+    assert seen == [1]
+    assert accept.hex() == want_accept.hex() and accept == 0.6**2 + 0.4**2
+    assert post.matrix.tobytes() == want_post.matrix.tobytes()
+
+
+def test_round_refuses_outcomes_that_miss_the_joint_diagonal(monkeypatch):
+    """With every outcome's index map the identity, the four outcome blocks no
+    longer tile the joint diagonal: each reads sum_x rho[x, x]^2, and the
+    probabilities fail the target-pair readout's sum check with its message.
+    The isotropic pair at F = 0.7 has diagonal (0.4, 0.1, 0.1, 0.4), so they
+    sum to 4 * 0.34."""
+    monkeypatch.setattr(distill, "_XOR", np.zeros((4, 4), dtype=int) + np.arange(4))
+    rho = isotropic_state(0.7)
+    with pytest.raises(qcore.InvariantError, match=(
+        r"^measurement on parties \(2, 3\) of dims \(2, 2, 2, 2\): probabilities sum to "
+        r"1\.3599999999999994, residual 3\.600e-01 exceeds 1e-09$"
+    )):
+        recurrence_round(rho)
+
+
+def test_round_sums_each_outcome_in_the_joint_traces_order():
+    """Each outcome's probability is summed as ``np.trace`` sums the 16-entry
+    joint diagonal with that outcome's four entries at 4x + k and zeros
+    elsewhere, which is not the pairwise order ``np.sum`` gives four complex
+    terms."""
+    rng = np.random.default_rng(17)
+    xor = np.arange(4) ^ np.arange(4)[:, None]
+    orders_differ = 0
+    for _ in range(300):
+        rho = DensityOperator(PartyDims((2, 2)), random_density((2, 2), rng))
+        terms = rho.matrix.diagonal() * rho.matrix.diagonal()[xor]  # [k, x]
+        pads = np.zeros((4, 16), dtype=complex)
+        pads[np.arange(4)[:, None], 4 * np.arange(4) + np.arange(4)[:, None]] = terms
+        traced = [float(np.real(np.trace(np.diag(pad)))) for pad in pads]
+        orders_differ += any(float(np.sum(t).real) != p for t, p in zip(terms, traced))
+        assert recurrence_round(rho)[0].hex() == (traced[0] + traced[3]).hex()
+    assert orders_differ > 100
 
 
 def test_cached_cliffords_and_superoperators_are_read_only():

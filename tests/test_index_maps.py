@@ -2,12 +2,13 @@
 
 ``teleport`` applies its Bell outcome's Pauli to the receiver by swapping and
 negating its levels, ``relabel_subspace`` gathers source levels into target
-levels, and the recurrence round gathers its joint matrix by the bilateral
-CNOT's permutation.  Each is pinned here against the 0/±1 matrix it stands
-for: ``helpers.loop_teleport`` (I, Z, X or ZX through ``apply_local_unitary``)
-byte for byte; ``helpers.isometry_relabel_subspace`` (the isometry contracted
-by ``np.tensordot``) by value, since a zero amplitude may carry the other
-sign there; and ``distill._BILATERAL_PERM`` against CNOT (x) CNOT.  The chain
+levels, and the recurrence round reads each target-pair outcome k of the
+bilateral CNOT off the pair's entries at x ^ k.  Each is pinned here against
+the 0/±1 matrix it stands for: ``helpers.loop_teleport`` (I, Z, X or ZX
+through ``apply_local_unitary``) byte for byte;
+``helpers.isometry_relabel_subspace`` (the isometry contracted by
+``np.tensordot``) by value, since a zero amplitude may carry the other sign
+there; and ``distill._XOR`` against CNOT (x) CNOT and the readout.  The chain
 merge's X and Z fixes are pinned by ``tests/test_merge_stack.py`` and the
 copy-chain oracles.
 """
@@ -125,7 +126,14 @@ def test_relabel_refusals_are_the_isometry_forms(args):
 
 
 def test_bilateral_perm_is_cnot_on_both_sides():
+    """Outcome k of the target-pair readout after CNOT (x) CNOT keeps joint
+    row 4x + k, which the gate fills from row 4x + (x ^ k) of the two copies."""
     cnot = np.eye(4)[[0, 1, 3, 2]]
     dims = (2, 2, 2, 2)  # A1 B1 A2 B2
     gate = loop_embed(cnot, (1, 3), dims) @ loop_embed(cnot, (0, 2), dims)
-    assert np.array_equal(gate, np.eye(16)[distill._BILATERAL_PERM])
+    for k in range(4):
+        readout = loop_embed(np.diag(np.eye(4)[k]), (2, 3), dims)
+        rows, cols = np.nonzero(readout @ gate)
+        assert rows.tolist() == [4 * x + k for x in range(4)]
+        assert cols.tolist() == [4 * x + int(distill._XOR[k, x]) for x in range(4)]
+        assert np.array_equal((readout @ gate)[rows, cols], np.ones(4))
