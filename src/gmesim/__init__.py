@@ -101,7 +101,7 @@ from .qcore import (
 
 __all__ = [
     "__version__",
-    # qcore
+    # qcore (postselect_levels takes a level map and returns a qubit PureState or None)
     "PartyDims", "PureState", "DensityOperator", "ProjectiveMeasurement",
     "MeasurementOutcome", "InvariantError", "ket", "basis_ket", "bell_pair",
     "bell_basis", "ghz_state", "tensor", "mix", "measure", "partial_trace",

@@ -51,6 +51,7 @@ from .protocols import (
     build_prop1_general,
     build_prop2_state,
     build_prop3_state,
+    _shots,
     _sigma_pair,
     _sigma_terms,
     chain_leaves,
@@ -777,7 +778,7 @@ def cmd_prop2(args, seed: int) -> tuple[dict, dict]:
     want_mc = not args.no_mc
     coeffs = _parse_schmidt(args.schmidt, n)
     weights = None if n == 3 else list(_parse_weights(args.weights))
-    shots = _integer(args.shots, "--shots", 1)
+    shots = _shots(args.shots, "--shots")
     mixture = {"p": _probability(args.p, "--p")} if n == 3 else {"weights": weights}
     config_obj = ProtocolConfig(**mixture, schmidt_coeffs=coeffs, shots=shots, seed=seed)
     config = {
@@ -801,7 +802,7 @@ cmd_prop3 = cmd_prop2
 
 def cmd_sigma_scan(args, seed: int) -> tuple[dict, dict]:
     p_list = _parse_floats(args.p_list, "--p-list")
-    n_max, shots = _integer(args.n_max, "--n-max", 0), _integer(args.shots, "--shots", 1)
+    n_max, shots = _integer(args.n_max, "--n-max", 0), _shots(args.shots, "--shots")
     rows = sigma_scan(p_list, n_max, shots, seed)
     config = {"p_list": p_list, "n_max": n_max, "shots": shots, "format": args.format}
     payload = {

@@ -9,12 +9,12 @@ branch distribution of a protocol many times to expose its success statistics.
 For ``prop2`` and ``prop3`` the runner and the exact tree read one copy chain
 (``copy_chain``): the pure terms of the family's mixture are built once and
 each copy is measured once along its accepting path by
-``qcore.postselect_levels``, which never forms the mixture's density
-operator; only each copy's reduced pair is one.  ``replay_chain`` turns the
-chain into a run and ``chain_leaves`` into the branch tree, so neither
-repeats a measurement.  Sigma reads its copies the same way: its runner, its
-tree and ``sigma_scan`` sum A's and C's splits off the sigma terms' diagonal
-(``_sigma_split``), and the runner postselects each pair it keeps on them.
+``qcore.postselect_levels``, which forms no density operator and reads the
+copy's qubit pair off the one term left.  ``replay_chain`` turns the chain
+into a run and ``chain_leaves`` into the branch tree, so neither repeats a
+measurement.  Sigma reads its copies the same way: its runner, its tree and
+``sigma_scan`` sum A's and C's splits off the sigma terms' diagonal
+(``_sigma_split``), and the runner reads each pair it keeps off its term.
 The prop1 tree reads C's outcome probabilities without forming a post-state.
 
 ``prop2`` and ``prop3`` are the n = 3 and n = 4 instances of one chain rule:
@@ -82,10 +82,8 @@ from .qcore import (
     partial_trace,
     permute_parties,
     postselect_levels,
-    relabel_subspace,
     state_projector_measurement,
     tensor,
-    to_pure,
 )
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -101,6 +99,18 @@ PARITY_ANTI = np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex)
 #: readout s of the first, which leaves with it.
 _KRAUS = np.vstack([np.kron(ref.conj(), np.eye(2)) @ proj
                     for proj in (PARITY_CORRELATED, PARITY_ANTI) for ref in (_PLUS, _MINUS)])
+
+
+#: Most shots one call draws, one 8-byte draw each (about 800 MB); more are refused up front.
+MAX_SHOTS = 10**8
+
+
+def _shots(value, name: str = "shots") -> int:
+    """``value`` as a positive shot count of at most ``MAX_SHOTS``, refused by ``name``."""
+    if (shots := _integer(value, name, 1)) > MAX_SHOTS:
+        raise ValueError(f"{name} {shots} would take {8 * shots:,} bytes of draws "
+                         f"(8 per shot); at most {MAX_SHOTS:,} shots are allowed")
+    return shots
 
 
 def normalize_schmidt(coeffs) -> tuple[float, ...]:
@@ -140,7 +150,8 @@ class ProtocolConfig:
         if self.schmidt_coeffs is not None:
             coeffs = _unit_sum(self.schmidt_coeffs, "Schmidt coefficients", squared=True)
             object.__setattr__(self, "schmidt_coeffs", coeffs)
-        for name, low in (("shots", 1), ("max_copies", 1), ("seed", 0)):
+        object.__setattr__(self, "shots", _shots(self.shots))
+        for name, low in (("max_copies", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low))
 
     def coeffs_or_uniform(self, n: int) -> tuple[float, ...]:
@@ -597,15 +608,6 @@ def _sample_merge(rng: np.random.Generator, pairs) -> tuple[int, MergeBranch]:
     return bidx, _finish_branches(dims, records[bidx:bidx + 1], rows[bidx:bidx + 1])[0]
 
 
-def _qubit_pair(reduced: DensityOperator, levels: dict[int, int]) -> PureState:
-    """The pure pair of ``reduced``, each leg wider than a qubit relabeled by ``levels``."""
-    pair = to_pure(reduced)
-    for axis in (0, 1):
-        if pair.dims.dims[axis] > 2:
-            pair = relabel_subspace(pair, axis, levels, 2)
-    return pair
-
-
 # ---------------------------------------------------------------------------
 # copy chains (prop2, prop3)
 # ---------------------------------------------------------------------------
@@ -616,8 +618,8 @@ class _ChainFamily:
     """Plan of a family whose fresh copies are measured one after another.
 
     The n = ``len(copies) + 1`` parties mix ``_chain_terms(coeffs, weights(config))``.
-    On each copy the listed parties measure the chain split in turn; tracing
-    out the others leaves a pair whose top block maps onto a qubit.  ``law``
+    On each copy the listed parties measure the chain split in turn; one term
+    is left, and its pair's top block maps onto a qubit.  ``law``
     gives the success probability from the weights and a_{n-2}^2 + a_{n-1}^2
     in the family's own evaluation order.  ``merge_order`` lists the copies
     whose pairs form the chain A-B, B-C, ... that ``merger`` merges.
@@ -658,10 +660,10 @@ class CopyChain:
     """The copies of a prop2 or prop3 execution, each measured once.
 
     ``steps[k]`` holds the outcome probabilities of each measurement on copy
-    k+1 along its accepting path, and ``pairs[k]`` the qubit pair it leaves;
-    both are bit for bit those of measuring the family's density operator
-    (see ``qcore.postselect_levels``).  Every step accepts its last outcome,
-    the top block.
+    k+1 along its accepting path, bit for bit those of measuring the family's
+    density operator, and ``pairs[k]`` the qubit pair it leaves, read off the
+    one term left (see ``qcore.postselect_levels``).  Every step accepts its
+    last outcome, the top block.
     After a pruned accepting branch (probability at or below ``PRUNE_ATOL``)
     the copy's later steps are absent and its pair is None.
     """
@@ -684,8 +686,8 @@ def copy_chain(protocol: str, config: ProtocolConfig) -> CopyChain:
     """Build the terms of ``protocol`` once and postselect each copy once.
 
     Each copy is measured along its accepting path only, by
-    ``postselect_levels`` on the mixture's pure terms, so no full density
-    operator is formed; ``replay_chain`` (one run) and ``chain_leaves`` (the
+    ``postselect_levels`` on the mixture's pure terms, so no density operator
+    is formed; ``replay_chain`` (one run) and ``chain_leaves`` (the
     exact branch tree Monte Carlo samples) both read the result.
     """
     if protocol not in _CHAIN_FAMILIES:
@@ -697,17 +699,9 @@ def copy_chain(protocol: str, config: ProtocolConfig) -> CopyChain:
     coeffs, weights = config.coeffs_or_uniform(n), family.weights(config)
     terms = _chain_terms(coeffs, weights)
     analytic = family.law(weights, coeffs[n - 2] ** 2 + coeffs[n - 1] ** 2)
-    steps, pairs = [], []
-    for parties, traced in family.copies:
-        probs, reduced = postselect_levels(
-            terms, [(party, split, top) for party in parties], traced
-        )
-        steps.append(probs)
-        if reduced is None:
-            pairs.append(None)
-            continue
-        pairs.append(_qubit_pair(reduced, relabel))
-    return CopyChain(protocol, config, analytic, tuple(steps), tuple(pairs))
+    steps, pairs = zip(*(postselect_levels(terms, [(party, split, top) for party in parties],
+                                           traced, relabel) for parties, traced in family.copies))
+    return CopyChain(protocol, config, analytic, steps, pairs)
 
 
 def replay_chain(
@@ -862,8 +856,8 @@ def run_sigma_adaptive(
         return ProtocolReport("sigma", config, tuple(steps), config.max_copies, False, analytic)
 
     # A's outcome f traces out C (f = 0) or A (f = 1), and C's outcome f the other party
-    pairs = [_qubit_pair(postselect_levels(terms, [(party, _SIGMA_SPLIT, f)], {traced})[1],
-                         _SIGMA_LEVELS) for party, traced in ((0, 2 - 2 * f), (2, 2 * f))]
+    pairs = [postselect_levels(terms, [(party, _SIGMA_SPLIT, f)], {traced}, _SIGMA_LEVELS)[1]
+             for party, traced in ((0, 2 - 2 * f), (2, 2 * f))]
     pair_ab, pair_bc = pairs if f == 0 else pairs[::-1]
     if maximal:
         local = ghz_state(3)
@@ -975,7 +969,7 @@ def sample_leaves(protocol: str, leaves, shots: int, seed: int) -> MonteCarloSum
     uniform per shot, so a shot lands at leaf k or before exactly when its
     uniform lies below ``cdf[k]``.
     """
-    shots, seed = _integer(shots, "shots", 1), _integer(seed, "seed", 0)
+    shots, seed = _shots(shots), _integer(seed, "seed", 0)
     probs = np.array([p for _, p, _, _ in leaves], dtype=float)
     total = probs.sum()
     if abs(total - 1.0) > ATOL:
@@ -1086,7 +1080,7 @@ def sigma_scan(p_list, n_max: int, shots: int, seed: int) -> list[ScanRow]:
     p_list = _reals(p_list, "p_list")
     if not p_list:
         raise ValueError("at least one value of p is required")
-    n_max, shots = _integer(n_max, "n_max", 0), _integer(shots, "shots", 1)
+    n_max, shots = _integer(n_max, "n_max", 0), _shots(shots)
     children = np.random.SeedSequence(_integer(seed, "seed", 0)).spawn(len(p_list))
     rows = []
     for p, child in zip(p_list, children):

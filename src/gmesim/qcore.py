@@ -8,9 +8,9 @@ ordering produced by chained ``numpy.kron``.
 States are dense and immutable: each operation returns new values and never
 mutates its inputs, so values can be shared freely between threads.  One
 operation, ``postselect_levels``, works on a mixture's pure terms instead of
-its density operator: it reads the mixture's diagonal and the block of the
-terms on the accepted levels, so the mixture is never formed or validated
-(only that block enters the partial trace, and no D x D array is formed).
+its density operator: it reads the mixture's diagonal and the one term left
+on the accepted levels, so no density operator is formed or validated, and
+it returns that term's kept parties as a pure state on qubits.
 """
 
 from __future__ import annotations
@@ -724,53 +724,55 @@ def _traced_parties(n: int, discard) -> list[int]:
     return discard
 
 
-def _trace_out(matrix, dims: PartyDims, discard: list[int], levels=None) -> DensityOperator:
-    """The validated reduction of a D x D ``matrix`` over ``dims`` (see ``partial_trace``),
-    or with ``levels`` (sorted, per party) of its block on their product only."""
-    n = dims.n
-    keep = [i for i in range(n) if i not in discard]
-    shape = dims.dims if levels is None else tuple(len(lv) for lv in levels)
-    row = list(range(n))
-    col = [i if i in discard else n + i for i in range(n)]
-    reduced = np.einsum(matrix.reshape(shape * 2), row + col, keep + [n + i for i in keep])
-    new_dims = PartyDims(tuple(dims.dims[i] for i in keep))
-    if levels is not None:  # place the traced block on the kept parties' levels
-        reduced, block = np.zeros(new_dims.dims * 2, dtype=complex), reduced
-        reduced[np.ix_(*[levels[i] for i in keep] * 2)] = block
-    return DensityOperator(new_dims, reduced.reshape(new_dims.total, new_dims.total))
-
-
 def partial_trace(rho: DensityOperator, discard) -> DensityOperator:
     """Trace out the listed parties, keeping the remaining ones in order."""
-    return _trace_out(rho.matrix, rho.dims, _traced_parties(rho.dims.n, discard))
+    n, discard = rho.dims.n, _traced_parties(rho.dims.n, discard)
+    keep = [i for i in range(n) if i not in discard]
+    col = [i if i in discard else n + i for i in range(n)]
+    reduced = np.einsum(rho.tensor_view(), list(range(n)) + col, keep + [n + i for i in keep])
+    dims = PartyDims(tuple(rho.dims.dims[i] for i in keep))
+    return DensityOperator(dims, reduced.reshape(dims.total, dims.total))
 
 
 def postselect_levels(
-    terms, steps, discard
-) -> tuple[tuple[tuple[float, ...], ...], DensityOperator | None]:
-    """Postselect a mixture of pure terms on level groups, then trace out ``discard``.
+    terms, steps, discard, levels: dict
+) -> tuple[tuple[tuple[float, ...], ...], PureState | None]:
+    """Postselect a mixture of pure terms on level groups; read the kept parties off one term.
 
     ``terms`` are the (weight, PureState) terms of a mixture, checked as
     ``mix`` checks them.  Each step ``(party, groups, accept)`` measures the
     level groups ``groups`` of one party (as ``level_group_measurement``
     does) and keeps outcome ``accept``.  Returns a tuple with each step's
     outcome probabilities, clipped to [0, 1], along the accepting path, and
-    the accepted state with the ``discard`` parties traced out.  When an
-    accepted outcome has probability at or below the prune threshold the
-    later steps are skipped and the state is None.
+    the accepted state of the parties not in ``discard`` as qubits: each leg
+    wider than a qubit is mapped onto one by ``levels`` (old level: new level,
+    an old level below the widest kept leg's dimension).  When an accepted
+    outcome has probability at or below the prune threshold the later steps
+    are skipped and the state is None.
 
-    The results are bit for bit those of ``measure(..., keep=(accept,))`` on
-    ``mix(terms)``, step after step, followed by ``partial_trace``, but the
-    mixture is never formed: the probabilities are sums over its diagonal,
-    built in O(r*D), and the accepted state is the block of the terms on the
-    levels every step accepted, traced without padding it to D x D.  Only the
-    reduced state is validated as a density operator.
+    The probabilities are bit for bit those of ``measure(..., keep=(accept,))``
+    on ``mix(terms)``, step after step, but the mixture is never formed: they
+    are sums over its diagonal, built in O(r*D).  The state is read off the
+    one term with amplitude on the levels every step accepted, gathered onto
+    the qubits by index, normalized and phase-fixed (``_phase_canonical``):
+    ``partial_trace``, ``to_pure`` and ``relabel_subspace`` give it to
+    rounding, and no density operator is formed.  A ValueError refuses an
+    accepted state spread over more than one term, a term in which a
+    discarded party sits at more than one level, and a mapped leg with weight
+    above the prune threshold outside ``levels`` (``relabel_subspace``'s rule).
     """
     dims, terms = _mixture_terms(terms)
     if not all(isinstance(term, PureState) for _, term in terms):
         raise ValueError("postselect_levels expects PureState terms")
     discard = _traced_parties(dims.n, discard)
-    levels = np.indices(dims.dims).reshape(dims.n, dims.total)  # party level at each index
+    keep = [i for i in range(dims.n) if i not in discard]
+    onto = np.full(max(dims.dims[i] for i in keep), -1)  # a wide leg's qubit level, or -1
+    for a, b in levels.items():
+        onto[_integer(a, "source level", stop=onto.size, of="levels")] = _integer(
+            b, "target level", stop=2, of="levels")
+    if len(set(levels.values())) != len(levels):
+        raise ValueError("basis map must be injective")
+    index = np.indices(dims.dims).reshape(dims.n, dims.total)  # party level at each index
     plan = []
     for party, groups, accept in steps:
         party = _integer(party, "party index", stop=dims.n, of="parties")
@@ -779,33 +781,41 @@ def postselect_levels(
         table = np.empty(dims.dims[party], dtype=np.intp)  # the group of each level
         for g, group in enumerate(groups):
             table[group] = g
-        plan.append((party, table[levels[party]] == np.arange(len(groups))[:, None], accept))
+        plan.append((party, table[index[party]] == np.arange(len(groups))[:, None], accept))
 
     # the elementwise operations mix performs on its diagonal, in term order
     diag = np.zeros(dims.total, dtype=complex)
     for w, term in terms:
         diag += w * (term.amplitudes * term.amplitudes.conj())
-    path, scales = [], []
+    path = []
     support = np.ones(dims.total, dtype=bool)
     for party, masks, accept in plan:
         raw, probs = _diagonal_probabilities(diag, masks, (party,), dims)
         path.append(probs)
         if raw[accept] <= PRUNE_ATOL:
             return tuple(path), None
-        scales.append(2.0 * raw[accept])
-        diag = _hermitian_part(np.where(masks[accept], diag, 0), scales[-1])
+        diag = _hermitian_part(np.where(masks[accept], diag, 0), 2.0 * raw[accept])
         support &= masks[accept]
 
     kept = np.flatnonzero(support)  # the product of each party's accepted levels
-    sets = [np.flatnonzero(np.bincount(lv[kept], minlength=d)) for lv, d in zip(levels, dims.dims)]
-    block = np.zeros((kept.size, kept.size), dtype=complex)
-    for w, term in terms:
-        amps = term.amplitudes[kept]
-        block += w * np.outer(amps, amps.conj())
-    # each step's symmetrize-and-renormalize acts entrywise, so on the block alone
-    for scale in scales:
-        block = _hermitian_part(block, scale)
-    return tuple(path), _trace_out(block, dims, discard, sets)
+    live = [amps for amps in (term.amplitudes[kept] for _, term in terms) if amps.any()]
+    if len(live) != 1:
+        raise ValueError(f"the accepted state is spread over {len(live)} terms; one is required")
+    nonzero = live[0] != 0
+    amps, at = live[0][nonzero], index[:, kept[nonzero]]  # each party's level per amplitude
+    for party in discard:
+        if (at[party] != at[party][0]).any():
+            raise ValueError(f"discarded party {party} is not at one level in the accepted term")
+    qubits = np.array([at[i] if dims.dims[i] == 2 else onto[at[i]] for i in keep])
+    lost = (np.abs(amps) ** 2 @ (qubits < 0).T / np.sum(np.abs(amps) ** 2)).tolist()
+    for party, out in zip(keep, lost):
+        if out > PRUNE_ATOL:
+            raise ValueError(f"population {out!r} outside the relabeled subspace on party {party}")
+    inside = (qubits >= 0).all(0)
+    vec = np.zeros(2 ** len(keep), dtype=complex)
+    vec[np.ravel_multi_index(qubits[:, inside], (2,) * len(keep))] = amps[inside]
+    vec = _phase_canonical(vec / np.linalg.norm(vec))
+    return tuple(path), PureState(PartyDims((2,) * len(keep)), vec)
 
 
 def measure(

@@ -5,7 +5,12 @@ index loops, no code shared with the package -- so the fast implementations
 have something honest to disagree with.  ``loop_postselect_levels`` and the
 protocol oracles at the end are the exception: they call the package's
 kernels and builders, but none of the postselection or copy-chain code they
-are compared with.  ``loop_merge_chain_to_ghz`` is the chain merge in its
+are compared with.  ``loop_postselect_levels`` is postselection in its dense
+form: it mixes the terms, measures and traces the density operator and
+diagonalizes the reduced state, where the package reads the one surviving
+term's amplitudes by index.  ``assert_same_run`` compares two protocol
+reports, bit for bit or, for what a run derives from its pairs and merge,
+within ``FUSION_ATOL``.  ``loop_merge_chain_to_ghz`` is the chain merge in its
 branch-by-branch form: it calls ``measure``, ``contract_party`` and
 ``apply_local_unitary`` once per branch and step, where the package fuses a
 stack of branches with one Kraus product per pair; ``row_merge_chain_to_ghz``
@@ -46,6 +51,7 @@ exact type first; ``oracle_main`` writes its artifacts with them.
 """
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -605,8 +611,9 @@ def loop_recurrence_round(rho: DensityOperator) -> tuple[float, DensityOperator]
 
 # ---------------------------------------------------------------------------
 # protocol oracles
-def loop_postselect_levels(terms, steps, discard):
-    """``qcore.postselect_levels`` the dense way: mix, measure step by step, trace."""
+def loop_postselect_levels(terms, steps, discard, levels):
+    """``qcore.postselect_levels`` the dense way: mix, measure step by step, trace out
+    ``discard``, diagonalize (``to_pure``) and relabel each leg wider than a qubit."""
     state = mix(terms)
     path = []
     for party, groups, accept in steps:
@@ -616,7 +623,60 @@ def loop_postselect_levels(terms, steps, discard):
         state = outs[accept].post_state
         if state is None:
             return tuple(path), None
-    return tuple(path), partial_trace(state, discard)
+    pair = to_pure(partial_trace(state, discard))
+    for axis, dim in enumerate(pair.dims.dims):
+        if dim > 2:
+            pair = relabel_subspace(pair, axis, levels, 2)
+    return tuple(path), pair
+
+
+# ---------------------------------------------------------------------------
+# Comparing protocol runs: bit for bit, or the merge-derived fields within
+# ``FUSION_ATOL``.
+
+
+def bits(obj):
+    """``obj`` with every float replaced by its exact hex form (keeps -0.0)."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, (tuple, list)):
+        return type(obj)(bits(x) for x in obj)
+    return obj
+
+
+#: Largest gap allowed between a run's merge output and the oracle's: the
+#: fused merge sums in another order than the oracle's joint-vector merge
+#: (see ``tests/test_merge_stack.py``), and the pairs it merges are read off
+#: their terms where the oracles diagonalize reduced density operators.
+FUSION_ATOL = 1e-15
+
+
+def assert_same_run(new, old, exact=True):
+    """Equal runs, bit for bit; unless ``exact``, the last step's probability (the
+    merge's), the final state and its negativities within ``FUSION_ATOL``."""
+    new_steps, old_steps = list(new.steps), list(old.steps)
+    if not exact and old.success:
+        merge, old_merge = new_steps.pop(), old_steps.pop()
+        assert abs(merge.probability - old_merge.probability) <= FUSION_ATOL
+        assert dataclasses.replace(merge, probability=old_merge.probability) == old_merge
+    assert bits([dataclasses.astuple(s) for s in new_steps]) == bits(
+        [dataclasses.astuple(s) for s in old_steps]
+    )
+    assert new.copies_consumed == old.copies_consumed
+    assert new.success == old.success
+    assert bits(new.analytic_success_prob) == bits(old.analytic_success_prob)
+    if old.final_state is None:
+        assert new.final_state is None
+    elif exact:
+        assert new.final_state.amplitudes.tobytes() == old.final_state.amplitudes.tobytes()
+        assert new.certificates == old.certificates
+    else:
+        gap = np.max(np.abs(new.final_state.amplitudes - old.final_state.amplitudes))
+        assert gap <= FUSION_ATOL
+        assert new.certificates.n_parties == old.certificates.n_parties
+        for g, w in zip(new.certificates.records, old.certificates.records, strict=True):
+            assert (g.cut, g.schmidt_rank) == (w.cut, w.schmidt_rank)
+            assert abs(g.negativity - w.negativity) <= FUSION_ATOL
 
 
 # ---------------------------------------------------------------------------

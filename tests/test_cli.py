@@ -17,6 +17,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from gmesim import protocols
 from gmesim.cli import (
     EPOCH_TIMESTAMP,
     certificate_payload,
@@ -387,11 +388,18 @@ def test_negative_seed_exits_2_naming_its_source(monkeypatch, capsys, argv, sour
     (["sigma-scan", "--shots", "0"], "--shots must be a positive integer, got 0"),
     (["prop2", "--shots", "0"], "--shots must be a positive integer, got 0"),
     (["prop3", "--shots", "-2", "--no-mc"], "--shots must be a positive integer, got -2"),
+    # above protocols.MAX_SHOTS, set to 1000 by the test: refused before any draw
+    (["prop2", "--shots", "1001"],
+     "--shots 1001 would take 8,008 bytes of draws (8 per shot); at most 1,000 shots are allowed"),
+    (["sigma-scan", "--shots", "1001"],
+     "--shots 1001 would take 8,008 bytes of draws (8 per shot); at most 1,000 shots are allowed"),
     (["prop1", "--rounds", "0"], "--rounds must be a positive integer, got 0"),
     (["prop3", "--weights", "1,0,1", "--no-mc"], "three positive --weights are required"),
     (["certify", "--builtin", "prop3", "--weights", "1,2"], "three positive --weights are required"),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
-def test_a_count_flag_out_of_range_exits_2_naming_the_flag(capsys, argv, message):
+def test_a_count_flag_out_of_range_exits_2_naming_the_flag(monkeypatch, capsys, argv,
+                                                            message):
+    monkeypatch.setattr(protocols, "MAX_SHOTS", 1000)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

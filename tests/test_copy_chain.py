@@ -1,22 +1,22 @@
 """prop2/prop3 copy chains: one measurement per copy step, same results.
 
 ``copy_chain`` builds the mixture's terms once and postselects each copy once
-(``qcore.postselect_levels``); the run (``replay_chain``) and the exact branch
-tree (``chain_leaves``) are read off it.  These tests pin the number of term
-builds, measurements, kernel calls and density operators of one CLI op and of
-one chain, and compare runs and trees bit for bit with the measure-as-you-go
-oracles in ``helpers``, which measure the dense mixture of the hand-placed
-``loop_prop2_terms``/``loop_prop3_terms`` and merge with
-``loop_merge_chain_to_ghz``.  The one exception is the merge, whose one Kraus
-product per fused pair sums in another order than the oracle's measurements:
-its probability, its final state and that state's negativities agree within
-``FUSION_ATOL``.
+(``qcore.postselect_levels``), which reads the copy's qubit pair off the one
+term its postselection keeps; the run (``replay_chain``) and the exact branch
+tree (``chain_leaves``) are read off the chain.  These tests pin the number
+of term builds, measurements, kernel calls, density operators, ``eigh`` calls
+and relabels of one CLI op and of one chain (none of the last three), and
+compare runs and trees with the measure-as-you-go oracles in ``helpers``,
+which measure the dense mixture of the hand-placed
+``loop_prop2_terms``/``loop_prop3_terms``, diagonalize each reduced pair and
+merge with ``loop_merge_chain_to_ghz``.  Steps and trees agree bit for bit.
+The merge's one Kraus product per fused pair sums in another order than the
+oracle's measurements, and its pairs are read off their terms where the
+oracle diagonalizes, so its probability, its final state and that state's
+negativities agree within ``FUSION_ATOL``.
 The sigma runner postselects its pairs on the sigma terms the same way, and
-its tree sums its splits off their diagonal: both are held to the density
-operators they read.
+its tree sums its splits off their diagonal: neither forms a density operator.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -34,7 +34,14 @@ from gmesim.protocols import (
     sample_leaves,
 )
 
-from helpers import loop_prop2_tree, loop_prop3_tree, loop_run_prop2, loop_run_prop3
+from helpers import (
+    assert_same_run,
+    bits,
+    loop_prop2_tree,
+    loop_prop3_tree,
+    loop_run_prop2,
+    loop_run_prop3,
+)
 
 ORACLES = {
     "prop2": (loop_run_prop2, loop_prop2_tree),
@@ -97,34 +104,42 @@ def test_cli_op_builds_the_terms_once_and_measures_only_the_merge(monkeypatch, c
     assert calls == {"build": 1, "measure": 0, "kernel": 0, "stage": FUSION_STAGES[protocol]}
 
 
-def count_density_sizes(monkeypatch) -> list[int]:
-    """Record the dimension of every ``DensityOperator`` built from now on."""
-    sizes = []
+def count_calls(monkeypatch) -> dict:
+    """Count from now on the ``DensityOperator`` builds, the ``np.linalg.eigh`` calls
+    (``to_pure`` diagonalizes with it) and the ``relabel_subspace`` calls."""
+    counts = {"DensityOperator": 0, "eigh": 0, "relabel_subspace": 0}
+
+    def counting(name, call):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return call(*args, **kwargs)
+        return counted
+
     validate = qcore.DensityOperator.__post_init__
-
-    def counting_validate(self):
-        sizes.append(self.dims.total)
-        validate(self)
-
-    monkeypatch.setattr(qcore.DensityOperator, "__post_init__", counting_validate)
-    return sizes
-
-
-#: One reduced two-party density operator per copy: two qutrits or two ququarts.
-PAIR_SIZES = {"prop2": [9] * 2, "prop3": [16] * 3}
+    monkeypatch.setattr(qcore.DensityOperator, "__post_init__",
+                        counting("DensityOperator", validate))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    relabel = counting("relabel_subspace", qcore.relabel_subspace)
+    for module in (qcore, protocols):
+        monkeypatch.setattr(module, "relabel_subspace", relabel, raising=False)
+    return counts
 
 
-@pytest.mark.parametrize("protocol", sorted(PAIR_SIZES))
-def test_cli_op_forms_only_the_density_operators_it_reads(monkeypatch, capsys, protocol):
-    """No mixture, no post-state and no rejected branch becomes a density operator."""
-    sizes = count_density_sizes(monkeypatch)
+NONE_FORMED = {"DensityOperator": 0, "eigh": 0, "relabel_subspace": 0}
+
+
+@pytest.mark.parametrize("protocol", ["prop2", "prop3"])
+def test_cli_op_forms_no_density_operator_eigh_or_relabel(monkeypatch, capsys, protocol):
+    """No mixture, no post-state and no pair becomes a density operator; no pair
+    is diagonalized or relabeled: each is read off its term by index."""
+    counts = count_calls(monkeypatch)
     assert cli.main([protocol, "--seed", "3", "--shots", "200"]) == 0
     assert capsys.readouterr().out
-    assert sizes == PAIR_SIZES[protocol]
+    assert counts == NONE_FORMED
 
 
-@pytest.mark.parametrize("protocol", sorted(PAIR_SIZES))
-def test_copy_chain_calls_no_measure_and_forms_only_the_pairs(monkeypatch, protocol):
+@pytest.mark.parametrize("protocol", ["prop2", "prop3"])
+def test_copy_chain_runs_no_measure_density_operator_eigh_or_relabel(monkeypatch, protocol):
     calls = []
     measure = qcore.measure
 
@@ -134,11 +149,11 @@ def test_copy_chain_calls_no_measure_and_forms_only_the_pairs(monkeypatch, proto
 
     for module in (qcore, protocols):
         monkeypatch.setattr(module, "measure", counting_measure)
-    sizes = count_density_sizes(monkeypatch)
+    counts = count_calls(monkeypatch)
     chain = copy_chain(protocol, random_config(protocol, 0))
     assert all(pair is not None for pair in chain.pairs)
     assert calls == []
-    assert sizes == PAIR_SIZES[protocol]
+    assert counts == NONE_FORMED
 
 
 #: (config, the last step's text): both first branches of the teleport route,
@@ -153,20 +168,20 @@ SIGMA_RUNS = [
 
 
 @pytest.mark.parametrize("config,last", SIGMA_RUNS)
-def test_sigma_run_forms_only_the_pairs_it_reads(monkeypatch, config, last):
-    """Each kept pair is postselected on the sigma terms: no density operator on
-    the (3, 2, 3) space, no post-state, only the qubit-qutrit pair reductions."""
-    sizes = count_density_sizes(monkeypatch)
+def test_sigma_run_forms_no_density_operator(monkeypatch, config, last):
+    """Each kept pair is read off the one sigma term its postselection keeps: no
+    density operator on the (3, 2, 3) space, no post-state, no pair reduction."""
+    counts = count_calls(monkeypatch)
     report = protocols.run_sigma_adaptive(config)
     assert report.steps[-1].measurement == last
-    assert sizes == ([6, 6] if report.success else [])
+    assert counts["DensityOperator"] == 0
 
 
 def test_sigma_tree_forms_no_density_operator(monkeypatch):
-    sizes = count_density_sizes(monkeypatch)
+    counts = count_calls(monkeypatch)
     for coeffs in (None, normalize_schmidt([1.0, 0.6])):
         monte_carlo("sigma", ProtocolConfig(schmidt_coeffs=coeffs, shots=100))
-    assert sizes == []
+    assert counts["DensityOperator"] == 0
 
 
 def random_config(protocol: str, seed: int) -> ProtocolConfig:
@@ -179,49 +194,6 @@ def random_config(protocol: str, seed: int) -> ProtocolConfig:
         shots=500,
         seed=seed,
     )
-
-
-def bits(obj):
-    """``obj`` with every float replaced by its exact hex form (keeps -0.0)."""
-    if isinstance(obj, float):
-        return obj.hex()
-    if isinstance(obj, (tuple, list)):
-        return type(obj)(bits(x) for x in obj)
-    return obj
-
-
-#: Largest gap allowed between a run's merge output and the oracle's: the
-#: fused merge sums in another order than the oracle's joint-vector merge
-#: (see ``tests/test_merge_stack.py``).
-FUSION_ATOL = 1e-15
-
-
-def assert_same_run(new, old, exact=True):
-    """Equal runs, bit for bit; unless ``exact``, the merge step's probability,
-    the final state and its negativities within ``FUSION_ATOL``."""
-    new_steps, old_steps = list(new.steps), list(old.steps)
-    if not exact and old.success:
-        merge, old_merge = new_steps.pop(), old_steps.pop()
-        assert abs(merge.probability - old_merge.probability) <= FUSION_ATOL
-        assert dataclasses.replace(merge, probability=old_merge.probability) == old_merge
-    assert bits([dataclasses.astuple(s) for s in new_steps]) == bits(
-        [dataclasses.astuple(s) for s in old_steps]
-    )
-    assert new.copies_consumed == old.copies_consumed
-    assert new.success == old.success
-    assert bits(new.analytic_success_prob) == bits(old.analytic_success_prob)
-    if old.final_state is None:
-        assert new.final_state is None
-    elif exact:
-        assert new.final_state.amplitudes.tobytes() == old.final_state.amplitudes.tobytes()
-        assert new.certificates == old.certificates
-    else:
-        gap = np.max(np.abs(new.final_state.amplitudes - old.final_state.amplitudes))
-        assert gap <= FUSION_ATOL
-        assert new.certificates.n_parties == old.certificates.n_parties
-        for g, w in zip(new.certificates.records, old.certificates.records, strict=True):
-            assert (g.cut, g.schmidt_rank) == (w.cut, w.schmidt_rank)
-            assert abs(g.negativity - w.negativity) <= FUSION_ATOL
 
 
 @pytest.mark.parametrize("protocol", sorted(ORACLES))

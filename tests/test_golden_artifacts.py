@@ -1,4 +1,4 @@
-"""Golden artifact bytes: the sha256 of six CLI artifacts, recorded once.
+"""Golden artifact bytes: the sha256 of six CLI artifacts.
 
 The rows come from the subcommands whose artifacts do not depend on the
 BLAS kernel: prop2, prop3, sigma-scan as CSV and as JSON, and ``svetlichny
@@ -6,7 +6,11 @@ BLAS kernel: prop2, prop3, sigma-scan as CSV and as JSON, and ``svetlichny
 ``SOURCE_DATE_EPOCH`` cleared.  Each of the six hashed identically under the
 default OpenBLAS kernel and with ``OPENBLAS_CORETYPE`` set to
 Haswell, Sandybridge, Prescott or Nehalem.  A change that moves one of these
-bytes fails here, whatever its other tests compare against.
+bytes fails here, whatever its other tests compare against.  The two prop3
+rows were re-recorded once, by the intended byte change that reads each
+copy's pair off its surviving term instead of diagonalizing a reduced
+density operator (floats moved by at most 6.7e-16); the kernel check was
+repeated then.
 
 The hashes were recorded with NumPy 2.4.6 built on OpenBLAS; under another
 NumPy version, or a NumPy that reports no OpenBLAS, the rows are skipped
@@ -26,9 +30,9 @@ GOLDEN = {
     "prop2 --shots 30000 --seed 11":
         "28cbb697b7212c9cb519ac5c2ffaf73e55f80df73f5c39227c007e65ae86be17",
     "prop3 --shots 30000 --seed 11":
-        "f7eae98b0d02fb518f81c2dd3c6789658a112f1d7d5c6a6e7e12eeeee828f91b",
+        "8b758f0679a120685bbe9d20bd9c837f708a14cfaaeeaa9b4259ec08cc03b329",
     "prop3 --no-mc --weights 1,2,3 --schmidt 1,2,3,4 --seed 11":
-        "02a65fb7a60026eb8a4c6697ae84f18fa7433af1a70275b91d8037ab973f0146",
+        "a988bad315b7b058eed7ce0a118411b7a921684321ad50aef60410492f307da8",
     "sigma-scan --p-list 0.1,0.5 --n-max 10 --shots 20000 --seed 11":
         "3eec8701c19f27b8402de85c38af4f15897f09738ac913fb62fbcbd435049501",
     "sigma-scan --p-list 0.5 --n-max 5 --shots 5000 --format json --seed 11":

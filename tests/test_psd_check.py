@@ -219,11 +219,11 @@ def test_eigvalsh_decides_when_the_factorization_fails(psd_paths):
 
 
 def test_valid_prop3_intermediates_never_fall_back(psd_paths):
-    """One state build and three pair reductions: the run forms no 256-dim operator."""
+    """One state build; the run reads its pairs off the terms and forms no density operator."""
     build_prop3_state((0.5, 0.5, 0.5, 0.5), (0.2, 0.3, 0.5))
     report = run_prop3(ProtocolConfig(), postselect_success=True)
     assert report.success
-    assert psd_paths["cholesky"] == 1 + 3
+    assert psd_paths["cholesky"] == 1
     assert psd_paths["fallback"] == 0
 
 

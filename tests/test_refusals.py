@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gmesim import qcore
+from gmesim import protocols, qcore
 from gmesim.cli import resolve_seed
 
 from gmesim.distill import (
@@ -85,6 +85,7 @@ Z_BASIS = ProjectiveMeasurement((0,), tuple(np.diag(row) for row in EYE2))
 LEAVES = [("a", 0.5, True, 1), ("b", 0.5, False, 1)]
 TERMS = [(1.0, tensor(QUTRIT, QUBIT0))]  # dims (3, 2)
 SPLIT = [[0], [1, 2]]
+QUBITS = {0: 0, 1: 1}  # a postselected qutrit's levels 0, 1 onto a qubit
 PARTIAL = ket([0.6, 0.0, 0.0, 0.8], (2, 2))  # entangled, not maximally
 UNIFORM3 = (1.0 / np.sqrt(3.0),) * 3
 THIRDS = (1.0 / 3.0,) * 3
@@ -145,6 +146,12 @@ REFUSALS = [
      ValueError, r"source level 3 out of range for 3 levels"),
     ("relabel target level", relabel_subspace, (QUTRIT, 0, {0: 0, 1: 2}, 2),
      ValueError, r"target level 2 out of range for 2 levels"),
+    ("postselect map not injective", postselect_levels,
+     (TERMS, [(0, SPLIT, 1)], [1], {1: 0, 2: 0}), ValueError, r"^basis map must be injective$"),
+    ("postselect map source level", postselect_levels, (TERMS, [(0, SPLIT, 1)], [1], {3: 0, 1: 1}),
+     ValueError, r"^source level 3 out of range for 3 levels$"),
+    ("postselect map target level", postselect_levels, (TERMS, [(0, SPLIT, 1)], [1], {1: 0, 2: 2}),
+     ValueError, r"^target level 2 out of range for 2 levels$"),
     ("permute non-permutation", permute_parties, (GHZ3, (0, 0, 2)),
      ValueError, r"order must be a permutation of 0\.\.2"),
     # entanglement
@@ -193,6 +200,14 @@ REFUSALS = [
      ValueError, r"^max_copies must be a positive integer, got 0$"),
     ("sigma_scan n_max", sigma_scan, ([0.5], -1, 10, 0),
      ValueError, r"^n_max must be a non-negative integer, got -1$"),
+    # shot counts above protocols.MAX_SHOTS, set to 1000 by the test
+    ("config shots above the bound", ProtocolConfig, (0.5, (1 / 3,) * 3, None, 1001),
+     ValueError, r"^shots 1001 would take 8,008 bytes of draws \(8 per shot\); "
+                 r"at most 1,000 shots are allowed$"),
+    ("sample_leaves shots above the bound", sample_leaves, ("prop2", LEAVES, 1001, 0),
+     ValueError, r"^shots 1001 would take 8,008 bytes of draws"),
+    ("sigma_scan shots above the bound", sigma_scan, ([0.5], 2, 1001, 0),
+     ValueError, r"^shots 1001 would take 8,008 bytes of draws"),
     ("analytic_Pn n", analytic_Pn, (0.5, -1),
      ValueError, r"^n must be a non-negative integer, got -1$"),
     ("pipeline rounds", distill_pipeline, (PHI.density(), 0),
@@ -261,10 +276,16 @@ INTEGER_ARGUMENTS = [
     ("teleport outcome", "outcome", lambda x: teleport(GHZ3, 0, PHI, outcome=x)),
     ("pipeline rounds", "rounds", lambda x: distill_pipeline(PHI.density(), x)),
     ("measure keep", "keep index", lambda x: measure(PHI, Z_BASIS, keep=(x,))),
-    ("postselect party", "party index", lambda x: postselect_levels(TERMS, [(x, SPLIT, 0)], [1])),
+    ("postselect party", "party index",
+     lambda x: postselect_levels(TERMS, [(x, SPLIT, 0)], [1], QUBITS)),
     ("postselect accept", "accept index",
-     lambda x: postselect_levels(TERMS, [(0, SPLIT, x)], [1])),
-    ("postselect level", "level", lambda x: postselect_levels(TERMS, [(0, [[0], [1, x]], 0)], [1])),
+     lambda x: postselect_levels(TERMS, [(0, SPLIT, x)], [1], QUBITS)),
+    ("postselect level", "level",
+     lambda x: postselect_levels(TERMS, [(0, [[0], [1, x]], 0)], [1], QUBITS)),
+    ("postselect source level", "source level",
+     lambda x: postselect_levels(TERMS, [(0, SPLIT, 0)], [1], {x: 0})),
+    ("postselect target level", "target level",
+     lambda x: postselect_levels(TERMS, [(0, SPLIT, 0)], [1], {0: x})),
     ("projector target", "target party", lambda x: ProjectiveMeasurement((x,), (EYE2,))),
     ("basis_ket level", "level", lambda x: basis_ket((2, 3), (0, x))),
     ("ghz_state n_parties", "n_parties", ghz_state),
@@ -295,7 +316,8 @@ INTEGER_ROWS = [
 @pytest.mark.parametrize(
     "call,args,error,pattern", [row[1:] for row in REFUSALS], ids=[row[0] for row in REFUSALS]
 )
-def test_refused_with_a_named_error(call, args, error, pattern):
+def test_refused_with_a_named_error(monkeypatch, call, args, error, pattern):
+    monkeypatch.setattr(protocols, "MAX_SHOTS", 1000)  # no shot row allocates its draws
     with pytest.raises(error, match=pattern):
         call(*args)
 
@@ -318,7 +340,8 @@ NUMPY_INTEGER_CALLS = [
     ("measure keep",
      lambda k: [o.post_state is None for o in measure(PHI, Z_BASIS, keep=(k(1),))]),
     ("postselect",
-     lambda k: postselect_levels(TERMS, [(k(0), SPLIT, k(0))], [k(1)])[1].matrix.tolist()),
+     lambda k: postselect_levels(TERMS, [(k(0), SPLIT, k(0))], [k(1)],
+                                 {k(0): k(0), k(1): k(1)})[1].amplitudes.tolist()),
     ("basis_ket", lambda k: basis_ket((2, 3), (k(1), k(2))).amplitudes.tolist()),
     ("relabel", lambda k: relabel_subspace(QUTRIT, k(0), {k(1): k(0), k(0): k(1)}, k(2)).dims),
     ("permute", lambda k: permute_parties(GHZ3, (k(2), k(0), k(1))).dims),
@@ -365,7 +388,7 @@ REAL_ARGUMENTS = [
     ("sigma_scan p", "p_list[0]", lambda x: sigma_scan([x], 2, 10, 0)),
     ("mix weight", "mixture weights[0]", lambda x: mix([(x, PHI)])),
     ("postselect weight", "mixture weights[0]",
-     lambda x: postselect_levels([(x, TERMS[0][1])], [(0, SPLIT, 0)], [1])),
+     lambda x: postselect_levels([(x, TERMS[0][1])], [(0, SPLIT, 0)], [1], QUBITS)),
     ("procrustean a", "Schmidt coefficients[0]", lambda x: procrustean_filter(x, 0.5)),
     ("procrustean b", "Schmidt coefficients[1]", lambda x: procrustean_filter(0.5, x)),
     ("isotropic fidelity", "fidelity", isotropic_state),
@@ -424,7 +447,7 @@ def test_numpy_reals_are_taken_as_floats(kind, call):
 
 @pytest.mark.parametrize("run", [
     lambda terms: mix(terms),
-    lambda terms: postselect_levels(terms, [(0, [[0], [1]], 0)], [1]),
+    lambda terms: postselect_levels(terms, [(0, [[0], [1]], 0)], [1], QUBITS),
 ], ids=["mix", "postselect_levels"])
 def test_nan_mixture_weights_are_refused_before_any_array(run):
     with warnings.catch_warnings():
